@@ -12,6 +12,7 @@ import time
 
 import hopflike as hk
 from hopflike.compositions import Composition
+from hopflike.hopfverify import check_bidegree12_cases, check_bidegree12_defect
 
 
 def main() -> int:
@@ -33,19 +34,18 @@ def main() -> int:
                 Composition([1, 1]), Composition([1, 1]), "summed"
             ),
         ),
-        ("bidegree (1,2) defect", lambda: hk.check_bidegree12(8)),
+        ("bidegree (1,2) defect", lambda: check_bidegree12_defect(8)),
+        ("bidegree (1,2) six cases", lambda: check_bidegree12_cases(8)),
     ]
     reports = []
     for name, run in sweeps:
         start = time.monotonic()
-        result = run()
+        report = run()
         elapsed = time.monotonic() - start
-        batch = result if isinstance(result, list) else [result]
-        reports.extend(batch)
-        for report in batch:
-            print(report.to_text())
-            print(f"elapsed: {elapsed:.2f}s")
-            print()
+        reports.append(report)
+        print(report.to_text())
+        print(f"elapsed: {elapsed:.2f}s")
+        print()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump([r.to_json_dict() for r in reports], fh, indent=2)

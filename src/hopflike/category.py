@@ -117,15 +117,6 @@ class MorphismWord:
     def __setattr__(self, name, value):
         raise AttributeError("MorphismWord is immutable")
 
-    def domains(self) -> list:
-        """Composition before each step (length = len(steps))."""
-        out = []
-        current = self.source
-        for g in self.steps:
-            out.append(current)
-            current = apply_generator(g, current)
-        return out
-
     def then(self, other: "MorphismWord") -> "MorphismWord":
         return compose(self, other)
 

@@ -115,15 +115,13 @@ def _emit_reports(reports, args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _timed(fn, args):
+def _timed(fn, args) -> list:
+    """Run one sweep; under ``--timing`` its report carries its own time."""
     start = time.monotonic()
-    result = fn()
-    elapsed = int((time.monotonic() - start) * 1000)
-    reports = result if isinstance(result, list) else [result]
+    report = fn()
     if args.timing:
-        for r in reports:
-            r.millis = elapsed
-    return reports
+        report.millis = int((time.monotonic() - start) * 1000)
+    return [report]
 
 
 def _run_verify(args) -> int:
@@ -151,7 +149,9 @@ def _run_verify(args) -> int:
         )
     elif args.suite == "bidegree12":
         reports = _timed(
-            lambda: hopfverify.check_bidegree12(args.max_total), args
+            lambda: hopfverify.check_bidegree12_defect(args.max_total), args
+        ) + _timed(
+            lambda: hopfverify.check_bidegree12_cases(args.max_total), args
         )
     else:  # pragma: no cover - argparse enforces choices
         raise HopflikeError(f"unknown suite {args.suite!r}")

@@ -60,9 +60,14 @@ class Permutation:
 
 
 class ContingencyMatrix:
-    """Immutable grid of non-negative integers."""
+    """Immutable grid of non-negative integers.
 
-    __slots__ = ("entries", "nrows", "ncols")
+    ``_kappa`` and ``_slot_sources`` memoize :func:`kappa` and
+    :func:`slot_sources` for this instance; equality and hashing ignore
+    them.
+    """
+
+    __slots__ = ("entries", "nrows", "ncols", "_kappa", "_slot_sources")
 
     def __init__(self, entries, ncols=None):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
@@ -79,6 +84,8 @@ class ContingencyMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_kappa", None)
+        object.__setattr__(self, "_slot_sources", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyMatrix is immutable")
@@ -246,11 +253,15 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
 
 def kappa(K: ContingencyMatrix) -> KappaResult:
     """Row-by-row and column-by-column readings of the entries."""
-    row_raw = tuple(v for row in K.entries for v in row)
-    col_raw = tuple(
-        K.entries[i][j] for j in range(K.ncols) for i in range(K.nrows)
-    )
-    return KappaResult(Composition(row_raw), Composition(col_raw), row_raw, col_raw)
+    if K._kappa is None:
+        row_raw = tuple(v for row in K.entries for v in row)
+        col_raw = tuple(
+            K.entries[i][j] for j in range(K.ncols) for i in range(K.nrows)
+        )
+        object.__setattr__(K, "_kappa", KappaResult(
+            Composition(row_raw), Composition(col_raw), row_raw, col_raw
+        ))
+    return K._kappa
 
 
 def sigma_K(K: ContingencyMatrix) -> Permutation:
@@ -288,20 +299,24 @@ def slot_sources(K: ContingencyMatrix) -> tuple:
     refinements: slot p of kappa-row is cell ``rm[p]``, which sits at
     position ``slot_sources(K)[p]`` in kappa-col.
     """
-    rm = [
-        (i, j)
-        for i in range(K.nrows)
-        for j in range(K.ncols)
-        if K.entries[i][j] > 0
-    ]
-    cm_index = {}
-    idx = 0
-    for j in range(K.ncols):
-        for i in range(K.nrows):
-            if K.entries[i][j] > 0:
-                cm_index[i, j] = idx
-                idx += 1
-    return tuple(cm_index[cell] for cell in rm)
+    if K._slot_sources is None:
+        rm = [
+            (i, j)
+            for i in range(K.nrows)
+            for j in range(K.ncols)
+            if K.entries[i][j] > 0
+        ]
+        cm_index = {}
+        idx = 0
+        for j in range(K.ncols):
+            for i in range(K.nrows):
+                if K.entries[i][j] > 0:
+                    cm_index[i, j] = idx
+                    idx += 1
+        object.__setattr__(
+            K, "_slot_sources", tuple(cm_index[cell] for cell in rm)
+        )
+    return K._slot_sources
 
 
 def transpose(K: ContingencyMatrix) -> ContingencyMatrix:

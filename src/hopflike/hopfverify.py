@@ -558,56 +558,76 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
 def check_bidegree12(max_total: int) -> list:
     """Defect-vs-expansion sweep and survival patterns, all tridegrees.
 
-    Returns two reports: the first compares the Hopf defect with the
-    six-term expansion (and its mirrored form) on every h-basis input
-    with a + b + c <= max_total, checking the defect vanishes when some
-    degree is zero; the second aggregates the survival patterns.
+    Returns the reports of :func:`check_bidegree12_defect` and
+    :func:`check_bidegree12_cases`, in that order.
+    """
+    return [check_bidegree12_defect(max_total), check_bidegree12_cases(max_total)]
+
+
+def check_bidegree12_defect(max_total: int) -> VerificationReport:
+    """Hopf defect against the six-term expansion, all tridegrees.
+
+    Compares the defect with the expansion (and its mirrored form) on
+    every h-basis input with a + b + c <= max_total, and checks that the
+    defect vanishes when some degree is zero.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
-    defect_report = VerificationReport("bidegree12-defect", {"max_total": max_total})
-    cases_report = VerificationReport("bidegree12-six-cases", {"max_total": max_total})
+    report = VerificationReport("bidegree12-defect", {"max_total": max_total})
     for a in range(max_total + 1):
         for b in range(max_total - a + 1):
             for c in range(max_total - a - b + 1):
                 positive = min(a, b, c) > 0
-                if positive:
-                    sub = check_six_cases(a, b, c)
-                    cases_report.checked += sub.checked
-                    cases_report.failures.extend(sub.failures)
                 for lam in partitions_of(a):
                     for mu in partitions_of(b):
                         for nu in partitions_of(c):
                             el = TensorElement(
                                 (a, b, c), {(lam, mu, nu): 1}
                             )
-                            defect_report.checked += 1
+                            report.checked += 1
                             defect = hopf_defect_12(el)
                             if positive:
                                 expansion = six_term_12(el)
                                 mirrored = six_term_21(el)
                                 if defect != expansion:
-                                    defect_report.record(
+                                    report.record(
                                         f"tridegree ({a},{b},{c}) bracket (1,2)",
                                         format_tensor(el),
                                         format_graded(defect),
                                         format_graded(expansion),
                                     )
                                 if defect != mirrored:
-                                    defect_report.record(
+                                    report.record(
                                         f"tridegree ({a},{b},{c}) bracket (2,1)",
                                         format_tensor(el),
                                         format_graded(defect),
                                         format_graded(mirrored),
                                     )
                             elif defect:
-                                defect_report.record(
+                                report.record(
                                     f"tridegree ({a},{b},{c}) zero branch",
                                     format_tensor(el),
                                     format_graded(defect),
                                     "0",
                                 )
-    return [defect_report, cases_report]
+    return report
+
+
+def check_bidegree12_cases(max_total: int) -> VerificationReport:
+    """Survival patterns on every positive tridegree, in one report.
+
+    Aggregates :func:`check_six_cases` over a + b + c <= max_total.
+    """
+    if max_total < 1:
+        raise UsageError("max_total must be >= 1")
+    report = VerificationReport("bidegree12-six-cases", {"max_total": max_total})
+    for a in range(1, max_total + 1):
+        for b in range(1, max_total - a + 1):
+            for c in range(1, max_total - a - b + 1):
+                sub = check_six_cases(a, b, c)
+                report.checked += sub.checked
+                report.failures.extend(sub.failures)
+    return report
 
 
 # ---------------------------------------------------------------------------

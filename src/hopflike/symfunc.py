@@ -519,6 +519,18 @@ class TensorElement:
         raise AttributeError("TensorElement is immutable")
 
     @classmethod
+    def _trusted(cls, shape: tuple, coeffs: dict) -> "TensorElement":
+        """Build without validation, dropping zero coefficients.
+
+        For results of operations on valid elements only: ``shape`` is a
+        tuple of ints and every label already matches it slotwise.
+        """
+        el = object.__new__(cls)
+        object.__setattr__(el, "shape", shape)
+        object.__setattr__(el, "coeffs", {k: v for k, v in coeffs.items() if v})
+        return el
+
+    @classmethod
     def zero(cls, shape) -> "TensorElement":
         return cls(shape, {})
 
@@ -543,17 +555,19 @@ class TensorElement:
         merged = dict(self.coeffs)
         for label, c in other.coeffs.items():
             merged[label] = merged.get(label, 0) + c
-        return TensorElement(self.shape, merged)
+        return TensorElement._trusted(self.shape, merged)
 
     def __neg__(self):
-        return TensorElement(self.shape, {k: -v for k, v in self.coeffs.items()})
+        return TensorElement._trusted(
+            self.shape, {k: -v for k, v in self.coeffs.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, int):
-            return TensorElement(
+            return TensorElement._trusted(
                 self.shape, {k: scalar * v for k, v in self.coeffs.items()}
             )
         return NotImplemented
@@ -588,7 +602,51 @@ class TensorElement:
         for label, c in self.coeffs.items():
             key = tuple(label[i] for i in keep)
             coeffs[key] = coeffs.get(key, 0) + c
-        return TensorElement(shape, coeffs)
+        return TensorElement._trusted(shape, coeffs)
+
+
+def _comult_action(slot: int, d1: int):
+    """Coefficient map of comultiplying ``slot`` with left degree d1."""
+
+    def act(coeffs: dict) -> dict:
+        out = {}
+        for label, c in coeffs.items():
+            head, tail = label[:slot], label[slot + 1:]
+            for mu, nu, d in _comult_table(label[slot]):
+                if sum(mu) == d1:
+                    key = head + (mu, nu) + tail
+                    out[key] = out.get(key, 0) + c * d
+        return out
+
+    return act
+
+
+def _mult_action(slot: int):
+    """Coefficient map of multiplying ``slot`` and ``slot + 1``."""
+
+    def act(coeffs: dict) -> dict:
+        out = {}
+        for label, c in coeffs.items():
+            key = (
+                label[:slot]
+                + (_merge_labels(label[slot], label[slot + 1]),)
+                + label[slot + 2:]
+            )
+            out[key] = out.get(key, 0) + c
+        return out
+
+    return act
+
+
+def _permute_action(sources: tuple):
+    """Coefficient map of reordering slots; a bijection on labels."""
+
+    def act(coeffs: dict) -> dict:
+        return {
+            tuple([label[s] for s in sources]): c for label, c in coeffs.items()
+        }
+
+    return act
 
 
 def tensor_comult_component(
@@ -601,13 +659,7 @@ def tensor_comult_component(
             f"cannot split slot {slot} of shape {shape} into ({d1},{d2})"
         )
     out_shape = shape[:slot] + (d1, d2) + shape[slot + 1:]
-    coeffs = {}
-    for label, c in el.coeffs.items():
-        for mu, nu, d in _comult_table(label[slot]):
-            if sum(mu) == d1:
-                key = label[:slot] + (mu, nu) + label[slot + 1:]
-                coeffs[key] = coeffs.get(key, 0) + c * d
-    return TensorElement(out_shape, coeffs)
+    return TensorElement._trusted(out_shape, _comult_action(slot, d1)(el.coeffs))
 
 
 def tensor_mult_slots(el: TensorElement, slot: int) -> TensorElement:
@@ -616,12 +668,7 @@ def tensor_mult_slots(el: TensorElement, slot: int) -> TensorElement:
     if not 0 <= slot < len(shape) - 1:
         raise RealizationError(f"cannot join slot {slot} of shape {shape}")
     out_shape = shape[:slot] + (shape[slot] + shape[slot + 1],) + shape[slot + 2:]
-    coeffs = {}
-    for label, c in el.coeffs.items():
-        merged = _merge_labels(label[slot], label[slot + 1])
-        key = label[:slot] + (merged,) + label[slot + 2:]
-        coeffs[key] = coeffs.get(key, 0) + c
-    return TensorElement(out_shape, coeffs)
+    return TensorElement._trusted(out_shape, _mult_action(slot)(el.coeffs))
 
 
 def tensor_permute(el: TensorElement, sources) -> TensorElement:
@@ -630,11 +677,7 @@ def tensor_permute(el: TensorElement, sources) -> TensorElement:
     if sorted(sources) != list(range(len(el.shape))):
         raise RealizationError(f"bad slot permutation {sources}")
     shape = tuple(el.shape[s] for s in sources)
-    coeffs = {}
-    for label, c in el.coeffs.items():
-        key = tuple(label[s] for s in sources)
-        coeffs[key] = coeffs.get(key, 0) + c
-    return TensorElement(shape, coeffs)
+    return TensorElement._trusted(shape, _permute_action(sources)(el.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +705,6 @@ class RealizedMap:
             )
         return self._fn(el)
 
-    def after(self, other: "RealizedMap") -> "RealizedMap":
-        if other.codomain_shape != self.domain_shape:
-            raise RealizationError("maps do not compose")
-        return RealizedMap(
-            other.domain_shape, self.codomain_shape,
-            lambda el: self._fn(other(el)),
-        )
-
 
 class PshRealization:
     """Realize category words on the symmetric-functions tensor spaces.
@@ -684,41 +719,44 @@ class PshRealization:
         labels = itertools.product(*(partitions_of(d) for d in parts))
         return [TensorElement(parts, {label: 1}) for label in labels]
 
-    def realize_generator(self, g, domain: Composition) -> RealizedMap:
-        codomain = apply_generator(g, domain)
+    @staticmethod
+    def _action(g, domain: Composition):
+        """Coefficient map realizing ``g`` out of A(codomain) into A(domain).
+
+        ``g`` must be admissible on ``domain``.
+        """
         if isinstance(g, Merge):
-            slot = g.i - 1
-            d1, d2 = domain.parts[slot], domain.parts[slot + 1]
-            return RealizedMap(
-                codomain.parts, domain.parts,
-                lambda el: tensor_comult_component(el, slot, d1, d2),
-            )
+            return _comult_action(g.i - 1, domain.parts[g.i - 1])
         if isinstance(g, Split):
-            slot = g.i - 1
-            return RealizedMap(
-                codomain.parts, domain.parts,
-                lambda el: tensor_mult_slots(el, slot),
-            )
+            return _mult_action(g.i - 1)
         if isinstance(g, Shuffle):
-            sources = slot_sources(g.K)
-            return RealizedMap(
-                codomain.parts, domain.parts,
-                lambda el: tensor_permute(el, sources),
-            )
+            return _permute_action(slot_sources(g.K))
         raise RealizationError(f"unknown generator {g!r}")
 
+    def realize_generator(self, g, domain: Composition) -> RealizedMap:
+        codomain = apply_generator(g, domain)
+        return self._compiled(codomain.parts, domain.parts, [self._action(g, domain)])
+
     def realize_word(self, word) -> RealizedMap:
-        maps = [
-            self.realize_generator(g, dom)
-            for g, dom in zip(word.steps, word.domains())
-        ]
+        actions = []
+        domain = word.source
+        for g in word.steps:
+            codomain = apply_generator(g, domain)
+            actions.append(self._action(g, domain))
+            domain = codomain
+        return self._compiled(word.target.parts, word.source.parts, actions[::-1])
+
+    @staticmethod
+    def _compiled(domain_shape, codomain_shape, actions) -> RealizedMap:
+        """Map applying ``actions`` in order, with one shape check on entry."""
 
         def fn(el):
-            for m in reversed(maps):
-                el = m(el)
-            return el
+            coeffs = el.coeffs
+            for act in actions:
+                coeffs = act(coeffs)
+            return TensorElement._trusted(codomain_shape, coeffs)
 
-        return RealizedMap(word.target.parts, word.source.parts, fn)
+        return RealizedMap(domain_shape, codomain_shape, fn)
 
 
 _default_realization = PshRealization()

@@ -1,6 +1,10 @@
+import itertools
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
+
+from hopflike import cli
 
 from hopflike.cli import main
 
@@ -61,6 +65,19 @@ def test_verify_bidegree12(capsys):
     assert [p["suite"] for p in payload] == [
         "bidegree12-defect", "bidegree12-six-cases"
     ]
+
+
+def test_bidegree12_timing_is_per_report(capsys, monkeypatch):
+    ticks = itertools.count()  # clock readings 0, 1, 4, 9 seconds
+    monkeypatch.setattr(
+        cli, "time", SimpleNamespace(monotonic=lambda: next(ticks) ** 2)
+    )
+    code, out, _ = run_cli(
+        capsys, "verify", "bidegree12", "--max-total", "3",
+        "--format", "json", "--timing",
+    )
+    assert code == 0
+    assert [p["millis"] for p in json.loads(out)] == [1000, 5000]
 
 
 def test_matrices_listing(capsys):

@@ -1,0 +1,153 @@
+"""The compiled realization against a step-by-step reference, and its faults.
+
+``PshRealization.realize_word`` compiles a word into one coefficient map
+and validates only the element it is given.  The reference evaluator
+here walks the same word one generator at a time through the public
+slot operations and re-validates every intermediate element, so a
+compilation mistake (wrong slot, wrong degree, wrong order of steps)
+shows up as a difference.
+"""
+
+import types
+
+import pytest
+
+import hopflike
+from hopflike import symfunc
+from hopflike.category import (
+    Merge,
+    Split,
+    apply_generator,
+    enumerate_relation_instances,
+)
+from hopflike.compositions import Composition, enumerate_compositions
+from hopflike.contingency import ContingencyMatrix, enumerate_matrices, slot_sources
+from hopflike.hopfverify import (
+    _coarse_route_word,
+    _tower_word,
+    check_mixed_relations,
+    check_worked_examples,
+)
+from hopflike.symfunc import (
+    TensorElement,
+    default_realization,
+    tensor_comult_component,
+    tensor_mult_slots,
+    tensor_permute,
+)
+
+
+def reference_apply(word, el):
+    """Realize ``word`` on ``el`` one step at a time, last step first."""
+    domains = [word.source]
+    for g in word.steps:
+        domains.append(apply_generator(g, domains[-1]))
+    assert el.shape == domains[-1].parts
+    for g, dom in zip(reversed(word.steps), reversed(domains[:-1])):
+        if isinstance(g, Merge):
+            slot = g.i - 1
+            el = tensor_comult_component(
+                el, slot, dom.parts[slot], dom.parts[slot + 1]
+            )
+        elif isinstance(g, Split):
+            el = tensor_mult_slots(el, g.i - 1)
+        else:
+            el = tensor_permute(el, slot_sources(g.K))
+        el = TensorElement(el.shape, el.coeffs)  # the validating constructor
+        assert el.shape == dom.parts
+    return el
+
+
+def assert_matches_reference(words):
+    real = default_realization()
+    evaluated = 0
+    for word in words:
+        compiled = real.realize_word(word)
+        for el in real.tensor_basis(word.target):
+            assert compiled(el) == reference_apply(word, el), (word, el)
+            evaluated += 1
+    return evaluated
+
+
+@pytest.mark.parametrize(
+    "family, max_sum, max_len", [("dd", 6, 4), ("ss", 6, 4), ("tautau", 4, 3)]
+)
+def test_relation_words_match_reference(family, max_sum, max_len):
+    words = [
+        word
+        for instance in enumerate_relation_instances(family, max_sum, max_len)
+        for word in (instance.left, instance.right)
+    ]
+    assert words
+    assert assert_matches_reference(words) > len(words)
+
+
+def test_square_words_match_reference():
+    words = []
+    for n in range(1, 5):
+        comps = enumerate_compositions(n)
+        gamma = Composition([n])
+        for alpha in comps:
+            for beta in comps:
+                words.append(_coarse_route_word(alpha, beta, gamma))
+                words.extend(
+                    _tower_word(alpha, beta, K)
+                    for K in enumerate_matrices(alpha, beta)
+                )
+    assert assert_matches_reference(words) > len(words)
+
+
+# --- injected faults ----------------------------------------------------------
+
+SWAP = ContingencyMatrix([[0, 2], [2, 0]])
+
+
+def swap_fault(monkeypatch):
+    """Exchange the two degree-2 slots of the one shuffle along SWAP."""
+    real = symfunc.slot_sources
+
+    def faulty(K):
+        sources = real(K)
+        return (sources[1], sources[0]) + sources[2:] if K == SWAP else sources
+
+    monkeypatch.setattr(symfunc, "slot_sources", faulty)
+
+
+def comult_fault(monkeypatch):
+    """Add one to the h1 (x) h1 coefficient of the coproduct of h2."""
+    real = symfunc._comult_table
+
+    def corrupted(lam):
+        table = real(lam)
+        if lam != (2,):
+            return table
+        return tuple(
+            (mu, nu, c + 1 if mu == nu == (1,) else c) for mu, nu, c in table
+        )
+
+    monkeypatch.setattr(symfunc, "_comult_table", corrupted)
+
+
+@pytest.mark.parametrize("inject", [swap_fault, comult_fault])
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda: check_worked_examples(4), lambda: check_mixed_relations(4, 2)],
+    ids=["worked-4", "mixed-4-2"],
+)
+def test_injected_fault_is_reported(monkeypatch, inject, sweep):
+    assert sweep().passed
+    inject(monkeypatch)
+    assert sweep().failures
+
+
+# --- validation stays at the public boundaries --------------------------------
+
+
+def test_trusted_constructor_is_not_exported():
+    public = {
+        name
+        for name, value in vars(hopflike).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(hopflike.__all__) == sorted(public)
+    assert "TensorElement" in public and "_trusted" not in hopflike.__all__

@@ -123,6 +123,19 @@ def test_kappa_examples():
     assert k.col == Composition([1, 1])
 
 
+def test_memos_leave_matrix_immutable():
+    K = ContingencyMatrix([[1, 2], [0, 3]])
+    twin = ContingencyMatrix([[1, 2], [0, 3]])
+    before = hash(K)
+    assert kappa(K) is kappa(K)
+    assert slot_sources(K) is slot_sources(K)
+    assert hash(K) == before == hash(twin)
+    assert K == twin and kappa(twin) == kappa(K)
+    for name in ("entries", "_kappa", "_slot_sources"):
+        with pytest.raises(AttributeError):
+            setattr(K, name, None)
+
+
 def test_sigma_examples():
     assert sigma_K(ContingencyMatrix([[1, 1], [1, 1]])).images == (1, 3, 2, 4)
     for n in range(1, 5):

@@ -280,6 +280,16 @@ def test_realized_map_rejects_wrong_shape():
     realized = real.realize_generator(Merge(2, 1), C([1, 1]))
     with pytest.raises(RealizationError):
         realized(TensorElement((3,), {((3,),): 1}))
+    word = real.realize_word(MorphismWord(C([1, 1]), [Merge(2, 1), Split(1, 1, 1)]))
+    with pytest.raises(RealizationError):
+        word(TensorElement((2,), {((2,),): 1}))
+
+
+def test_tensor_element_validates_labels():
+    with pytest.raises(RealizationError):
+        TensorElement((2,), {((1,),): 1})
+    with pytest.raises(RealizationError):
+        TensorElement((1, 1), {((1,),): 1})
 
 
 # --- the big sum ------------------------------------------------------------
