@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: verify (simplicial | relations | hopf | square |
-bidegree12), explore mixed, matrices, compositions, normalize, cache.
+bidegree12), explore mixed, matrices, compositions, normalize.
 All sweeps are exhaustive within their bounds and every run is
 deterministic; JSON output is byte-identical across runs unless
 ``--timing`` is given.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -19,7 +18,7 @@ from .compositions import enumerate_compositions
 from .contingency import enumerate_matrices
 from .errors import HopflikeError
 from .parsing import parse_composition, parse_word
-from .symfunc import default_realization, format_tensor, transition_cache
+from .symfunc import default_realization, format_tensor
 from . import hopfverify, simplicial
 
 
@@ -27,10 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopflike",
         description="Composition-category kernel with exhaustive identity sweeps.",
-    )
-    parser.add_argument(
-        "--cache",
-        help="transition cache file (default: $HOPFLIKE_CACHE, else in-memory)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="parse a word; print its realized map")
     p.add_argument("word")
     p.add_argument("--format", choices=("text", "json"), default="text")
-
-    cache = sub.add_parser("cache", help="transition cache management")
-    csub = cache.add_subparsers(dest="action", required=True)
-    csub.add_parser("stats", help="show cache path and contents")
-    csub.add_parser("clear", help="drop the cache (and its file, if any)")
 
     return parser
 
@@ -257,25 +247,9 @@ def _run_normalize(args) -> int:
     return 0
 
 
-def _run_cache(args) -> int:
-    cache = transition_cache()
-    if args.action == "stats":
-        stats = cache.stats()
-        print(f"path: {stats['path']}")
-        print(f"degrees: {stats['degrees']}")
-        print(f"entries: {stats['entries']}")
-    else:
-        cache.clear()
-        print("cache cleared")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_path = args.cache or os.environ.get("HOPFLIKE_CACHE")
-    if cache_path:
-        transition_cache().set_path(cache_path)
     try:
         if args.command == "verify":
             return _run_verify(args)
@@ -287,8 +261,6 @@ def main(argv=None) -> int:
             return _run_compositions(args)
         if args.command == "normalize":
             return _run_normalize(args)
-        if args.command == "cache":
-            return _run_cache(args)
         raise HopflikeError(f"unknown command {args.command!r}")
     except HopflikeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,16 +16,12 @@ different self-adjoint graded algebra can be substituted later.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
-import threading
-from fractions import Fraction
+import operator
 from functools import lru_cache
 
 from .compositions import Composition
-from .contingency import count_matrices, slot_sources
+from .contingency import slot_sources
 from .category import Merge, Shuffle, Split, apply_generator
 from .errors import (
     BasisMismatchError,
@@ -233,121 +229,110 @@ def comult_component(x: SymElement, d1: int, d2: int) -> "TensorElement":
 # basis transitions and the Hall pairing
 
 
-class TransitionCache:
-    """Per-degree h -> m transition matrices, optionally persisted.
+def _horizontal_strips(shape: tuple, size: int) -> list:
+    """Partitions made from ``shape`` by a horizontal strip of ``size`` boxes.
 
-    The matrix entry at (lam, mu) is the number of non-negative integer
-    matrices with row margins lam and column margins mu.  The file is
-    JSON with one checksummed block per degree; a block whose checksum
-    does not match is silently recomputed.  Thread-safe: concurrent
-    reads, idempotent fill.
+    No two new boxes share a column: row i may grow up to the length of
+    row i - 1 of ``shape`` (the first row without limit), and one new
+    row may start below the last.
+    """
+    rows = shape + (0,)
+    out = []
+
+    def rec(i, left, prefix):
+        if i == len(rows):
+            if left == 0:
+                out.append(tuple(v for v in prefix if v))
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(room, -1, -1):
+            prefix.append(rows[i] + add)
+            rec(i + 1, left - add, prefix)
+            prefix.pop()
+
+    rec(0, size, [])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kostka(degree: int) -> tuple:
+    """Kostka numbers of one degree: row lam, column mu holds K(lam, mu).
+
+    K(lam, mu) counts semistandard tableaux of shape lam and content mu,
+    built by adding one horizontal strip per part of mu.  Rows and
+    columns follow ``partitions_of`` order, which refines dominance, so
+    K is upper unitriangular; anything else raises ``UsageError``.
+    """
+    parts = partitions_of(degree)
+    index = {lam: i for i, lam in enumerate(parts)}
+    columns = []
+    for mu in parts:
+        shapes = {(): 1}
+        for part in mu:
+            grown = {}
+            for shape, c in shapes.items():
+                for nu in _horizontal_strips(shape, part):
+                    grown[nu] = grown.get(nu, 0) + c
+            shapes = grown
+        column = [0] * len(parts)
+        for lam, c in shapes.items():
+            column[index[lam]] = c
+        columns.append(column)
+    table = tuple(zip(*columns))
+    for i, row in enumerate(table):
+        if row[i] != 1 or any(row[:i]):
+            raise UsageError(
+                f"Kostka table of degree {degree} is not unitriangular "
+                f"at row {parts[i]}"
+            )
+    return table
+
+
+@lru_cache(maxsize=None)
+def _kostka_inverse(degree: int) -> tuple:
+    """Inverse of ``_kostka(degree)`` by integer back-substitution."""
+    table = _kostka(degree)
+    k = len(table)
+    rows = [None] * k
+    for i in range(k - 1, -1, -1):
+        row = [0] * k
+        row[i] = 1
+        for j in range(i + 1, k):
+            c = table[i][j]
+            if c:
+                for col, v in enumerate(rows[j]):
+                    if v:
+                        row[col] -= c * v
+        rows[i] = tuple(row)
+    return tuple(rows)
+
+
+class TransitionCache:
+    """Per-degree h -> m transition matrices, held in memory.
+
+    The entry at (lam, mu) is the number of non-negative integer
+    matrices with row margins lam and column margins mu, computed as
+    (K^T K)(lam, mu) from the Kostka table (RSK).
     """
 
-    FORMAT_VERSION = 1
-
-    def __init__(self, path=None):
-        self._lock = threading.Lock()
+    def __init__(self):
         self._degrees = {}
-        self._path = path
-        self._loaded = path is None
-
-    @property
-    def path(self):
-        return self._path
-
-    def set_path(self, path):
-        with self._lock:
-            self._path = path
-            self._degrees = {}
-            self._loaded = path is None
-
-    @staticmethod
-    def _key(lam, mu):
-        return ",".join(map(str, lam)) + "|" + ",".join(map(str, mu))
-
-    @staticmethod
-    def _unkey(text):
-        lam_s, mu_s = text.split("|")
-        lam = tuple(int(v) for v in lam_s.split(",") if v)
-        mu = tuple(int(v) for v in mu_s.split(",") if v)
-        return lam, mu
-
-    @staticmethod
-    def _checksum(counts: dict) -> str:
-        canon = json.dumps(
-            {k: counts[k] for k in sorted(counts)}, separators=(",", ":")
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    def _load(self):
-        if self._loaded:
-            return
-        self._loaded = True
-        try:
-            with open(self._path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return
-        if data.get("format_version") != self.FORMAT_VERSION:
-            return
-        for deg_s, block in data.get("degrees", {}).items():
-            counts = block.get("counts", {})
-            if block.get("sha256") != self._checksum(counts):
-                continue  # corrupted block: recompute later
-            self._degrees[int(deg_s)] = {
-                self._unkey(k): v for k, v in counts.items()
-            }
-
-    def _save(self):
-        if self._path is None:
-            return
-        payload = {
-            "format_version": self.FORMAT_VERSION,
-            "degrees": {},
-        }
-        for deg in sorted(self._degrees):
-            counts = {
-                self._key(lam, mu): v
-                for (lam, mu), v in self._degrees[deg].items()
-            }
-            payload["degrees"][str(deg)] = {
-                "counts": {k: counts[k] for k in sorted(counts)},
-                "sha256": self._checksum(counts),
-            }
-        tmp = self._path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self._path)
 
     def degree_matrix(self, degree: int) -> dict:
         """Mapping (lam, mu) -> margin count, for all partition pairs."""
-        with self._lock:
-            self._load()
-            if degree not in self._degrees:
-                parts = partitions_of(degree)
-                self._degrees[degree] = {
-                    (lam, mu): count_matrices(lam, mu)
-                    for lam in parts
-                    for mu in parts
-                }
-                self._save()
-            return self._degrees[degree]
+        matrix = self._degrees.get(degree)
+        if matrix is None:
+            parts = partitions_of(degree)
+            columns = tuple(zip(*_kostka(degree)))
+            matrix = self._degrees.setdefault(degree, {
+                (lam, mu): sum(map(operator.mul, columns[i], columns[j]))
+                for i, lam in enumerate(parts)
+                for j, mu in enumerate(parts)
+            })
+        return matrix
 
     def stats(self) -> dict:
-        with self._lock:
-            self._load()
-            return {
-                "path": self._path or "(memory only)",
-                "degrees": sorted(self._degrees),
-                "entries": sum(len(v) for v in self._degrees.values()),
-            }
-
-    def clear(self):
-        with self._lock:
-            self._degrees = {}
-            if self._path is not None and os.path.exists(self._path):
-                os.remove(self._path)
-            self._loaded = self._path is None
+        return {"entries": sum(len(v) for v in self._degrees.values())}
 
 
 _default_cache = TransitionCache()
@@ -373,35 +358,14 @@ def h_to_m(x: SymElement) -> SymElement:
 
 @lru_cache(maxsize=None)
 def _inverse_transition(degree: int) -> tuple:
-    """Inverse of the transposed h->m matrix, as integer row tuples."""
-    parts = partitions_of(degree)
-    k = len(parts)
-    matrix = transition_cache().degree_matrix(degree)
-    # Gauss-Jordan over exact rationals; the matrix is unimodular, so
-    # the inverse is integral and the int() casts below cannot lose.
-    aug = [
-        [Fraction(matrix[(parts[j], parts[i])]) for j in range(k)]
-        + [Fraction(1 if i == j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    rows = []
-    for r in range(k):
-        row = []
-        for v in aug[r][k:]:
-            if v.denominator != 1:
-                raise UsageError("transition matrix is not unimodular")
-            row.append(int(v))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Inverse of the (symmetric) h->m matrix, as integer row tuples.
+
+    The h->m matrix is K^T K, so its inverse is K^-1 K^-T.
+    """
+    inverse = _kostka_inverse(degree)
+    return tuple(
+        tuple(sum(map(operator.mul, a, b)) for b in inverse) for a in inverse
+    )
 
 
 def m_to_h(x: SymElement) -> SymElement:
@@ -423,34 +387,33 @@ def m_to_h(x: SymElement) -> SymElement:
 
 
 def schur(lam) -> SymElement:
-    """Schur function as an h combination (Jacobi-Trudi determinant)."""
+    """Schur function as an h combination.
+
+    For a partition this is column lam of the inverse Kostka table
+    (h_mu = sum_lam K(lam, mu) s_lam).  Any other integer sequence keeps
+    its Jacobi-Trudi meaning det(h_(lam_i - i + j)): adding the
+    staircase and sorting straightens it to a signed partition, or to 0
+    when two shifted parts coincide or a part turns negative.
+    """
     lam = tuple(lam)
-    rows = len(lam)
-    if rows == 0:
-        return SymElement.one()
-    coeffs = {}
-    for perm in itertools.permutations(range(rows)):
-        degrees = []
-        dead = False
-        for i in range(rows):
-            d = lam[i] - i + perm[i]
-            if d < 0:
-                dead = True
-                break
-            if d > 0:
-                degrees.append(d)
-        if dead:
-            continue
-        inversions = sum(
-            1
-            for i in range(rows)
-            for j in range(i + 1, rows)
-            if perm[i] > perm[j]
-        )
-        sign = -1 if inversions % 2 else 1
-        key = tuple(sorted(degrees, reverse=True))
-        coeffs[key] = coeffs.get(key, 0) + sign
-    return SymElement(sum(lam), "h", coeffs)
+    degree = sum(lam)
+    shifted = [p - i for i, p in enumerate(lam)]
+    order = sorted(range(len(lam)), key=lambda i: -shifted[i])
+    sign = 1
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    straight = tuple(shifted[s] + i for i, s in enumerate(order))
+    if len(set(shifted)) < len(shifted) or (straight and straight[-1] < 0):
+        return SymElement(degree, "h", {})
+    straight = tuple(p for p in straight if p)
+    parts = partitions_of(degree)
+    col = parts.index(straight)
+    inverse = _kostka_inverse(degree)
+    return SymElement(degree, "h", {
+        mu: sign * row[col] for mu, row in zip(parts, inverse) if row[col]
+    })
 
 
 def to_h(x: SymElement) -> SymElement:

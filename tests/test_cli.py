@@ -120,19 +120,6 @@ def test_explore_mixed_json(capsys):
     assert "upper" in payload and "lower" in payload
 
 
-def test_cache_commands(tmp_path, capsys):
-    path = str(tmp_path / "cache.json")
-    code, out, _ = run_cli(capsys, "--cache", path, "verify", "hopf", "--max-degree", "3")
-    assert code == 0
-    code, out, _ = run_cli(capsys, "--cache", path, "cache", "stats")
-    assert code == 0
-    assert path in out
-    code, out, _ = run_cli(capsys, "--cache", path, "cache", "clear")
-    assert code == 0
-    import os
-    assert not os.path.exists(path)
-
-
 def test_every_subcommand_has_help():
     for argv in [
         ["--help"],
@@ -147,7 +134,6 @@ def test_every_subcommand_has_help():
         ["matrices", "--help"],
         ["compositions", "--help"],
         ["normalize", "--help"],
-        ["cache", "--help"],
     ]:
         proc = subprocess.run(
             [sys.executable, "-m", "hopflike", *argv],
@@ -167,11 +153,3 @@ def test_json_output_byte_identical_across_processes():
     second = subprocess.run(argv, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
-
-
-def test_env_var_sets_cache_path(tmp_path, capsys, monkeypatch):
-    path = str(tmp_path / "envcache.json")
-    monkeypatch.setenv("HOPFLIKE_CACHE", path)
-    code, out, _ = run_cli(capsys, "cache", "stats")
-    assert code == 0
-    assert path in out

@@ -1,16 +1,17 @@
 import itertools
-import json
-import threading
+import math
 
 import pytest
 
 from hopflike.compositions import Composition
 from hopflike.category import Merge, MorphismWord, Shuffle, Split, compose
-from hopflike.contingency import ContingencyMatrix
+from hopflike import symfunc
+from hopflike.contingency import ContingencyMatrix, count_matrices
 from hopflike.errors import (
     BasisMismatchError,
     DegreeMismatchError,
     RealizationError,
+    UsageError,
 )
 from hopflike.parsing import parse_sym_element, parse_tensor_element
 from hopflike.symfunc import (
@@ -18,6 +19,8 @@ from hopflike.symfunc import (
     SymElement,
     TensorElement,
     TransitionCache,
+    _inverse_transition,
+    _kostka,
     big_coproduct,
     big_product,
     comult_component,
@@ -32,6 +35,7 @@ from hopflike.symfunc import (
     partitions_of,
     schur,
     tensor_permute,
+    transition_cache,
 )
 
 
@@ -371,51 +375,140 @@ def test_commutative_and_cocommutative():
                     assert h_mult(x, y) == h_mult(y, x)
 
 
-# --- transition cache -------------------------------------------------------
+# --- the Kostka table and the transition layer -----------------------------
 
 
-def test_cache_persistence_and_checksum(tmp_path):
-    path = str(tmp_path / "transitions.json")
-    cache = TransitionCache(path)
-    matrix = cache.degree_matrix(3)
-    assert matrix[((3,), (1, 1, 1))] == 1
-    assert matrix[((1, 1, 1), (1, 1, 1))] == 6
+def jacobi_trudi(lam):
+    """Reference Schur expansion: det(h_(lam_i - i + j)) over all row orders."""
+    lam = tuple(lam)
+    rows = len(lam)
+    if rows == 0:
+        return SymElement.one()
+    coeffs = {}
+    for perm in itertools.permutations(range(rows)):
+        degrees = []
+        dead = False
+        for i in range(rows):
+            d = lam[i] - i + perm[i]
+            if d < 0:
+                dead = True
+                break
+            if d > 0:
+                degrees.append(d)
+        if dead:
+            continue
+        inversions = sum(
+            1
+            for i in range(rows)
+            for j in range(i + 1, rows)
+            if perm[i] > perm[j]
+        )
+        sign = -1 if inversions % 2 else 1
+        key = tuple(sorted(degrees, reverse=True))
+        coeffs[key] = coeffs.get(key, 0) + sign
+    return SymElement(sum(lam), "h", coeffs)
 
-    fresh = TransitionCache(path)
-    assert fresh.degree_matrix(3) == matrix
-    stats = fresh.stats()
-    assert stats["degrees"] == [3]
-    assert stats["path"] == path
 
-    # corrupt one count: the checksum must reject the block
-    with open(path) as fh:
-        data = json.load(fh)
-    key = next(iter(data["degrees"]["3"]["counts"]))
-    data["degrees"]["3"]["counts"][key] += 100
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    repaired = TransitionCache(path)
-    assert repaired.degree_matrix(3) == matrix
-
-    repaired.clear()
-    assert repaired.stats()["entries"] == 0
-    import os
-    assert not os.path.exists(path)
+def hook_length_count(lam):
+    """Standard Young tableaux of shape lam: n! over the product of hooks."""
+    columns = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            hooks *= (p - j - 1) + (columns[j] - i - 1) + 1
+    return math.factorial(sum(lam)) // hooks
 
 
-def test_cache_concurrent_fill(tmp_path):
-    cache = TransitionCache(str(tmp_path / "t.json"))
-    results = []
+def rsk_mismatches(max_degree):
+    """Pairs where (K^T K)(lam, mu) differs from the contingency count."""
+    bad = []
+    for degree in range(max_degree + 1):
+        matrix = transition_cache().degree_matrix(degree)
+        parts = partitions_of(degree)
+        for lam in parts:
+            for mu in parts:
+                if matrix[(lam, mu)] != count_matrices(lam, mu):
+                    bad.append((lam, mu))
+    return bad
 
-    def worker():
-        results.append(cache.degree_matrix(4))
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty transition memos for the test, and again after it."""
+    memos = (symfunc._kostka, symfunc._kostka_inverse, symfunc._inverse_transition)
+
+    def clear():
+        for memo in memos:
+            memo.cache_clear()
+
+    clear()
+    monkeypatch.setattr(symfunc, "_default_cache", TransitionCache())
+    yield
+    clear()
+
+
+def test_transition_matrix_is_rsk_count():
+    # sum_nu K(nu, lam) K(nu, mu) = count_matrices(lam, mu) (Knuth 1970):
+    # tableau strips on one side, contingency enumeration on the other
+    assert rsk_mismatches(8) == []
+
+
+def test_kostka_standard_column_is_hook_length():
+    for n in range(11):
+        table = _kostka(n)
+        for row, lam in zip(table, partitions_of(n)):
+            assert row[-1] == hook_length_count(lam), lam
+
+
+def test_schur_matches_jacobi_trudi():
+    for degree in range(9):
+        for lam in partitions_of(degree):
+            assert schur(lam) == jacobi_trudi(lam), lam
+    # zeros, unsorted parts, negative parts and vanishing labels such as (1, 2)
+    for length in range(5):
+        for lam in itertools.product(range(-1, 5), repeat=length):
+            assert schur(lam) == jacobi_trudi(lam), lam
+    assert schur((1, 2)).is_zero
+
+
+def test_dropped_strip_is_caught(fresh_tables, monkeypatch):
+    real = symfunc._horizontal_strips
+
+    def drop_one(shape, size):
+        strips = real(shape, size)
+        return [nu for nu in strips if (shape, size, nu) != ((1,), 1, (2,))]
+
+    monkeypatch.setattr(symfunc, "_horizontal_strips", drop_one)
+    # the table stays unitriangular, so it builds; only K((2), (1,1)) and
+    # its relatives are wrong.  h->m->h cannot see this, because both
+    # directions come from the same table: the independent oracles must.
+    assert ((2,), (1, 1)) in rsk_mismatches(4)
+    assert schur((1, 1)) != jacobi_trudi((1, 1))
+
+
+def test_wrong_inverse_breaks_round_trip(fresh_tables, monkeypatch):
+    real = symfunc._kostka_inverse
+
+    def skewed(degree):
+        rows = [list(row) for row in real(degree)]
+        rows[0][-1] += 1
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(symfunc, "_kostka_inverse", skewed)
+    x = H(1, 1)
+    assert m_to_h(h_to_m(x)) != x
+
+
+def test_non_unit_diagonal_raises(fresh_tables, monkeypatch):
+    real = symfunc._horizontal_strips
+
+    def repeat_row(shape, size):
+        strips = real(shape, size)
+        return strips + [(size,)] if shape == () else strips
+
+    monkeypatch.setattr(symfunc, "_horizontal_strips", repeat_row)
+    with pytest.raises(UsageError, match="unitriangular"):
+        _inverse_transition(3)
 
 
 # --- formatting and parsing round trips -------------------------------------
