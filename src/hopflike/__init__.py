@@ -42,7 +42,6 @@ from .symfunc import (
     big_coproduct,
     big_product,
     default_realization,
-    h_comult,
     h_mult,
     h_to_m,
     hall_inner,
@@ -80,7 +79,7 @@ __all__ = [
     "common_coarsenings", "compose", "count_matrices", "default_realization",
     "degeneracy", "enumerate_compositions", "enumerate_matrices",
     "enumerate_relation_instances", "explore_mixed_bidegree", "face",
-    "gamma_of", "h_comult", "h_mult", "h_to_m", "hall_inner", "hopf_defect_12",
+    "gamma_of", "h_mult", "h_to_m", "hall_inner", "hopf_defect_12",
     "kappa", "m_to_h", "merge_chain", "modified_mult_12", "parse_word",
     "partitions_of", "print_word", "refines", "schur", "semantic_equal",
     "sigma_K", "six_term_12", "six_term_21", "split_chain", "transition_cache",

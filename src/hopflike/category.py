@@ -219,9 +219,14 @@ class RelationInstance:
 def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> list:
     """All admissible instances of one relation family within bounds.
 
-    Families: ``dd`` (merge-merge), ``ss`` (split-split), ``tautau``
-    (shuffle chains with equal underlying permutations), ``mixed``
-    (split-chain; shuffle; merge-chain against the coarsening route).
+    Families: ``dd`` (merge-merge), ``ss`` (split-split) and ``tautau``
+    (shuffle chains with equal underlying permutations).  The mixed
+    family (split-chain; shuffle; merge-chain against a coarsening
+    route) has no single-word instances here: it holds only with towers
+    summed over a group of matrices, which
+    :func:`hopflike.hopfverify.check_mixed_relations` checks, and
+    :func:`hopflike.hopfverify.check_square_condition` compares each
+    matrix alone in its per-k reading.
     """
     if max_sum < 1 or max_len < 1:
         raise UsageError("bounds must be >= 1")
@@ -231,8 +236,6 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
         return _ss_instances(max_sum, max_len)
     if family == "tautau":
         return _tautau_instances(max_sum, max_len)
-    if family == "mixed":
-        return _mixed_instances(max_sum, max_len)
     raise UsageError(f"unknown relation family {family!r}")
 
 
@@ -391,31 +394,6 @@ def _tautau_instances(max_sum, max_len):
                     MorphismWord(source, [Shuffle(K1), Shuffle(K2)]),
                     "tautau",
                     f"tautau:equal-chains {source}->{target}",
-                ))
-    return out
-
-
-def _mixed_instances(max_sum, max_len):
-    from .contingency import enumerate_matrices
-
-    comps = _all_compositions(max_sum, max_len)
-    out = []
-    for alpha in comps:
-        if alpha.length == 0:
-            continue
-        for beta in comps:
-            if beta.sum != alpha.sum or beta.length == 0:
-                continue
-            for K in enumerate_matrices(alpha, beta):
-                kap = kappa(K)
-                gamma = gamma_of(K)
-                left = split_chain(alpha, kap.row).then(
-                    MorphismWord(kap.row, [Shuffle(K)])
-                ).then(merge_chain(kap.col, beta))
-                right = merge_chain(alpha, gamma).then(split_chain(gamma, beta))
-                out.append(RelationInstance(
-                    left, right, "mixed",
-                    f"mixed alpha={alpha} beta={beta} gamma={gamma} K={K}",
                 ))
     return out
 

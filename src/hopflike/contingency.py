@@ -101,14 +101,6 @@ class ContingencyMatrix:
         )
 
     @property
-    def row_margins(self) -> Composition:
-        return Composition(self.raw_row_margins)
-
-    @property
-    def col_margins(self) -> Composition:
-        return Composition(self.raw_col_margins)
-
-    @property
     def total(self) -> int:
         return sum(sum(row) for row in self.entries)
 

@@ -21,7 +21,15 @@ covers them, which makes the expansion equal the defect exactly.
 
 from __future__ import annotations
 
-from .compositions import Composition, common_coarsenings, refines
+from itertools import islice
+
+from .compositions import (
+    Composition,
+    _exact_length,
+    common_coarsenings,
+    enumerate_compositions,
+    refines,
+)
 from .contingency import (
     ContingencyMatrix,
     enumerate_matrices,
@@ -73,13 +81,13 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
                 for mu in partitions_of(b):
                     report.checked += 1
                     left = {}
-                    for m1, n1, c in comult_splittings(_merge_labels(lam, mu)):
-                        bucket = left.setdefault(sum(m1), {})
+                    for j, m1, n1, c in comult_splittings(_merge_labels(lam, mu)):
+                        bucket = left.setdefault(j, {})
                         bucket[(m1, n1)] = bucket.get((m1, n1), 0) + c
                     right = {}
-                    for m1, n1, c1 in comult_splittings(lam):
-                        for m2, n2, c2 in comult_splittings(mu):
-                            j = sum(m1) + sum(m2)
+                    for u1, m1, n1, c1 in comult_splittings(lam):
+                        for u2, m2, n2, c2 in comult_splittings(mu):
+                            j = u1 + u2
                             key = (_merge_labels(m1, m2), _merge_labels(n1, n2))
                             bucket = right.setdefault(j, {})
                             bucket[key] = bucket.get(key, 0) + c1 * c2
@@ -123,6 +131,30 @@ def _coarse_route_word(alpha, beta, gamma) -> MorphismWord:
     return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
 
 
+def _summed_mismatches(alpha, beta, gamma, matrices):
+    """Where the towers of ``matrices``, summed, miss the route via gamma.
+
+    Yields ``(element, towers_sum, route)`` in canonical form for each
+    basis element of A(alpha) on which the two differ.
+    """
+    real = default_realization()
+    route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
+    towers = [real.realize_word(_tower_word(alpha, beta, K)) for K in matrices]
+    for el in real.tensor_basis(alpha):
+        total = TensorElement.zero(beta.parts)
+        for tower in towers:
+            total = total + tower(el)
+        total, want = total.canonical(), route(el).canonical()
+        if total != want:
+            yield el, total, want
+
+
+def _record_first(report, instance, mismatches):
+    """Record the first of ``mismatches``, if any, under ``instance``."""
+    for mismatch in islice(mismatches, 1):
+        report.record(instance, *map(format_tensor, mismatch))
+
+
 def check_square_condition(alpha, beta, reading: str = "summed") -> VerificationReport:
     """Towers through every margin matrix against the coarse route.
 
@@ -142,44 +174,24 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
         "square-condition",
         {"alpha": str(alpha), "beta": str(beta), "reading": reading},
     )
-    real = default_realization()
     gamma = Composition([alpha.sum]) if alpha.sum else Composition()
-    route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
     matrices = enumerate_matrices(alpha, beta)
-    towers = [
-        (K, real.realize_word(_tower_word(alpha, beta, K))) for K in matrices
-    ]
-    basis = real.tensor_basis(alpha)
     if reading == "summed":
-        report.checked += len(basis)
-        for el in basis:
-            total = TensorElement.zero(beta.parts)
-            for _, tower in towers:
-                total = total + tower(el)
-            want = route(el)
-            if total.canonical() != want.canonical():
-                report.record(
-                    f"alpha={alpha} beta={beta} gamma={gamma} "
-                    f"#K={len(matrices)} reading=summed",
-                    format_tensor(el),
-                    format_tensor(total.canonical()),
-                    format_tensor(want.canonical()),
-                )
+        report.checked += len(default_realization().tensor_basis(alpha))
+        instance = (
+            f"alpha={alpha} beta={beta} gamma={gamma} "
+            f"#K={len(matrices)} reading=summed"
+        )
+        for mismatch in _summed_mismatches(alpha, beta, gamma, matrices):
+            report.record(instance, *map(format_tensor, mismatch))
     else:
-        for K, tower in towers:
+        for K in matrices:
             report.checked += 1
-            for el in basis:
-                got = tower(el).canonical()
-                want = route(el).canonical()
-                if got != want:
-                    report.record(
-                        f"alpha={alpha} beta={beta} gamma={gamma} "
-                        f"K={K} reading=per-k",
-                        format_tensor(el),
-                        format_tensor(got),
-                        format_tensor(want),
-                    )
-                    break
+            _record_first(
+                report,
+                f"alpha={alpha} beta={beta} gamma={gamma} K={K} reading=per-k",
+                _summed_mismatches(alpha, beta, gamma, [K]),
+            )
     return report
 
 
@@ -218,13 +230,12 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
     the gamma route.  The per-matrix reading is handled (and refuted) by
     :func:`check_square_condition`.
     """
-    from .compositions import enumerate_compositions
-
+    if max_sum < 1 or max_len < 1:
+        raise UsageError("bounds must be >= 1")
     report = VerificationReport(
         "mixed-relations",
         {"max_sum": max_sum, "max_len": max_len, "reading": "summed"},
     )
-    real = default_realization()
     comps = [
         c
         for n in range(1, max_sum + 1)
@@ -244,24 +255,12 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
                     if refines(gamma, fine) is not None
                 ]
                 report.checked += 1
-                route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
-                towers = [
-                    real.realize_word(_tower_word(alpha, beta, K)) for K in group
-                ]
-                for el in real.tensor_basis(alpha):
-                    total = TensorElement.zero(beta.parts)
-                    for tower in towers:
-                        total = total + tower(el)
-                    want = route(el)
-                    if total.canonical() != want.canonical():
-                        report.record(
-                            f"mixed alpha={alpha} beta={beta} gamma={gamma} "
-                            f"#K={len(group)}",
-                            format_tensor(el),
-                            format_tensor(total.canonical()),
-                            format_tensor(want.canonical()),
-                        )
-                        break
+                _record_first(
+                    report,
+                    f"mixed alpha={alpha} beta={beta} gamma={gamma} "
+                    f"#K={len(group)}",
+                    _summed_mismatches(alpha, beta, gamma, group),
+                )
     return report
 
 
@@ -272,40 +271,21 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     and block-diagonal 4x5 matrices against the route through the
     two-part coarsening located by :func:`gamma_of`.
     """
-    from .compositions import enumerate_compositions
-
     report = VerificationReport("worked-examples", {"max_n": max_n})
-    real = default_realization()
 
     def run_case(alpha, beta, gamma, matrices, tag):
         report.checked += 1
-        route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
-        towers = [
-            real.realize_word(_tower_word(alpha, beta, K)) for K in matrices
-        ]
-        for el in real.tensor_basis(alpha):
-            total = TensorElement.zero(beta.parts)
-            for tower in towers:
-                total = total + tower(el)
-            want = route(el)
-            if total.canonical() != want.canonical():
-                report.record(
-                    f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
-                    format_tensor(el),
-                    format_tensor(total.canonical()),
-                    format_tensor(want.canonical()),
-                )
-                return
+        _record_first(
+            report,
+            f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
+            _summed_mismatches(alpha, beta, gamma, matrices),
+        )
 
     for n in range(2, max_n + 1):
         gamma = Composition([n])
         for r in (2, 3):
-            for alpha in enumerate_compositions(n, 2):
-                if alpha.length != 2:
-                    continue
-                for beta in enumerate_compositions(n, r):
-                    if beta.length != r:
-                        continue
+            for alpha in _of_length(n, 2):
+                for beta in _of_length(n, r):
                     run_case(
                         alpha, beta, gamma,
                         enumerate_matrices(alpha, beta),
@@ -315,18 +295,10 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     for n1 in range(3, max_n - 1):
         for n2 in range(2, max_n - n1 + 1):
             gamma = Composition([n1, n2])
-            for a_top in enumerate_compositions(n1, 2):
-                if a_top.length != 2:
-                    continue
-                for b_top in enumerate_compositions(n1, 3):
-                    if b_top.length != 3:
-                        continue
-                    for a_bot in enumerate_compositions(n2, 2):
-                        if a_bot.length != 2:
-                            continue
-                        for b_bot in enumerate_compositions(n2, 2):
-                            if b_bot.length != 2:
-                                continue
+            for a_top in _of_length(n1, 2):
+                for b_top in _of_length(n1, 3):
+                    for a_bot in _of_length(n2, 2):
+                        for b_bot in _of_length(n2, 2):
                             alpha = Composition(a_top.parts + a_bot.parts)
                             beta = Composition(b_top.parts + b_bot.parts)
                             matrices = [
@@ -339,6 +311,11 @@ def check_worked_examples(max_n: int) -> VerificationReport:
                                 assert refines(gamma, gamma_of(K)) is not None
                             run_case(alpha, beta, gamma, matrices, "block-diagonal")
     return report
+
+
+def _of_length(n: int, length: int) -> list:
+    """Compositions of n with exactly ``length`` parts, in lex order."""
+    return [Composition(c) for c in _exact_length(n, length)]
 
 
 def _block_diag(K1: ContingencyMatrix, K2: ContingencyMatrix) -> ContingencyMatrix:
@@ -359,30 +336,6 @@ def _require_triple(x: TensorElement):
         raise UsageError(f"need a three-slot element, got shape {x.shape}")
 
 
-def modified_mult_12(x: TensorElement) -> SymElement:
-    """Multiplication of one factor against a pair: zero on triple support.
-
-    Vanishes when all three slot degrees are positive; otherwise the
-    two surviving factors multiply.
-    """
-    _require_triple(x)
-    a, b, c = x.shape
-    total = a + b + c
-    if a > 0 and b > 0 and c > 0:
-        return SymElement(total, "h", {})
-    if a == 0:
-        i, j = 1, 2
-    elif b == 0:
-        i, j = 0, 2
-    else:
-        i, j = 0, 1
-    coeffs = {}
-    for label, co in x.coeffs.items():
-        key = _merge_labels(label[i], label[j])
-        coeffs[key] = coeffs.get(key, 0) + co
-    return SymElement(total, "h", coeffs)
-
-
 def _modified_product_label(labels, degrees):
     """Merged label of a modified triple product, or None when it dies."""
     d1, d2, d3 = degrees
@@ -393,6 +346,21 @@ def _modified_product_label(labels, degrees):
     if d2 == 0:
         return _merge_labels(labels[0], labels[2])
     return _merge_labels(labels[0], labels[1])
+
+
+def modified_mult_12(x: TensorElement) -> SymElement:
+    """Multiplication of one factor against a pair: zero on triple support.
+
+    Vanishes when all three slot degrees are positive; otherwise the
+    two surviving factors multiply.
+    """
+    _require_triple(x)
+    coeffs = {}
+    for label, co in x.coeffs.items():
+        key = _modified_product_label(label, x.shape)
+        if key is not None:
+            coeffs[key] = coeffs.get(key, 0) + co
+    return SymElement(sum(x.shape), "h", coeffs)
 
 
 def _normalize_graded(buckets: dict) -> dict:
@@ -413,14 +381,15 @@ def hopf_defect_12(x: TensorElement) -> dict:
     are output bidegrees (i, j).
     """
     _require_triple(x)
+    a, b, c = x.shape
     buckets = {}
     for label, co in x.coeffs.items():
         l1, l2, l3 = label
-        for m1, n1, c1 in comult_splittings(l1):
-            for m2, n2, c2 in comult_splittings(l2):
-                for m3, n3, c3 in comult_splittings(l3):
-                    left_degrees = (sum(m1), sum(m2), sum(m3))
-                    right_degrees = (sum(n1), sum(n2), sum(n3))
+        for u1, m1, n1, c1 in comult_splittings(l1):
+            for u2, m2, n2, c2 in comult_splittings(l2):
+                for u3, m3, n3, c3 in comult_splittings(l3):
+                    left_degrees = (u1, u2, u3)
+                    right_degrees = (a - u1, b - u2, c - u3)
                     left = _modified_product_label((m1, m2, m3), left_degrees)
                     if left is None:
                         continue
@@ -433,10 +402,10 @@ def hopf_defect_12(x: TensorElement) -> dict:
                     bucket[lab] = bucket.get(lab, 0) + co * c1 * c2 * c3
     product = modified_mult_12(x)
     for lam, co in product.coeffs.items():
-        for mu, nu, c in comult_splittings(lam):
-            key = (sum(mu), sum(nu))
+        for u, mu, nu, d in comult_splittings(lam):
+            key = (u, product.degree - u)
             bucket = buckets.setdefault(key, {})
-            bucket[(mu, nu)] = bucket.get((mu, nu), 0) - co * c
+            bucket[(mu, nu)] = bucket.get((mu, nu), 0) - co * d
     return _normalize_graded(buckets)
 
 
@@ -462,16 +431,14 @@ def six_term_12(x: TensorElement) -> dict:
         bucket[label] = bucket.get(label, 0) + coeff
 
     for (lx, ly, lz), co in x.coeffs.items():
-        for z1, z2, cz in comult_splittings(lz):
-            w = sum(z1)
+        for w, z1, z2, cz in comult_splittings(lz):
             # (1): x z1 (x) y z2, full range
             add(a + w, b + c - w,
                 (_merge_labels(lx, z1), _merge_labels(ly, z2)), co * cz)
             # (2): y z1 (x) x z2, full range
             add(b + w, a + c - w,
                 (_merge_labels(ly, z1), _merge_labels(lx, z2)), co * cz)
-        for y1, y2, cy in comult_splittings(ly):
-            v = sum(y1)
+        for v, y1, y2, cy in comult_splittings(ly):
             if v >= 1:
                 # (3): x y1 (x) z y2; v=0 corner already in (1)
                 add(a + v, c + b - v,
@@ -479,8 +446,7 @@ def six_term_12(x: TensorElement) -> dict:
                 # (4): z y2 (x) y1 x; the |y1|=0 corner already in (2)
                 add(c + b - v, v + a,
                     (_merge_labels(lz, y2), _merge_labels(y1, lx)), co * cy)
-        for x1, x2, cx in comult_splittings(lx):
-            u = sum(x1)
+        for u, x1, x2, cx in comult_splittings(lx):
             if 1 <= u <= a - 1:
                 # (5): x1 y (x) x2 z; u=0 corner in (2), u=a corner in (3)
                 add(u + b, a - u + c,
@@ -529,17 +495,17 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
             for nu in partitions_of(c):
                 report.checked += 1
                 surviving = set()
-                for m1, n1, c1 in comult_splittings(lam):
-                    for m2, n2, c2 in comult_splittings(mu):
-                        for m3, n3, c3 in comult_splittings(nu):
-                            degrees = (sum(m1), sum(m2), sum(m3))
+                for u, m1, n1, _ in comult_splittings(lam):
+                    for v, m2, n2, _ in comult_splittings(mu):
+                        for w, m3, n3, _ in comult_splittings(nu):
+                            degrees = (u, v, w)
                             left = _modified_product_label(
                                 (m1, m2, m3), degrees
                             )
                             if left is None:
                                 continue
                             right = _modified_product_label(
-                                (n1, n2, n3), (sum(n1), sum(n2), sum(n3))
+                                (n1, n2, n3), (a - u, b - v, c - w)
                             )
                             if right is None:
                                 continue

@@ -186,13 +186,6 @@ def parse_composition(text: str) -> Composition:
     return comp
 
 
-def parse_matrix(text: str) -> ContingencyMatrix:
-    cur = _Cursor(text)
-    matrix = _parse_matrix(cur)
-    cur.expect_end()
-    return matrix
-
-
 def parse_word(text: str) -> MorphismWord:
     """Parse ``composition (';' step)*``; round-trips with print_word."""
     cur = _Cursor(text)

@@ -66,25 +66,26 @@ def _merge_labels(lam, mu):
 
 @lru_cache(maxsize=None)
 def _comult_table(lam: tuple) -> tuple:
-    """All splittings of h_lam: ((mu, nu, coeff), ...).
+    """All splittings of h_lam: ((u, mu, nu, coeff), ...), u = |mu|.
 
-    Multiplicative extension of h_n |-> sum_i h_i (x) h_(n-i).
+    Multiplicative extension of h_n |-> sum_i h_i (x) h_(n-i).  The left
+    degree u is carried in each entry so that no reader re-sums mu.
     """
-    table = {((), ()): 1}
+    table = {(0, (), ()): 1}
     for part in lam:
         new = {}
-        for (mu, nu), c in table.items():
+        for (u, mu, nu), c in table.items():
             for i in range(part + 1):
                 left = mu if i == 0 else _merge_labels(mu, (i,))
                 right = nu if i == part else _merge_labels(nu, (part - i,))
-                key = (left, right)
+                key = (u + i, left, right)
                 new[key] = new.get(key, 0) + c
         table = new
-    return tuple(sorted((mu, nu, c) for (mu, nu), c in table.items()))
+    return tuple(sorted((u, mu, nu, c) for (u, mu, nu), c in table.items()))
 
 
 def comult_splittings(lam) -> tuple:
-    """Public view of the splitting table of h_lam."""
+    """Public view of the splitting table of h_lam: (u, mu, nu, coeff)."""
     return _comult_table(tuple(lam))
 
 
@@ -197,31 +198,13 @@ def h_mult(x: SymElement, y: SymElement) -> SymElement:
     return SymElement(x.degree + y.degree, "h", coeffs)
 
 
-def h_comult(x: SymElement) -> list:
-    """All graded splittings of x: [((u, a-u), TensorElement), ...]."""
-    if x.basis != "h":
-        raise BasisMismatchError("h_comult needs the h basis")
-    a = x.degree
-    buckets = {u: {} for u in range(a + 1)}
-    for lam, c in x.coeffs.items():
-        for mu, nu, d in _comult_table(lam):
-            bucket = buckets[sum(mu)]
-            key = (mu, nu)
-            bucket[key] = bucket.get(key, 0) + c * d
-    return [
-        ((u, a - u), TensorElement((u, a - u), buckets[u])) for u in range(a + 1)
-    ]
-
-
 def comult_component(x: SymElement, d1: int, d2: int) -> "TensorElement":
     """The (d1, d2) graded piece of the comultiplication of x."""
+    if x.basis != "h":
+        raise BasisMismatchError("comult_component needs the h basis")
     if x.degree != d1 + d2:
         raise DegreeMismatchError(f"({d1},{d2}) does not split degree {x.degree}")
-    coeffs = {}
-    for lam, c in x.coeffs.items():
-        for mu, nu, d in _comult_table(lam):
-            if sum(mu) == d1:
-                coeffs[(mu, nu)] = coeffs.get((mu, nu), 0) + c * d
+    coeffs = _comult_action(0, d1)({(lam,): c for lam, c in x.coeffs.items()})
     return TensorElement((d1, d2), coeffs)
 
 
@@ -575,8 +558,8 @@ def _comult_action(slot: int, d1: int):
         out = {}
         for label, c in coeffs.items():
             head, tail = label[:slot], label[slot + 1:]
-            for mu, nu, d in _comult_table(label[slot]):
-                if sum(mu) == d1:
+            for u, mu, nu, d in _comult_table(label[slot]):
+                if u == d1:
                     key = head + (mu, nu) + tail
                     out[key] = out.get(key, 0) + c * d
         return out

@@ -19,7 +19,8 @@ from hopflike.category import (
     split_chain,
 )
 from hopflike.errors import ChainError, GeneratorDomainError, UsageError, WordSyntaxError
-from hopflike.symfunc import TensorElement, default_realization, format_tensor
+from hopflike.hopfverify import _summed_mismatches, check_square_condition
+from hopflike.symfunc import default_realization
 
 
 C = Composition
@@ -138,10 +139,13 @@ def test_ss_has_no_instances_on_two():
 def test_unknown_family_rejected():
     with pytest.raises(UsageError):
         enumerate_relation_instances("zz", 4, 4)
+    # the mixed family holds only for summed towers: no single-word instances
+    with pytest.raises(UsageError):
+        enumerate_relation_instances("mixed", 4, 2)
 
 
 def test_relation_instances_are_parallel():
-    for family in ("dd", "ss", "mixed"):
+    for family in ("dd", "ss"):
         for inst in enumerate_relation_instances(family, 5, 3):
             assert inst.left.source == inst.right.source
             assert inst.left.target == inst.right.target
@@ -155,28 +159,20 @@ def test_dd_and_ss_pass_semantically():
 
 
 def test_mixed_instance_fails_pointwise_with_witness():
-    instances = [
-        inst for inst in enumerate_relation_instances("mixed", 4, 2)
-        if "K=[[1,1],[1,1]]" in inst.description
-    ]
-    assert len(instances) == 1
-    equal, witness = semantic_equal(instances[0].left, instances[0].right)
-    assert not equal
-    label, left, right = witness
-    assert format_tensor(TensorElement.basis(label)) == "h[2] (x) h[2]"
-    assert format_tensor(left) == "h[1,1] (x) h[1,1]"
-    assert format_tensor(right) == "2*h[2] (x) h[2] + h[1,1] (x) h[1,1]"
+    # one matrix alone is the per-k reading of the square condition
+    report = check_square_condition(C([2, 2]), C([2, 2]), "per-k")
+    failures = [f for f in report.failures if "K=[[1,1],[1,1]]" in f.instance]
+    assert len(failures) == 1
+    assert failures[0].witness == "h[2] (x) h[2]"
+    assert failures[0].left == "h[1,1] (x) h[1,1]"
+    assert failures[0].right == "2*h[2] (x) h[2] + h[1,1] (x) h[1,1]"
 
 
 def test_mixed_instance_with_split_support_passes():
     # a fully decomposed matrix routes through its own fine coarsening
-    instances = [
-        inst for inst in enumerate_relation_instances("mixed", 2, 2)
-        if "K=[[1,0],[0,1]]" in inst.description
-    ]
-    assert instances
-    equal, _ = semantic_equal(instances[0].left, instances[0].right)
-    assert equal
+    identity = ContingencyMatrix([[1, 0], [0, 1]])
+    assert gamma_of(identity) == C([1, 1])
+    assert list(_summed_mismatches(C([1, 1]), C([1, 1]), C([1, 1]), [identity])) == []
 
 
 def composite_slot_map(K1, K2):

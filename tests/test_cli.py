@@ -109,6 +109,17 @@ def test_normalize_parse_error_exit_two(capsys):
     assert "column 4" in err
 
 
+def test_relations_bad_bounds_exit_two(capsys):
+    for family in ("dd", "ss", "tautau", "mixed"):
+        for bound in (["--max-sum", "0"], ["--max-len", "-1"]):
+            code, out, err = run_cli(
+                capsys, "verify", "relations", "--family", family, *bound
+            )
+            assert code == 2, (family, bound)
+            assert "bounds must be >= 1" in err
+            assert out == ""
+
+
 def test_explore_mixed_json(capsys):
     code, out, _ = run_cli(
         capsys, "explore", "mixed", "--a", "1", "--beta", "(1,1)",

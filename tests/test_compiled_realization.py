@@ -25,7 +25,10 @@ from hopflike.contingency import ContingencyMatrix, enumerate_matrices, slot_sou
 from hopflike.hopfverify import (
     _coarse_route_word,
     _tower_word,
+    check_bidegree12_defect,
+    check_hopf_compat,
     check_mixed_relations,
+    check_square_condition,
     check_worked_examples,
 )
 from hopflike.symfunc import (
@@ -122,22 +125,49 @@ def comult_fault(monkeypatch):
         if lam != (2,):
             return table
         return tuple(
-            (mu, nu, c + 1 if mu == nu == (1,) else c) for mu, nu, c in table
+            (u, mu, nu, c + 1 if mu == nu == (1,) else c)
+            for u, mu, nu, c in table
         )
 
     monkeypatch.setattr(symfunc, "_comult_table", corrupted)
 
 
-@pytest.mark.parametrize("inject", [swap_fault, comult_fault])
+SWEEPS = {
+    "worked-4": lambda: check_worked_examples(4),
+    "mixed-4-2": lambda: check_mixed_relations(4, 2),
+    "square-22": lambda: check_square_condition((2, 2), (2, 2)),
+    "hopf-3": lambda: check_hopf_compat(3),
+    "bidegree12-4": lambda: check_bidegree12_defect(4),
+}
+
+# sweep, fault, instance of the first failure.  No word or tower reaches
+# the Hopf and bidegree sweeps, so the shuffle fault cannot either.
+FAULT_CASES = [
+    ("worked-4", swap_fault, "2x2 alpha=(2,2) beta=(2,2) gamma=(4)"),
+    ("worked-4", comult_fault, "2x2 alpha=(1,2) beta=(1,2) gamma=(3)"),
+    ("mixed-4-2", swap_fault, "mixed alpha=(2,2) beta=(2,2) gamma=(4) #K=3"),
+    ("mixed-4-2", comult_fault, "mixed alpha=(1,2) beta=(1,2) gamma=(3) #K=2"),
+    ("square-22", swap_fault,
+     "alpha=(2,2) beta=(2,2) gamma=(4) #K=3 reading=summed"),
+    ("square-22", comult_fault,
+     "alpha=(2,2) beta=(2,2) gamma=(4) #K=3 reading=summed"),
+    ("hopf-3", comult_fault, "degrees a=1 b=2 component j=1"),
+    ("bidegree12-4", comult_fault, "tridegree (0,1,2) zero branch"),
+]
+
+
 @pytest.mark.parametrize(
-    "sweep",
-    [lambda: check_worked_examples(4), lambda: check_mixed_relations(4, 2)],
-    ids=["worked-4", "mixed-4-2"],
+    "sweep, inject, instance",
+    [
+        pytest.param(name, inject, instance, id=f"{name}-{inject.__name__}")
+        for name, inject, instance in FAULT_CASES
+    ],
 )
-def test_injected_fault_is_reported(monkeypatch, inject, sweep):
-    assert sweep().passed
+def test_injected_fault_is_reported(monkeypatch, sweep, inject, instance):
+    assert SWEEPS[sweep]().passed
     inject(monkeypatch)
-    assert sweep().failures
+    failures = SWEEPS[sweep]().failures
+    assert failures and failures[0].instance == instance
 
 
 # --- validation stays at the public boundaries --------------------------------

@@ -101,6 +101,10 @@ def test_mixed_relations_summed():
     assert report.passed and report.checked > 50
 
 
+def test_mixed_family_is_the_summed_check():
+    assert check_relation_family("mixed", 4, 2) == check_mixed_relations(4, 2)
+
+
 def test_worked_examples_small():
     report = check_worked_examples(6)
     assert report.passed

@@ -27,7 +27,6 @@ from hopflike.symfunc import (
     default_realization,
     format_sym,
     format_tensor,
-    h_comult,
     h_mult,
     h_to_m,
     hall_inner,
@@ -101,16 +100,22 @@ def test_h_mult_commutative_associative():
 
 
 def test_h_comult_examples():
-    comps = dict(h_comult(H(2)))
+    comps = {(u, 2 - u): comult_component(H(2), u, 2 - u) for u in range(3)}
     assert comps[(0, 2)] == TensorElement((0, 2), {((), (2,)): 1})
     assert comps[(1, 1)] == TensorElement((1, 1), {((1,), (1,)): 1})
     assert comps[(2, 0)] == TensorElement((2, 0), {((2,), ()): 1})
-    assert dict(h_comult(SymElement.one()))[(0, 0)] == TensorElement(
+    assert comult_component(SymElement.one(), 0, 0) == TensorElement(
         (0, 0), {((), ()): 1}
     )
     assert comult_component(H(1, 1), 1, 1) == TensorElement(
         (1, 1), {((1,), (1,)): 2}
     )
+
+
+def test_comult_component_needs_the_h_basis():
+    for basis in ("m", "s"):
+        with pytest.raises(BasisMismatchError):
+            comult_component(SymElement.basis_element(basis, (2,)), 1, 1)
 
 
 def test_h_comult_against_alphabet_doubling():
@@ -120,7 +125,9 @@ def test_h_comult_against_alphabet_doubling():
         for lam in partitions_of(degree):
             doubled = h_lambda_poly(lam, 2 * nvars)
             total = {}
-            for (u, _), piece in h_comult(SymElement.basis_element("h", lam)):
+            x = SymElement.basis_element("h", lam)
+            for u in range(degree + 1):
+                piece = comult_component(x, u, degree - u)
                 for (mu, nu), coeff in piece.coeffs.items():
                     term = poly_mul(
                         {e + tuple([0] * nvars): c
