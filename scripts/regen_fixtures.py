@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the recorded fixtures under tests/data.
 
-The per-matrix counterexample report is frozen byte-for-byte; rerun this
-after any deliberate change to report formatting and review the diff.
+The per-matrix counterexample report and the exploratory mixed-bidegree
+reports are frozen byte-for-byte; rerun this after any deliberate change
+to report formatting and review the diff.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +22,17 @@ def main() -> int:
     )
     target = data / "square_per_k_11.json"
     target.write_text(report.to_json() + "\n", encoding="utf-8")
+    print(f"wrote {target}")
+    # every a <= 3 and two-part beta with a + |beta| <= 6
+    explore = [
+        hk.explore_mixed_bidegree(a, Composition([b1, b2]))
+        for a in range(4)
+        for b1 in range(1, 7)
+        for b2 in range(1, 7)
+        if a + b1 + b2 <= 6
+    ]
+    target = data / "explore_mixed_6.json"
+    target.write_text(json.dumps(explore, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {target}")
     return 0
 

@@ -35,12 +35,9 @@ from .category import (
     split_chain,
 )
 from .symfunc import (
-    DirectSumElement,
     PshRealization,
     SymElement,
     TensorElement,
-    big_coproduct,
-    big_product,
     default_realization,
     h_mult,
     h_to_m,
@@ -69,21 +66,20 @@ from .reports import Failure, VerificationReport
 # The public API.  Internal constructors that skip validation, such as
 # ``TensorElement._trusted``, stay out of it.
 __all__ = [
-    "Composition", "ContingencyMatrix", "DirectSumElement", "Failure", "Merge",
-    "MonotoneMap", "MorphismWord", "Permutation", "PshRealization",
-    "RelationInstance", "Shuffle", "Split", "SymElement", "TensorElement",
-    "VerificationReport", "apply_generator", "big_coproduct", "big_product",
-    "block_decompose", "blocks", "canonicalize", "check_bidegree12",
-    "check_hopf_compat", "check_mixed_relations", "check_relation_family",
-    "check_six_cases", "check_square_condition", "check_worked_examples",
-    "common_coarsenings", "compose", "count_matrices", "default_realization",
-    "degeneracy", "enumerate_compositions", "enumerate_matrices",
-    "enumerate_relation_instances", "explore_mixed_bidegree", "face",
-    "gamma_of", "h_mult", "h_to_m", "hall_inner", "hopf_defect_12",
-    "kappa", "m_to_h", "merge_chain", "modified_mult_12", "parse_word",
-    "partitions_of", "print_word", "refines", "schur", "semantic_equal",
-    "sigma_K", "six_term_12", "six_term_21", "split_chain", "transition_cache",
-    "verify_simplicial_identities",
+    "Composition", "ContingencyMatrix", "Failure", "Merge", "MonotoneMap",
+    "MorphismWord", "Permutation", "PshRealization", "RelationInstance",
+    "Shuffle", "Split", "SymElement", "TensorElement", "VerificationReport",
+    "apply_generator", "block_decompose", "blocks", "canonicalize",
+    "check_bidegree12", "check_hopf_compat", "check_mixed_relations",
+    "check_relation_family", "check_six_cases", "check_square_condition",
+    "check_worked_examples", "common_coarsenings", "compose", "count_matrices",
+    "default_realization", "degeneracy", "enumerate_compositions",
+    "enumerate_matrices", "enumerate_relation_instances",
+    "explore_mixed_bidegree", "face", "gamma_of", "h_mult", "h_to_m",
+    "hall_inner", "hopf_defect_12", "kappa", "m_to_h", "merge_chain",
+    "modified_mult_12", "parse_word", "partitions_of", "print_word", "refines",
+    "schur", "semantic_equal", "sigma_K", "six_term_12", "six_term_21",
+    "split_chain", "transition_cache", "verify_simplicial_identities",
 ]
 
 __version__ = "0.1.0"

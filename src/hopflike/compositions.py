@@ -144,6 +144,8 @@ def enumerate_compositions(n: int, max_length=None) -> list:
     """
     if n < 0:
         raise InvalidPartsError("n must be non-negative")
+    if max_length is not None and max_length < 0:
+        raise InvalidPartsError("max_length must be non-negative")
     if n == 0:
         return [Composition()]
     top = n if max_length is None else min(n, max_length)

@@ -139,13 +139,20 @@ def _parts(margins):
     return tuple(margins)
 
 
+def _lowest_entry(mode: str) -> int:
+    """Smallest entry allowed by ``mode``; unknown modes raise."""
+    if mode not in ("nonnegative", "strictly-positive"):
+        raise HopflikeError(f"unknown mode {mode!r}")
+    return 0 if mode == "nonnegative" else 1
+
+
 def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
     """All matrices with the given margins, largest-first row-major order.
 
     ``mode`` is ``nonnegative`` (entries >= 0, the default: block sums
     need zeros) or ``strictly-positive`` (entries >= 1).  Matrices are
     ordered by their flattened entry tuple, lexicographically largest
-    first, so reports and caches are deterministic.
+    first, so reports are deterministic.
     """
     a = _parts(alpha)
     b = _parts(beta)
@@ -153,9 +160,7 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
         raise SumMismatchError(
             f"margin sums differ: {sum(a)} vs {sum(b)}"
         )
-    if mode not in ("nonnegative", "strictly-positive"):
-        raise HopflikeError(f"unknown mode {mode!r}")
-    low = 0 if mode == "nonnegative" else 1
+    low = _lowest_entry(mode)
     r, s = len(a), len(b)
     if r == 0 or s == 0:
         # only reachable for n = 0; a grid with no cells
@@ -235,7 +240,7 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
     b = _parts(beta)
     if sum(a) != sum(b):
         raise SumMismatchError(f"margin sums differ: {sum(a)} vs {sum(b)}")
-    low = 0 if mode == "nonnegative" else 1
+    low = _lowest_entry(mode)
     if len(a) == 0 or len(b) == 0:
         return 1  # no cells; equal sums force n = 0
     if low == 1 and (min(a) < len(b) or min(b) < len(a)):

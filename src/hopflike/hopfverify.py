@@ -21,7 +21,7 @@ covers them, which makes the expansion equal the defect exactly.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
 
 from .compositions import (
     Composition,
@@ -49,9 +49,6 @@ from .symfunc import (
     SymElement,
     TensorElement,
     comult_splittings,
-    big_coproduct,
-    big_product,
-    DirectSumElement,
     default_realization,
     format_graded,
     format_tensor,
@@ -92,8 +89,9 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
                             bucket = right.setdefault(j, {})
                             bucket[key] = bucket.get(key, 0) + c1 * c2
                     for j in range(a + b + 1):
-                        lv = TensorElement((j, a + b - j), left.get(j, {}))
-                        rv = TensorElement((j, a + b - j), right.get(j, {}))
+                        shape = (j, a + b - j)
+                        lv = TensorElement._trusted(shape, left.get(j, {}))
+                        rv = TensorElement._trusted(shape, right.get(j, {}))
                         if lv != rv:
                             report.record(
                                 f"degrees a={a} b={b} component j={j}",
@@ -366,7 +364,7 @@ def modified_mult_12(x: TensorElement) -> SymElement:
 def _normalize_graded(buckets: dict) -> dict:
     out = {}
     for key, coeffs in buckets.items():
-        el = TensorElement(key, coeffs)
+        el = TensorElement._trusted(key, coeffs)
         if not el.is_zero:
             out[key] = el
     return out
@@ -612,7 +610,40 @@ def _pair_key(lshape, rshape) -> str:
     return f"{Composition(lshape)}|{Composition(rshape)}"
 
 
-def explore_mixed_bidegree(a: int, beta, x_parts=None, y_parts=None) -> dict:
+def _padded_products(x, y):
+    """Slotwise products of two (shape, label) tensors, as (shape, label).
+
+    The shorter tensor is padded with unit slots to the longer length in
+    every order-preserving way, one product per padding; tensors of
+    equal length multiply slotwise once.
+    """
+    (short_shape, short_label), (shape, label) = sorted(
+        (x, y), key=lambda t: len(t[0])
+    )
+    for positions in combinations(range(len(shape)), len(short_shape)):
+        out_shape, out_label = list(shape), list(label)
+        for pos, d, lam in zip(positions, short_shape, short_label):
+            out_shape[pos] += d
+            out_label[pos] = _merge_labels(out_label[pos], lam)
+        yield tuple(out_shape), tuple(out_label)
+
+
+def _halves(shape, label):
+    """Every one-slot comultiplication, cut between the two new slots.
+
+    Yields ``(left, right, coeff)`` with each half a (shape, label) pair
+    whose zero slots are dropped.
+    """
+    for slot, d in enumerate(shape):
+        for u, mu, nu, c in comult_splittings(label[slot]):
+            left = _strip_zero_slots(shape[:slot] + (u,), label[:slot] + (mu,))
+            right = _strip_zero_slots(
+                (d - u,) + shape[slot + 1:], (nu,) + label[slot + 1:]
+            )
+            yield left, right, c
+
+
+def explore_mixed_bidegree(a: int, beta) -> dict:
     """Both Hopf-square routes on A(a) (x) A(b1, b2), reported per split.
 
     The upper route multiplies then comultiplies; the lower route
@@ -626,66 +657,25 @@ def explore_mixed_bidegree(a: int, beta, x_parts=None, y_parts=None) -> dict:
     beta = beta if isinstance(beta, Composition) else Composition(beta)
     if beta.length != 2:
         raise UsageError("beta must have exactly two parts")
-    x_label = tuple(x_parts) if x_parts is not None else ((a,) if a else ())
-    y_label = tuple(
-        tuple(p) for p in y_parts
-    ) if y_parts is not None else tuple((b,) for b in beta.parts)
-    x_el = TensorElement((a,), {(x_label,): 1})
-    y_el = TensorElement(beta.parts, {y_label: 1})
+    x = ((a,), ((a,) if a else (),))
+    y = (beta.parts, tuple((b,) for b in beta.parts))
+
+    def add(pairs, left, right, coeff):
+        bucket = pairs.setdefault((left[0], right[0]), {})
+        lab = left[1] + right[1]
+        bucket[lab] = bucket.get(lab, 0) + coeff
 
     upper = {}
-    product = big_product(
-        DirectSumElement.from_tensor(x_el), DirectSumElement.from_tensor(y_el)
-    )
-    for comp, el in product.items():
-        for (i, _), piece in big_coproduct(el):
-            for label, coeff in piece.coeffs.items():
-                lshape, llab = _strip_zero_slots(piece.shape[:i], label[:i])
-                rshape, rlab = _strip_zero_slots(piece.shape[i:], label[i:])
-                key = (lshape, rshape)
-                bucket = upper.setdefault(key, {})
-                lab = llab + rlab
-                bucket[lab] = bucket.get(lab, 0) + coeff
+    for product in _padded_products(_strip_zero_slots(*x), y):
+        for left, right, c in _halves(*product):
+            add(upper, left, right, c)
 
     lower = {}
-    for (_, u), xpiece in big_coproduct(x_el):
-        for xlabel, xc in xpiece.coeffs.items():
-            xl_shape, xl_lab = _strip_zero_slots(xpiece.shape[:1], xlabel[:1])
-            xr_shape, xr_lab = _strip_zero_slots(xpiece.shape[1:], xlabel[1:])
-            for (i, _), ypiece in big_coproduct(y_el):
-                for ylabel, yc in ypiece.coeffs.items():
-                    yl_shape, yl_lab = _strip_zero_slots(
-                        ypiece.shape[:i], ylabel[:i]
-                    )
-                    yr_shape, yr_lab = _strip_zero_slots(
-                        ypiece.shape[i:], ylabel[i:]
-                    )
-                    left = big_product(
-                        DirectSumElement.from_tensor(
-                            TensorElement(xl_shape, {xl_lab: 1})
-                        ),
-                        DirectSumElement.from_tensor(
-                            TensorElement(yl_shape, {yl_lab: 1})
-                        ),
-                    )
-                    right = big_product(
-                        DirectSumElement.from_tensor(
-                            TensorElement(xr_shape, {xr_lab: 1})
-                        ),
-                        DirectSumElement.from_tensor(
-                            TensorElement(yr_shape, {yr_lab: 1})
-                        ),
-                    )
-                    for lcomp, lel in left.items():
-                        for rcomp, rel in right.items():
-                            key = (lcomp.parts, rcomp.parts)
-                            bucket = lower.setdefault(key, {})
-                            for llab, c1 in lel.coeffs.items():
-                                for rlab, c2 in rel.coeffs.items():
-                                    lab = llab + rlab
-                                    bucket[lab] = (
-                                        bucket.get(lab, 0) + xc * yc * c1 * c2
-                                    )
+    for xl, xr, xc in _halves(*x):
+        for yl, yr, yc in _halves(*y):
+            for left in _padded_products(xl, yl):
+                for right in _padded_products(xr, yr):
+                    add(lower, left, right, xc * yc)
 
     def render(pairs):
         out = {}
@@ -708,9 +698,10 @@ def explore_mixed_bidegree(a: int, beta, x_parts=None, y_parts=None) -> dict:
         "suite": "explore-mixed",
         "a": a,
         "beta": str(beta),
-        "element": format_tensor(x_el.canonical())
-        + " (x) "
-        + format_tensor(y_el),
+        "element": " (x) ".join(
+            format_tensor(TensorElement(shape, {label: 1}))
+            for shape, label in (_strip_zero_slots(*x), y)
+        ),
         "upper": render(upper),
         "lower": render(lower),
         "difference": dict(sorted(difference.items())),

@@ -14,6 +14,7 @@ from .category import Merge, MorphismWord, Shuffle, Split
 from .compositions import Composition
 from .contingency import ContingencyMatrix
 from .errors import WordSyntaxError
+from .symfunc import _is_partition
 
 _PUNCT = set("()[],;+-*")
 
@@ -217,7 +218,7 @@ def _parse_atom(cur: _Cursor):
             parts.append(cur.expect_int())
     cur.expect_punct("]")
     lam = tuple(parts)
-    if list(lam) != sorted(lam, reverse=True) or (lam and lam[-1] < 1):
+    if not _is_partition(lam):
         cur.error(f"{basis}[{','.join(map(str, lam))}] is not a partition", tok)
     return (basis, lam)
 

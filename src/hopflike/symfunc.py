@@ -56,6 +56,11 @@ def partitions_of(n: int) -> tuple:
     return tuple(out)
 
 
+def _is_partition(lam: tuple) -> bool:
+    """True for a weakly decreasing tuple of positive integers."""
+    return not lam or (lam[-1] > 0 and list(lam) == sorted(lam, reverse=True))
+
+
 def sort_parts(parts) -> tuple:
     return tuple(sorted((p for p in parts if p > 0), reverse=True))
 
@@ -108,7 +113,7 @@ class SymElement:
                 raise DegreeMismatchError(
                     f"label {lam} has weight {sum(lam)}, element degree {degree}"
                 )
-            if list(lam) != sorted(lam, reverse=True) or (lam and lam[-1] < 1):
+            if not _is_partition(lam):
                 raise UsageError(f"label {lam} is not a partition")
             if c:
                 cleaned[lam] = cleaned.get(lam, 0) + int(c)
@@ -435,7 +440,8 @@ class TensorElement:
 
     The shape is a tuple of non-negative slot degrees (zeros appear in
     intermediate padded states); each label is a tuple of partitions
-    whose weights match the shape slotwise.
+    whose weights match the shape slotwise.  The constructor raises
+    ``RealizationError`` on any other label.
     """
 
     __slots__ = ("shape", "coeffs")
@@ -450,7 +456,7 @@ class TensorElement:
                     f"label {label} has {len(label)} slots, shape {shape}"
                 )
             for lam, d in zip(label, shape):
-                if sum(lam) != d:
+                if not _is_partition(lam) or sum(lam) != d:
                     raise RealizationError(
                         f"label {label} does not match shape {shape}"
                     )
@@ -660,10 +666,13 @@ class PshRealization:
     """
 
     def tensor_basis(self, comp) -> list:
-        """h-tensor basis of A(comp), in per-slot partition order."""
-        parts = comp.parts if isinstance(comp, Composition) else tuple(comp)
+        """h-tensor basis of A(comp), in per-slot partition order.
+
+        Labels come from ``partitions_of``, so they need no validation.
+        """
+        parts = tuple(map(int, comp))
         labels = itertools.product(*(partitions_of(d) for d in parts))
-        return [TensorElement(parts, {label: 1}) for label in labels]
+        return [TensorElement._trusted(parts, {label: 1}) for label in labels]
 
     @staticmethod
     def _action(g, domain: Composition):
@@ -678,10 +687,6 @@ class PshRealization:
         if isinstance(g, Shuffle):
             return _permute_action(slot_sources(g.K))
         raise RealizationError(f"unknown generator {g!r}")
-
-    def realize_generator(self, g, domain: Composition) -> RealizedMap:
-        codomain = apply_generator(g, domain)
-        return self._compiled(codomain.parts, domain.parts, [self._action(g, domain)])
 
     def realize_word(self, word) -> RealizedMap:
         actions = []
@@ -710,129 +715,6 @@ _default_realization = PshRealization()
 
 def default_realization() -> PshRealization:
     return _default_realization
-
-
-# ---------------------------------------------------------------------------
-# the big graded sum over all compositions
-
-
-class DirectSumElement:
-    """Finitely supported family of tensor elements, one per composition."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: dict = ()):
-        cleaned = {}
-        for comp, el in dict(components).items():
-            if not isinstance(comp, Composition):
-                comp = Composition(comp)
-            if el.shape != comp.parts:
-                raise RealizationError(
-                    f"component {comp} holds an element of shape {el.shape}"
-                )
-            if not el.is_zero:
-                cleaned[comp] = cleaned.get(comp, TensorElement.zero(comp.parts)) + el
-        object.__setattr__(
-            self, "components", {k: v for k, v in cleaned.items() if not v.is_zero}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirectSumElement is immutable")
-
-    @classmethod
-    def from_tensor(cls, el: TensorElement) -> "DirectSumElement":
-        el = el.canonical()
-        return cls({Composition(el.shape): el})
-
-    @classmethod
-    def unit(cls) -> "DirectSumElement":
-        return cls({Composition(): TensorElement((), {(): 1})})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def items(self):
-        return sorted(self.components.items(), key=lambda kv: kv[0])
-
-    def __add__(self, other):
-        merged = dict(self.components)
-        for comp, el in other.components.items():
-            merged[comp] = merged.get(comp, TensorElement.zero(comp.parts)) + el
-        return DirectSumElement(merged)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DirectSumElement)
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"DirectSumElement({self.components!r})"
-
-
-def _slotwise_product(shape_a, label_a, shape_b, label_b):
-    shape = tuple(a + b for a, b in zip(shape_a, shape_b))
-    label = tuple(
-        _merge_labels(pa, pb) for pa, pb in zip(label_a, label_b)
-    )
-    return shape, label
-
-
-def big_product(x: DirectSumElement, y: DirectSumElement) -> DirectSumElement:
-    """Padded slotwise product.
-
-    For each component pair the shorter shape is padded with zero slots
-    to the longer length in every order-preserving way; a zero slot
-    multiplies as the unit.  Components of equal length multiply
-    slotwise with no padding.
-    """
-    total = {}
-    for comp_x, el_x in x.items():
-        for comp_y, el_y in y.items():
-            p, q = len(comp_x.parts), len(comp_y.parts)
-            if p <= q:
-                short_shape, short_el = comp_x.parts, el_x
-                long_shape, long_el = comp_y.parts, el_y
-            else:
-                short_shape, short_el = comp_y.parts, el_y
-                long_shape, long_el = comp_x.parts, el_x
-            length = len(long_shape)
-            for positions in itertools.combinations(range(length), len(short_shape)):
-                padded_shape = [0] * length
-                for pos, d in zip(positions, short_shape):
-                    padded_shape[pos] = d
-                for label_s, c in short_el.coeffs.items():
-                    padded_label = [()] * length
-                    for pos, lam in zip(positions, label_s):
-                        padded_label[pos] = lam
-                    for label_l, d in long_el.coeffs.items():
-                        shape, label = _slotwise_product(
-                            tuple(padded_shape), tuple(padded_label),
-                            long_shape, label_l,
-                        )
-                        comp = Composition(shape)
-                        bucket = total.setdefault(comp, {})
-                        bucket[label] = bucket.get(label, 0) + c * d
-    return DirectSumElement(
-        {comp: TensorElement(comp.parts, coeffs) for comp, coeffs in total.items()}
-    )
-
-
-def big_coproduct(x: TensorElement) -> list:
-    """All single-slot splittings of x, keyed by (slot, left degree).
-
-    Slots are 1-based; each component keeps its raw shape, so zero
-    degrees appear at the ends of the ranges.  A degree-0 element has
-    one trivial component.
-    """
-    if not x.shape:
-        return [((1, 0), x)]
-    out = []
-    for i, d in enumerate(x.shape, start=1):
-        for a in range(d + 1):
-            out.append(((i, a), tensor_comult_component(x, i - 1, a, d - a)))
-    return out
 
 
 # ---------------------------------------------------------------------------

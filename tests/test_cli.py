@@ -92,6 +92,20 @@ def test_compositions_listing(capsys):
     assert out.splitlines() == ["(3)", "(1,2)", "(2,1)", "(1,1,1)", "total: 4"]
 
 
+def test_compositions_negative_max_length_exit_two(capsys):
+    code, out, err = run_cli(
+        capsys, "compositions", "--n", "3", "--max-length", "-2"
+    )
+    assert code == 2
+    assert "max_length must be non-negative" in err
+    assert out == ""
+    code, out, _ = run_cli(
+        capsys, "compositions", "--n", "3", "--max-length", "0"
+    )
+    assert code == 0
+    assert out.splitlines() == ["total: 0"]
+
+
 def test_normalize(capsys):
     code, out, _ = run_cli(capsys, "normalize", "(7) ; s[1,1,3]")
     assert code == 0

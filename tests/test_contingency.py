@@ -88,6 +88,12 @@ def test_count_agrees_with_enumeration():
                     )
 
 
+def test_unknown_mode_rejected_by_enumeration_and_count():
+    for fn in (enumerate_matrices, count_matrices):
+        with pytest.raises(HopflikeError, match="unknown mode 'strict'"):
+            fn((2, 2), (2, 2), "strict")
+
+
 def test_margin_equations_hold():
     # exhaustively on all margins up to 6; on partition representatives
     # for 7 and 8 (margin equations are invariant under reordering rows

@@ -209,6 +209,21 @@ def test_explore_contains_displayed_components():
     assert report["difference"] != {}
 
 
+def test_explore_matches_recorded_fixture():
+    # every a <= 3 and two-part beta with a + |beta| <= 6, frozen as JSON
+    cases = [
+        (a, C([b1, b2]))
+        for a in range(4)
+        for b1 in range(1, 7)
+        for b2 in range(1, 7)
+        if a + b1 + b2 <= 6
+    ]
+    assert len(cases) == 34
+    reports = [explore_mixed_bidegree(a, beta) for a, beta in cases]
+    recorded = (DATA / "explore_mixed_6.json").read_text(encoding="utf-8")
+    assert json.dumps(reports, indent=2) + "\n" == recorded
+
+
 def test_explore_json_round_trip():
     report = explore_mixed_bidegree(1, C([2, 1]))
     assert json.loads(json.dumps(report)) == report

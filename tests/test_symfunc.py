@@ -12,17 +12,16 @@ from hopflike.errors import (
     DegreeMismatchError,
     RealizationError,
     UsageError,
+    WordSyntaxError,
 )
+from hopflike.hopfverify import _halves, _padded_products
 from hopflike.parsing import parse_sym_element, parse_tensor_element
 from hopflike.symfunc import (
-    DirectSumElement,
     SymElement,
     TensorElement,
     TransitionCache,
     _inverse_transition,
     _kostka,
-    big_coproduct,
-    big_product,
     comult_component,
     default_realization,
     format_sym,
@@ -205,14 +204,14 @@ def test_schur_orthonormal():
 
 def test_realize_merge_example():
     real = default_realization()
-    realized = real.realize_generator(Merge(2, 1), C([1, 1]))
+    realized = real.realize_word(MorphismWord(C([1, 1]), [Merge(2, 1)]))
     out = realized(TensorElement((2,), {((2,),): 1}))
     assert out == TensorElement((1, 1), {((1,), (1,)): 1})
 
 
 def test_realize_split_is_multiplication():
     real = default_realization()
-    realized = real.realize_generator(Split(1, 1, 2), C([5]))
+    realized = real.realize_word(MorphismWord(C([5]), [Split(1, 1, 2)]))
     out = realized(TensorElement((2, 3), {((2,), (2, 1)): 1}))
     assert out == TensorElement((5,), {((2, 2, 1),): 1})
 
@@ -221,13 +220,13 @@ def test_realize_shuffle_permutes_slots():
     real = default_realization()
     K = ContingencyMatrix([[1, 2], [3, 4]])
     kap_row = C([1, 2, 3, 4])
-    realized = real.realize_generator(Shuffle(K), kap_row)
+    realized = real.realize_word(MorphismWord(kap_row, [Shuffle(K)]))
     el = TensorElement((1, 3, 2, 4), {((1,), (2, 1), (1, 1), (4,)): 1})
     out = realized(el)
     assert out == TensorElement((1, 2, 3, 4), {((1,), (1, 1), (2, 1), (4,)): 1})
     # all-ones matrix swaps the middle slots: w x y z -> w y x z
     K = ContingencyMatrix([[1, 1], [1, 1]])
-    realized = real.realize_generator(Shuffle(K), C([1, 1, 1, 1]))
+    realized = real.realize_word(MorphismWord(C([1, 1, 1, 1]), [Shuffle(K)]))
     labels = ((1,), (1,), (1,), (1,))
     assert realized(TensorElement((1, 1, 1, 1), {labels: 1})).coeffs == {labels: 1}
 
@@ -288,7 +287,7 @@ def test_realize_compose_functorial_sweep():
 
 def test_realized_map_rejects_wrong_shape():
     real = default_realization()
-    realized = real.realize_generator(Merge(2, 1), C([1, 1]))
+    realized = real.realize_word(MorphismWord(C([1, 1]), [Merge(2, 1)]))
     with pytest.raises(RealizationError):
         realized(TensorElement((3,), {((3,),): 1}))
     word = real.realize_word(MorphismWord(C([1, 1]), [Merge(2, 1), Split(1, 1, 1)]))
@@ -303,27 +302,45 @@ def test_tensor_element_validates_labels():
         TensorElement((1, 1), {((1,),): 1})
 
 
-# --- the big sum ------------------------------------------------------------
+def test_tensor_element_rejects_non_partition_labels():
+    # one predicate serves the tensor and plain constructors and the parser
+    for shape, label in [((3,), ((1, 2),)), ((1,), ((1, 0),))]:
+        with pytest.raises(RealizationError):
+            TensorElement(shape, {label: 1})
+    with pytest.raises(UsageError):
+        SymElement(3, "h", {(1, 2): 1})
+    with pytest.raises(WordSyntaxError):
+        parse_tensor_element("h[1,2] (x) h[1]")
+    assert TensorElement((3, 0), {((2, 1), ()): 1}).coeffs == {((2, 1), ()): 1}
+
+
+# --- the big sum, on (shape, label) pairs ----------------------------------
+
+
+def padded_sum(x, y):
+    """Big product of two {(shape, label): coeff} sums."""
+    out = {}
+    for term_x, c in x.items():
+        for term_y, d in y.items():
+            for term in _padded_products(term_x, term_y):
+                out[term] = out.get(term, 0) + c * d
+    return out
 
 
 def test_big_product_example():
-    x = DirectSumElement.from_tensor(TensorElement((2,), {((2,),): 1}))
-    y = DirectSumElement.from_tensor(
-        TensorElement((1, 1), {((1,), (1,)): 1})
-    )
-    out = big_product(x, y)
-    assert dict(out.items()) == {
-        C([3, 1]): TensorElement((3, 1), {((2, 1), (1,)): 1}),
-        C([1, 3]): TensorElement((1, 3), {((1,), (2, 1)): 1}),
+    x = {((2,), ((2,),)): 1}
+    y = {((1, 1), ((1,), (1,))): 1}
+    assert padded_sum(x, y) == {
+        ((3, 1), ((2, 1), (1,))): 1,
+        ((1, 3), ((1,), (2, 1))): 1,
     }
 
 
 def test_big_product_unit():
-    y = DirectSumElement.from_tensor(
-        TensorElement((2, 1), {((1, 1), (1,)): 5})
-    )
-    assert big_product(DirectSumElement.unit(), y) == y
-    assert big_product(y, DirectSumElement.unit()) == y
+    unit = {((), ()): 1}
+    y = {((2, 1), ((1, 1), (1,))): 5}
+    assert padded_sum(unit, y) == y
+    assert padded_sum(y, unit) == y
 
 
 def test_big_product_associative_on_single_slots():
@@ -336,31 +353,27 @@ def test_big_product_associative_on_single_slots():
                 for la in partitions_of(a):
                     for lb in partitions_of(b):
                         for lc in partitions_of(c):
-                            x = DirectSumElement.from_tensor(
-                                TensorElement((a,), {(la,): 1})
-                            )
-                            y = DirectSumElement.from_tensor(
-                                TensorElement((b,), {(lb,): 1})
-                            )
-                            z = DirectSumElement.from_tensor(
-                                TensorElement((c,), {(lc,): 1})
-                            )
-                            assert big_product(big_product(x, y), z) == \
-                                big_product(x, big_product(y, z))
+                            x = {((a,), (la,)): 1}
+                            y = {((b,), (lb,)): 1}
+                            z = {((c,), (lc,)): 1}
+                            assert padded_sum(padded_sum(x, y), z) == \
+                                padded_sum(x, padded_sum(y, z))
 
 
 def test_big_coproduct_examples():
-    comps = dict(big_coproduct(TensorElement((2,), {((2,),): 1})))
-    assert comps[(1, 1)] == TensorElement((1, 1), {((1,), (1,)): 1})
-    assert comps[(1, 0)] == TensorElement((0, 2), {((), (2,)): 1})
-    assert comps[(1, 2)] == TensorElement((2, 0), {((2,), ()): 1})
-    unit = TensorElement((), {(): 1})
-    assert big_coproduct(unit) == [((1, 0), unit)]
-    pieces = big_coproduct(TensorElement((1, 1), {((1,), (1,)): 1}))
+    halves = {(left, right): c for left, right, c in _halves((2,), ((2,),))}
+    assert halves == {
+        (((1,), ((1,),)), ((1,), ((1,),))): 1,
+        (((), ()), ((2,), ((2,),))): 1,
+        (((2,), ((2,),)), ((), ())): 1,
+    }
+    # the unit, as the one-slot tensor of degree 0, splits trivially
+    assert list(_halves((0,), ((),))) == [(((), ()), ((), ()), 1)]
+    pieces = list(_halves((1, 1), ((1,), (1,))))
     assert len(pieces) == 4
-    for (slot, a), piece in pieces:
-        assert sum(piece.shape) == 2
-        assert not piece.is_zero
+    for left, right, c in pieces:
+        assert sum(left[0]) + sum(right[0]) == 2
+        assert c
 
 
 def test_commutative_and_cocommutative():
