@@ -90,6 +90,21 @@ class ContingencyMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyMatrix is immutable")
 
+    @classmethod
+    def _trusted(cls, rows: tuple, ncols: int) -> "ContingencyMatrix":
+        """Build without validation.
+
+        For matrices the program generates only: ``rows`` is a tuple of
+        ``ncols``-long tuples of non-negative ints.
+        """
+        K = object.__new__(cls)
+        object.__setattr__(K, "entries", rows)
+        object.__setattr__(K, "nrows", len(rows))
+        object.__setattr__(K, "ncols", ncols)
+        object.__setattr__(K, "_kappa", None)
+        object.__setattr__(K, "_slot_sources", None)
+        return K
+
     @property
     def raw_row_margins(self) -> tuple:
         return tuple(sum(row) for row in self.entries)
@@ -152,7 +167,8 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
     ``mode`` is ``nonnegative`` (entries >= 0, the default: block sums
     need zeros) or ``strictly-positive`` (entries >= 1).  Matrices are
     ordered by their flattened entry tuple, lexicographically largest
-    first, so reports are deterministic.
+    first, so reports are deterministic.  Entries are generated within
+    their bounds, so the matrices skip the constructor's checks.
     """
     a = _parts(alpha)
     b = _parts(beta)
@@ -172,10 +188,15 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
 
     def fill(i, colrem):
         if i == r:
-            out.append(ContingencyMatrix(tuple(rows)))
+            out.append(ContingencyMatrix._trusted(tuple(rows), s))
             return
         remaining_rows = r - i - 1
         row = [0] * s
+        # later[j]: what columns j+1.. can still take in this row; those
+        # columns are untouched until the row reaches them
+        later = [0] * s
+        for k in range(s - 1, 0, -1):
+            later[k - 1] = later[k] + colrem[k] - low * remaining_rows
 
         def cell(j, rowrem):
             if j == s - 1:
@@ -188,11 +209,8 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
                     rows.pop()
                     colrem[j] += v
                 return
-            later_capacity = sum(
-                colrem[k] - low * remaining_rows for k in range(j + 1, s)
-            )
             hi = min(rowrem - low * (s - 1 - j), colrem[j] - low * remaining_rows)
-            lo = max(low, rowrem - later_capacity)
+            lo = max(low, rowrem - later[j])
             for v in range(hi, lo - 1, -1):
                 row[j] = v
                 colrem[j] -= v
@@ -317,12 +335,12 @@ def slot_sources(K: ContingencyMatrix) -> tuple:
 
 
 def transpose(K: ContingencyMatrix) -> ContingencyMatrix:
-    return ContingencyMatrix(
+    return ContingencyMatrix._trusted(
         tuple(
             tuple(K.entries[i][j] for i in range(K.nrows))
             for j in range(K.ncols)
         ),
-        ncols=K.nrows,
+        K.nrows,
     )
 
 

@@ -30,14 +30,9 @@ from .compositions import (
     enumerate_compositions,
     refines,
 )
-from .contingency import (
-    ContingencyMatrix,
-    enumerate_matrices,
-    transpose,
-)
+from .contingency import ContingencyMatrix, enumerate_matrices
 from .category import (
     MorphismWord,
-    Shuffle,
     gamma_of,
     merge_chain,
     semantic_equal,
@@ -106,24 +101,6 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
 # square condition (towers through a margin matrix)
 
 
-def _tower_word(alpha, beta, K) -> MorphismWord:
-    """Word beta -> alpha realizing the forward tower A(alpha) -> A(beta).
-
-    Comultiply along alpha into the row refinement, shuffle row order to
-    column order, multiply out to beta.  Realized contravariantly, a
-    word from beta gives a map out of A(alpha), so the shuffle step uses
-    the transposed matrix.
-    """
-    from .contingency import kappa
-
-    kap = kappa(K)
-    return (
-        split_chain(beta, kap.col)
-        .then(MorphismWord(kap.col, [Shuffle(transpose(K))]))
-        .then(merge_chain(kap.row, alpha))
-    )
-
-
 def _coarse_route_word(alpha, beta, gamma) -> MorphismWord:
     """Word beta -> alpha realizing multiply-to-gamma then comultiply."""
     return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
@@ -133,16 +110,16 @@ def _summed_mismatches(alpha, beta, gamma, matrices):
     """Where the towers of ``matrices``, summed, miss the route via gamma.
 
     Yields ``(element, towers_sum, route)`` in canonical form for each
-    basis element of A(alpha) on which the two differ.
+    basis element of A(alpha) on which the two differ.  The towers are
+    evaluated as one map, ``PshRealization._summed_towers``, which
+    builds no word and whose row memo lives only for this call; the
+    route is a realized word.
     """
     real = default_realization()
     route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
-    towers = [real.realize_word(_tower_word(alpha, beta, K)) for K in matrices]
+    towers = real._summed_towers(alpha.parts, beta.parts, matrices)
     for el in real.tensor_basis(alpha):
-        total = TensorElement.zero(beta.parts)
-        for tower in towers:
-            total = total + tower(el)
-        total, want = total.canonical(), route(el).canonical()
+        total, want = towers(el).canonical(), route(el).canonical()
         if total != want:
             yield el, total, want
 
@@ -322,7 +299,7 @@ def _block_diag(K1: ContingencyMatrix, K2: ContingencyMatrix) -> ContingencyMatr
         rows.append(row + (0,) * K2.ncols)
     for row in K2.entries:
         rows.append((0,) * K1.ncols + row)
-    return ContingencyMatrix(rows)
+    return ContingencyMatrix._trusted(tuple(rows), K1.ncols + K2.ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import operator
 from functools import lru_cache
 
 from .compositions import Composition
-from .contingency import slot_sources
+from .contingency import slot_sources, transpose
 from .category import Merge, Shuffle, Split, apply_generator
 from .errors import (
     BasisMismatchError,
@@ -706,6 +706,62 @@ class PshRealization:
             for act in actions:
                 coeffs = act(coeffs)
             return TensorElement._trusted(codomain_shape, coeffs)
+
+        return RealizedMap(domain_shape, codomain_shape, fn)
+
+    @staticmethod
+    def _summed_towers(domain_shape, codomain_shape, matrices) -> RealizedMap:
+        """The towers of ``matrices`` summed, as one map A(domain) -> A(codomain).
+
+        Each matrix must have row margins ``domain_shape`` and column
+        margins ``codomain_shape``.  Its tower comultiplies every slot
+        into the nonzero entries of its row, peeling the last piece
+        first as the merge chain does; moves the pieces from row order
+        to column order by ``slot_sources(transpose(K))``; and
+        multiplies each column's run, rightmost pair first, as the split
+        chain does.  No word is built.  Row expansions are memoized by
+        (slot label, row) for the life of the map only.
+        """
+        towers = []
+        for K in matrices:
+            sources = slot_sources(transpose(K))
+            runs, pos = [], 0
+            for j in range(K.ncols):
+                count = sum(1 for row in K.entries if row[j])
+                runs.append(sources[pos:pos + count])
+                pos += count
+            rows = tuple(tuple(v for v in row if v) for row in K.entries)
+            towers.append((rows, runs))
+        memo = {}
+
+        def expansion(lam, row):
+            items = memo.get((lam, row))
+            if items is None:
+                coeffs = {(lam,): 1}
+                for k in range(len(row) - 1, 0, -1):
+                    coeffs = _comult_action(0, sum(row[:k]))(coeffs)
+                items = memo[lam, row] = tuple(coeffs.items())
+            return items
+
+        def column(pieces, run):
+            label = pieces[run[-1]]
+            for s in reversed(run[:-1]):
+                label = _merge_labels(pieces[s], label)
+            return label
+
+        def fn(el):
+            total = {}
+            for label, c in el.coeffs.items():
+                for rows, runs in towers:
+                    factors = [expansion(lam, row) for lam, row in zip(label, rows)]
+                    for combo in itertools.product(*factors):
+                        pieces, coeff = (), c
+                        for part, d in combo:
+                            pieces += part
+                            coeff *= d
+                        key = tuple([column(pieces, run) for run in runs])
+                        total[key] = total.get(key, 0) + coeff
+            return TensorElement._trusted(codomain_shape, total)
 
         return RealizedMap(domain_shape, codomain_shape, fn)
 

@@ -5,7 +5,9 @@ and validates only the element it is given.  The reference evaluator
 here walks the same word one generator at a time through the public
 slot operations and re-validates every intermediate element, so a
 compilation mistake (wrong slot, wrong degree, wrong order of steps)
-shows up as a difference.
+shows up as a difference.  The tower sweeps build no words: their
+grouped evaluator, ``PshRealization._summed_towers``, is checked against
+the realized tower words of :func:`tower_word`.
 """
 
 import types
@@ -16,15 +18,24 @@ import hopflike
 from hopflike import symfunc
 from hopflike.category import (
     Merge,
+    MorphismWord,
+    Shuffle,
     Split,
     apply_generator,
     enumerate_relation_instances,
+    merge_chain,
+    split_chain,
 )
 from hopflike.compositions import Composition, enumerate_compositions
-from hopflike.contingency import ContingencyMatrix, enumerate_matrices, slot_sources
+from hopflike.contingency import (
+    ContingencyMatrix,
+    enumerate_matrices,
+    kappa,
+    slot_sources,
+    transpose,
+)
 from hopflike.hopfverify import (
     _coarse_route_word,
-    _tower_word,
     check_bidegree12_defect,
     check_hopf_compat,
     check_mixed_relations,
@@ -38,6 +49,22 @@ from hopflike.symfunc import (
     tensor_mult_slots,
     tensor_permute,
 )
+
+
+def tower_word(alpha, beta, K):
+    """Word beta -> alpha realizing the forward tower A(alpha) -> A(beta).
+
+    Comultiply along alpha into the row refinement, shuffle row order to
+    column order, multiply out to beta.  Realized contravariantly, a
+    word from beta gives a map out of A(alpha), so the shuffle step uses
+    the transposed matrix.
+    """
+    kap = kappa(K)
+    return (
+        split_chain(beta, kap.col)
+        .then(MorphismWord(kap.col, [Shuffle(transpose(K))]))
+        .then(merge_chain(kap.row, alpha))
+    )
 
 
 def reference_apply(word, el):
@@ -94,7 +121,7 @@ def test_square_words_match_reference():
             for beta in comps:
                 words.append(_coarse_route_word(alpha, beta, gamma))
                 words.extend(
-                    _tower_word(alpha, beta, K)
+                    tower_word(alpha, beta, K)
                     for K in enumerate_matrices(alpha, beta)
                 )
     assert assert_matches_reference(words) > len(words)
@@ -168,6 +195,33 @@ def test_injected_fault_is_reported(monkeypatch, sweep, inject, instance):
     inject(monkeypatch)
     failures = SWEEPS[sweep]().failures
     assert failures and failures[0].instance == instance
+
+
+@pytest.mark.parametrize("inject", [None, comult_fault], ids=["true", "comult"])
+def test_summed_towers_match_tower_words(monkeypatch, inject):
+    # The faulty table is not coassociative, so only the merge chain's
+    # peel order (last piece first) reproduces the words' values.
+    if inject:
+        inject(monkeypatch)
+    real = default_realization()
+    for n in range(6):
+        comps = enumerate_compositions(n)
+        for alpha in comps:
+            for beta in comps:
+                matrices = enumerate_matrices(alpha, beta)
+                words = [
+                    real.realize_word(tower_word(alpha, beta, K))
+                    for K in matrices
+                ]
+                groups = [([K], [w]) for K, w in zip(matrices, words)]
+                groups.append((matrices, words))
+                for group, maps in groups:
+                    summed = real._summed_towers(alpha.parts, beta.parts, group)
+                    for el in real.tensor_basis(alpha):
+                        want = TensorElement.zero(beta.parts)
+                        for tower in maps:
+                            want = want + tower(el)
+                        assert summed(el) == want, (alpha, beta, group, el)
 
 
 # --- validation stays at the public boundaries --------------------------------

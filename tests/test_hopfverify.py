@@ -90,6 +90,15 @@ def test_per_k_counterexample_matches_fixture():
     assert again.to_json() == report.to_json()
 
 
+@pytest.mark.parametrize("parts", [(2, 2), (1, 2, 1)])
+def test_per_k_failure_tensors_match_fixture(parts):
+    # every matrix fails alone, so the report pins each tower's values
+    report = check_square_condition(C(parts), C(parts), "per-k")
+    assert len(report.failures) == report.checked
+    name = f"square_per_k_{''.join(map(str, parts))}.json"
+    assert report.to_json() + "\n" == (DATA / name).read_text(encoding="utf-8")
+
+
 def test_relation_families_pass():
     assert check_relation_family("dd", 6, 3).passed
     assert check_relation_family("ss", 6, 3).passed
