@@ -12,7 +12,6 @@ from .simplicial import MonotoneMap, degeneracy, face, verify_simplicial_identit
 from .contingency import (
     ContingencyMatrix,
     Permutation,
-    block_decompose,
     count_matrices,
     enumerate_matrices,
     kappa,
@@ -27,7 +26,6 @@ from .category import (
     apply_generator,
     compose,
     enumerate_relation_instances,
-    gamma_of,
     merge_chain,
     parse_word,
     print_word,
@@ -69,17 +67,17 @@ __all__ = [
     "Composition", "ContingencyMatrix", "Failure", "Merge", "MonotoneMap",
     "MorphismWord", "Permutation", "PshRealization", "RelationInstance",
     "Shuffle", "Split", "SymElement", "TensorElement", "VerificationReport",
-    "apply_generator", "block_decompose", "blocks", "canonicalize",
-    "check_bidegree12", "check_hopf_compat", "check_mixed_relations",
-    "check_relation_family", "check_six_cases", "check_square_condition",
-    "check_worked_examples", "common_coarsenings", "compose", "count_matrices",
-    "default_realization", "degeneracy", "enumerate_compositions",
-    "enumerate_matrices", "enumerate_relation_instances",
-    "explore_mixed_bidegree", "face", "gamma_of", "h_mult", "h_to_m",
-    "hall_inner", "hopf_defect_12", "kappa", "m_to_h", "merge_chain",
-    "modified_mult_12", "parse_word", "partitions_of", "print_word", "refines",
-    "schur", "semantic_equal", "sigma_K", "six_term_12", "six_term_21",
-    "split_chain", "transition_cache", "verify_simplicial_identities",
+    "apply_generator", "blocks", "canonicalize", "check_bidegree12",
+    "check_hopf_compat", "check_mixed_relations", "check_relation_family",
+    "check_six_cases", "check_square_condition", "check_worked_examples",
+    "common_coarsenings", "compose", "count_matrices", "default_realization",
+    "degeneracy", "enumerate_compositions", "enumerate_matrices",
+    "enumerate_relation_instances", "explore_mixed_bidegree", "face",
+    "h_mult", "h_to_m", "hall_inner", "hopf_defect_12", "kappa", "m_to_h",
+    "merge_chain", "modified_mult_12", "parse_word", "partitions_of",
+    "print_word", "refines", "schur", "semantic_equal", "sigma_K",
+    "six_term_12", "six_term_21", "split_chain", "transition_cache",
+    "verify_simplicial_identities",
 ]
 
 __version__ = "0.1.0"

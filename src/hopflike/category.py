@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Composition, refines
-from .contingency import ContingencyMatrix, block_decompose, kappa
+from .compositions import Composition, enumerate_compositions, refines
+from .contingency import ContingencyMatrix, enumerate_matrices, kappa, sigma_K
 from .errors import ChainError, GeneratorDomainError, UsageError
 
 
@@ -192,15 +192,6 @@ def merge_chain(source: Composition, target: Composition) -> MorphismWord:
     return MorphismWord(source, steps)
 
 
-def gamma_of(K: ContingencyMatrix) -> Composition:
-    """Composition of diagonal-block totals of ``K``.
-
-    The coarsening through which a shuffle's mixed relation factors:
-    ``(n)`` for an indecomposable matrix, one part per block otherwise.
-    """
-    return Composition(block.total for block in block_decompose(K))
-
-
 @dataclass(frozen=True)
 class RelationInstance:
     left: MorphismWord
@@ -223,10 +214,10 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
     (shuffle chains with equal underlying permutations).  The mixed
     family (split-chain; shuffle; merge-chain against a coarsening
     route) has no single-word instances here: it holds only with towers
-    summed over a group of matrices, which
-    :func:`hopflike.hopfverify.check_mixed_relations` checks, and
-    :func:`hopflike.hopfverify.check_square_condition` compares each
-    matrix alone in its per-k reading.
+    summed over the matrices that factor through a coarsening, which
+    :func:`hopflike.hopfverify.check_mixed_relations` checks group by
+    group, and :func:`hopflike.hopfverify.check_square_condition`
+    compares each matrix alone in its per-k reading.
     """
     if max_sum < 1 or max_len < 1:
         raise UsageError("bounds must be >= 1")
@@ -240,8 +231,6 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
 
 
 def _all_compositions(max_sum, max_len):
-    from .compositions import enumerate_compositions
-
     out = []
     for n in range(max_sum + 1):
         out.extend(enumerate_compositions(n, max_len))
@@ -343,8 +332,6 @@ def _ss_instances(max_sum, max_len):
 
 def _shuffles_by_source(max_sum, max_len):
     """All shuffle generators within bounds, grouped by canonical source."""
-    from .contingency import enumerate_matrices
-
     comps = _all_compositions(max_sum, max_len)
     by_source = {}
     for alpha in comps:
@@ -360,8 +347,6 @@ def _shuffles_by_source(max_sum, max_len):
 
 
 def _tautau_instances(max_sum, max_len):
-    from .contingency import sigma_K
-
     by_source = _shuffles_by_source(max_sum, max_len)
     annotated = {
         source: [(K, kappa(K).col, sigma_K(K).images) for K in group]
@@ -418,8 +403,8 @@ def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):
     lmap = realization.realize_word(left)
     rmap = realization.realize_word(right)
     for basis_el in realization.tensor_basis(left.target):
-        lv = lmap(basis_el).canonical()
-        rv = rmap(basis_el).canonical()
+        lv = lmap(basis_el)
+        rv = rmap(basis_el)
         if lv != rv:
             label = next(iter(basis_el.coeffs))
             return False, (label, lv, rv)

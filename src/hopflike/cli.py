@@ -209,7 +209,7 @@ def _run_normalize(args) -> int:
     index = {next(iter(b.coeffs)): k for k, b in enumerate(codomain_basis)}
     matrix = []
     for col in domain_basis:
-        image = realized(col).canonical()
+        image = realized(col)
         column = [0] * len(codomain_basis)
         for label, coeff in image.coeffs.items():
             column[index[label]] = coeff

@@ -342,48 +342,3 @@ def transpose(K: ContingencyMatrix) -> ContingencyMatrix:
         ),
         K.nrows,
     )
-
-
-def block_decompose(K: ContingencyMatrix) -> list:
-    """Finest splitting of K into diagonal blocks along contiguous cuts.
-
-    A cut after row r0 and column s0 is valid when everything outside
-    the two diagonal blocks vanishes.  Trailing rows or columns that
-    cannot be paired stay inside the final block.
-    """
-    blocks = []
-    r0 = 0
-    c0 = 0
-    R, S = K.nrows, K.ncols
-    while r0 < R and c0 < S:
-        # smallest closed block containing row r0 and column c0
-        rr, cc = 1, 1
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r0, r0 + rr):
-                for j in range(c0 + cc, S):
-                    if K.entries[i][j]:
-                        cc = j - c0 + 1
-                        changed = True
-            for j in range(c0, c0 + cc):
-                for i in range(r0 + rr, R):
-                    if K.entries[i][j]:
-                        rr = i - r0 + 1
-                        changed = True
-        if (r0 + rr == R) != (c0 + cc == S):
-            # one dimension exhausted: absorb the rest into this block
-            rr, cc = R - r0, S - c0
-        blocks.append(
-            ContingencyMatrix(
-                tuple(
-                    tuple(K.entries[i][j] for j in range(c0, c0 + cc))
-                    for i in range(r0, r0 + rr)
-                )
-            )
-        )
-        r0 += rr
-        c0 += cc
-    if not blocks:
-        blocks.append(K)
-    return blocks

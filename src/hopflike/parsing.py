@@ -14,7 +14,7 @@ from .category import Merge, MorphismWord, Shuffle, Split
 from .compositions import Composition
 from .contingency import ContingencyMatrix
 from .errors import WordSyntaxError
-from .symfunc import _is_partition
+from .symfunc import SymElement, TensorElement, _is_partition, m_to_h, schur
 
 _PUNCT = set("()[],;+-*")
 
@@ -258,8 +258,6 @@ def _parse_terms(cur: _Cursor):
 
 def parse_sym_element(text: str):
     """Parse a single-slot element; all atoms must share one basis."""
-    from .symfunc import SymElement
-
     cur = _Cursor(text)
     first = cur.peek()
     terms = _parse_terms(cur)
@@ -296,8 +294,6 @@ def parse_sym_element(text: str):
 
 def parse_tensor_element(text: str):
     """Parse sums of scaled tensors; s/m slots are converted to h."""
-    from .symfunc import SymElement, TensorElement, schur, m_to_h
-
     cur = _Cursor(text)
     first = cur.peek()
     terms = _parse_terms(cur)

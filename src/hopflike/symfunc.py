@@ -438,10 +438,9 @@ def hall_inner(x: SymElement, y: SymElement) -> int:
 class TensorElement:
     """Integer combination of h-basis tensors over a raw shape.
 
-    The shape is a tuple of non-negative slot degrees (zeros appear in
-    intermediate padded states); each label is a tuple of partitions
-    whose weights match the shape slotwise.  The constructor raises
-    ``RealizationError`` on any other label.
+    The shape is a tuple of non-negative slot degrees; each label is a
+    tuple of partitions whose weights match the shape slotwise.  The
+    constructor raises ``RealizationError`` on any other label.
     """
 
     __slots__ = ("shape", "coeffs")
@@ -543,18 +542,6 @@ class TensorElement:
             for l2, d in other.coeffs.items():
                 coeffs[l1 + l2] = c * d
         return TensorElement(self.shape + other.shape, coeffs)
-
-    def canonical(self) -> "TensorElement":
-        """Strip zero-degree slots from the shape and every label."""
-        keep = [i for i, d in enumerate(self.shape) if d > 0]
-        if len(keep) == len(self.shape):
-            return self
-        shape = tuple(self.shape[i] for i in keep)
-        coeffs = {}
-        for label, c in self.coeffs.items():
-            key = tuple(label[i] for i in keep)
-            coeffs[key] = coeffs.get(key, 0) + c
-        return TensorElement._trusted(shape, coeffs)
 
 
 def _comult_action(slot: int, d1: int):

@@ -10,7 +10,6 @@ from hopflike.category import (
     apply_generator,
     compose,
     enumerate_relation_instances,
-    gamma_of,
     identity_word,
     merge_chain,
     parse_word,
@@ -19,7 +18,11 @@ from hopflike.category import (
     split_chain,
 )
 from hopflike.errors import ChainError, GeneratorDomainError, UsageError, WordSyntaxError
-from hopflike.hopfverify import _summed_mismatches, check_square_condition
+from hopflike.hopfverify import (
+    _factoring_matrices,
+    _route_comparison,
+    check_square_condition,
+)
 from hopflike.symfunc import default_realization
 
 
@@ -107,16 +110,25 @@ def test_chains_with_zero_cells_collapse():
 
 
 def test_gamma_examples():
-    assert gamma_of(ContingencyMatrix([[1, 1], [1, 1]])) == C([4])
+    # a matrix is in the group of each coarsening its diagonal blocks refine
+    full = ContingencyMatrix([[1, 1], [1, 1]])
+    assert full in _factoring_matrices(C([2, 2]), C([2, 2]), C([4]))
+    assert full not in _factoring_matrices(C([2, 2]), C([2, 2]), C([2, 2]))
     four_by_five = ContingencyMatrix([
         [1, 1, 1, 0, 0],
         [1, 1, 1, 0, 0],
         [0, 0, 0, 1, 1],
         [0, 0, 0, 1, 1],
     ])
-    assert gamma_of(four_by_five) == C([6, 4])
-    assert gamma_of(ContingencyMatrix([[5]])) == C([5])
-    assert gamma_of(ContingencyMatrix([[1, 0], [0, 1]])) == C([1, 1])
+    alpha, beta = C([3, 3, 2, 2]), C([2, 2, 2, 2, 2])
+    for gamma in (C([10]), C([6, 4])):
+        assert four_by_five in _factoring_matrices(alpha, beta, gamma)
+    for gamma in (C([6, 2, 2]), C([8, 2])):
+        assert four_by_five not in _factoring_matrices(alpha, beta, gamma)
+    assert _factoring_matrices(C([5]), C([5]), C([5])) == [ContingencyMatrix([[5]])]
+    assert _factoring_matrices(C([1, 1]), C([1, 1]), C([1, 1])) == [
+        ContingencyMatrix([[1, 0], [0, 1]])
+    ]
 
 
 def test_dd_instance_from_worked_example():
@@ -170,9 +182,10 @@ def test_mixed_instance_fails_pointwise_with_witness():
 
 def test_mixed_instance_with_split_support_passes():
     # a fully decomposed matrix routes through its own fine coarsening
-    identity = ContingencyMatrix([[1, 0], [0, 1]])
-    assert gamma_of(identity) == C([1, 1])
-    assert list(_summed_mismatches(C([1, 1]), C([1, 1]), C([1, 1]), [identity])) == []
+    fine = C([1, 1])
+    group = _factoring_matrices(fine, fine, fine)
+    assert group == [ContingencyMatrix([[1, 0], [0, 1]])]
+    assert list(_route_comparison(fine, fine, fine)(group)) == []
 
 
 def composite_slot_map(K1, K2):

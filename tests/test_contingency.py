@@ -6,7 +6,6 @@ from hopflike.compositions import Composition, enumerate_compositions
 from hopflike.contingency import (
     ContingencyMatrix,
     Permutation,
-    block_decompose,
     count_matrices,
     enumerate_matrices,
     kappa,
@@ -15,6 +14,7 @@ from hopflike.contingency import (
     transpose,
 )
 from hopflike.errors import HopflikeError, SumMismatchError
+from hopflike.hopfverify import _factoring_matrices
 from hopflike.symfunc import partitions_of
 
 
@@ -201,15 +201,23 @@ def test_block_decompose_examples():
         [0, 0, 0, 1, 1],
         [0, 0, 0, 1, 1],
     ])
-    blocks = block_decompose(four_by_five)
-    assert [b.entries for b in blocks] == [
-        ((1, 1, 1), (1, 1, 1)),
-        ((1, 1), (1, 1)),
+    alpha, beta = Composition([3, 3, 2, 2]), Composition([2, 2, 2, 2, 2])
+    group = _factoring_matrices(alpha, beta, Composition([6, 4]))
+    assert four_by_five in group
+    # each member is a (3,3)/(2,2,2) block over a (2,2)/(2,2) block
+    assert [K.entries for K in group] == [
+        tuple(row + (0, 0) for row in top.entries)
+        + tuple((0, 0, 0) + row for row in bottom.entries)
+        for top in enumerate_matrices((3, 3), (2, 2, 2))
+        for bottom in enumerate_matrices((2, 2), (2, 2))
     ]
-    K = ContingencyMatrix([[1, 1], [1, 1]])
-    assert block_decompose(K) == [K]
-    assert [b.entries for b in block_decompose(ContingencyMatrix([[1, 0], [0, 1]]))] == [
-        ((1,),), ((1,),)
+    # one block: the whole enumeration
+    assert _factoring_matrices(alpha, beta, Composition([10])) == (
+        enumerate_matrices(alpha, beta)
+    )
+    ones = Composition([1, 1])
+    assert _factoring_matrices(ones, ones, ones) == [
+        ContingencyMatrix([[1, 0], [0, 1]])
     ]
 
 
@@ -226,4 +234,13 @@ def test_block_decompose_of_direct_sum_concatenates():
         for row in K2.entries:
             rows.append((0,) * K1.ncols + row)
         combined = ContingencyMatrix(rows)
-        assert block_decompose(combined) == block_decompose(K1) + block_decompose(K2)
+        margins = [
+            Composition(K1.raw_row_margins + K2.raw_row_margins),
+            Composition(K1.raw_col_margins + K2.raw_col_margins),
+        ]
+        group = _factoring_matrices(*margins, Composition([K1.total, K2.total]))
+        assert combined in group
+        assert len(group) == len(set(group)) == (
+            count_matrices(K1.raw_row_margins, K1.raw_col_margins)
+            * count_matrices(K2.raw_row_margins, K2.raw_col_margins)
+        )

@@ -1,11 +1,19 @@
 import json
+from bisect import bisect_left
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from hopflike.compositions import Composition
+from hopflike.compositions import (
+    Composition,
+    common_coarsenings,
+    enumerate_compositions,
+)
+from hopflike.contingency import enumerate_matrices
 from hopflike.errors import SumMismatchError, UsageError
 from hopflike.hopfverify import (
+    _factoring_matrices,
     check_bidegree12,
     check_hopf_compat,
     check_mixed_relations,
@@ -19,7 +27,7 @@ from hopflike.hopfverify import (
     six_term_12,
     six_term_21,
 )
-from hopflike.symfunc import SymElement, TensorElement
+from hopflike.symfunc import PshRealization, SymElement, TensorElement
 
 C = Composition
 DATA = Path(__file__).parent / "data"
@@ -97,6 +105,55 @@ def test_per_k_failure_tensors_match_fixture(parts):
     assert len(report.failures) == report.checked
     name = f"square_per_k_{''.join(map(str, parts))}.json"
     assert report.to_json() + "\n" == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_per_k_realizes_the_route_once(monkeypatch):
+    words = []
+    realize_word = PshRealization.realize_word
+
+    def counted(self, word):
+        words.append(word)
+        return realize_word(self, word)
+
+    monkeypatch.setattr(PshRealization, "realize_word", counted)
+    parts = C([1, 2, 1, 2])
+    report = check_square_condition(parts, parts, "per-k")
+    assert report.checked == 58
+    assert len(words) == 1
+
+
+def _block_index(parts, gamma):
+    """Block of gamma holding each part, by where the part ends."""
+    ends = list(accumulate(gamma.parts))
+    return [bisect_left(ends, end) for end in accumulate(parts)]
+
+
+def test_factoring_matrices_match_support_oracle():
+    # oracle: every nonzero cell has its row and column in one gamma block
+    comps = [c for n in range(1, 7) for c in enumerate_compositions(n, 4)]
+    instances = 0
+    for alpha in comps:
+        for beta in comps:
+            if alpha.sum != beta.sum:
+                continue
+            every = enumerate_matrices(alpha, beta)
+            for gamma in common_coarsenings(alpha, beta):
+                rows = _block_index(alpha.parts, gamma)
+                cols = _block_index(beta.parts, gamma)
+                want = sorted(
+                    K.entries for K in every
+                    if all(
+                        rows[i] == cols[j]
+                        for i, row in enumerate(K.entries)
+                        for j, v in enumerate(row) if v
+                    )
+                )
+                got = sorted(
+                    K.entries for K in _factoring_matrices(alpha, beta, gamma)
+                )
+                assert got == want, (alpha, beta, gamma)
+                instances += 1
+    assert instances == 2086
 
 
 def test_relation_families_pass():
