@@ -2,17 +2,29 @@
 """Run every verification sweep at its acceptance bounds.
 
 Prints one text report per suite and exits nonzero if any sweep fails.
-Pass --json PATH to also write the combined reports as a JSON array.
+The last line gives the size of the package: its source line count and
+the number of public names.  Pass --json PATH to also write the combined
+reports as a JSON array.
 """
 
 import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import hopflike as hk
 from hopflike.compositions import Composition
 from hopflike.hopfverify import check_bidegree12_cases, check_bidegree12_defect
+
+
+def size_line() -> str:
+    """Lines of ``src/hopflike/*.py`` (as ``wc -l`` counts) and ``__all__``."""
+    lines = sum(
+        path.read_text(encoding="utf-8").count("\n")
+        for path in Path(hk.__file__).parent.glob("*.py")
+    )
+    return f"size: src/hopflike {lines} lines, {len(hk.__all__)} public names"
 
 
 def main() -> int:
@@ -53,9 +65,10 @@ def main() -> int:
     failed = [r.suite for r in reports if not r.passed]
     if failed:
         print("FAILED:", ", ".join(failed))
-        return 1
-    print(f"all {len(reports)} suites passed")
-    return 0
+    else:
+        print(f"all {len(reports)} suites passed")
+    print(size_line())
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

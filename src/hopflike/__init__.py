@@ -2,8 +2,6 @@
 
 from .compositions import (
     Composition,
-    blocks,
-    canonicalize,
     common_coarsenings,
     enumerate_compositions,
     refines,
@@ -11,7 +9,6 @@ from .compositions import (
 from .simplicial import MonotoneMap, degeneracy, face, verify_simplicial_identities
 from .contingency import (
     ContingencyMatrix,
-    Permutation,
     count_matrices,
     enumerate_matrices,
     kappa,
@@ -24,14 +21,13 @@ from .category import (
     Shuffle,
     Split,
     apply_generator,
-    compose,
     enumerate_relation_instances,
     merge_chain,
-    parse_word,
     print_word,
     semantic_equal,
     split_chain,
 )
+from .parsing import parse_word
 from .symfunc import (
     PshRealization,
     SymElement,
@@ -65,13 +61,13 @@ from .reports import Failure, VerificationReport
 # ``TensorElement._trusted``, stay out of it.
 __all__ = [
     "Composition", "ContingencyMatrix", "Failure", "Merge", "MonotoneMap",
-    "MorphismWord", "Permutation", "PshRealization", "RelationInstance",
-    "Shuffle", "Split", "SymElement", "TensorElement", "VerificationReport",
-    "apply_generator", "blocks", "canonicalize", "check_bidegree12",
-    "check_hopf_compat", "check_mixed_relations", "check_relation_family",
-    "check_six_cases", "check_square_condition", "check_worked_examples",
-    "common_coarsenings", "compose", "count_matrices", "default_realization",
-    "degeneracy", "enumerate_compositions", "enumerate_matrices",
+    "MorphismWord", "PshRealization", "RelationInstance", "Shuffle",
+    "Split", "SymElement", "TensorElement", "VerificationReport",
+    "apply_generator", "check_bidegree12", "check_hopf_compat",
+    "check_mixed_relations", "check_relation_family", "check_six_cases",
+    "check_square_condition", "check_worked_examples", "common_coarsenings",
+    "count_matrices", "default_realization", "degeneracy",
+    "enumerate_compositions", "enumerate_matrices",
     "enumerate_relation_instances", "explore_mixed_bidegree", "face",
     "h_mult", "h_to_m", "hall_inner", "hopf_defect_12", "kappa", "m_to_h",
     "merge_chain", "modified_mult_12", "parse_word", "partitions_of",

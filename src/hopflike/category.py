@@ -118,7 +118,13 @@ class MorphismWord:
         raise AttributeError("MorphismWord is immutable")
 
     def then(self, other: "MorphismWord") -> "MorphismWord":
-        return compose(self, other)
+        """Concatenate words; ``other`` follows ``self``."""
+        if self.target != other.source:
+            raise ChainError(
+                f"cannot compose: first word ends at {self.target}, "
+                f"second starts at {other.source}"
+            )
+        return MorphismWord(self.source, self.steps + other.steps)
 
     def __eq__(self, other):
         return (
@@ -135,20 +141,6 @@ class MorphismWord:
 
     def __str__(self):
         return print_word(self)
-
-
-def compose(w1: MorphismWord, w2: MorphismWord) -> MorphismWord:
-    """Concatenate words; ``w2`` follows ``w1``."""
-    if w1.target != w2.source:
-        raise ChainError(
-            f"cannot compose: first word ends at {w1.target}, "
-            f"second starts at {w2.source}"
-        )
-    return MorphismWord(w1.source, w1.steps + w2.steps)
-
-
-def identity_word(comp) -> MorphismWord:
-    return MorphismWord(Composition(comp) if not isinstance(comp, Composition) else comp)
 
 
 def split_chain(source: Composition, target: Composition) -> MorphismWord:
@@ -196,7 +188,6 @@ def merge_chain(source: Composition, target: Composition) -> MorphismWord:
 class RelationInstance:
     left: MorphismWord
     right: MorphismWord
-    family: str
     description: str
 
     def __post_init__(self):
@@ -250,21 +241,21 @@ def _dd_instances(max_sum, max_len):
                 out.append(RelationInstance(
                     mk([Merge(t, i), Merge(t - 1, j)]),
                     mk([Merge(t, j), Merge(t - 1, i - 1)]),
-                    "dd", f"dd:far-apart {comp} i={i} j={j}",
+                    f"dd:far-apart {comp} i={i} j={j}",
                 ))
         for i in range(2, t):
             # d[t-1,i-1] . d[t,i] = d[t-1,i-1] . d[t,i-1]
             out.append(RelationInstance(
                 mk([Merge(t, i), Merge(t - 1, i - 1)]),
                 mk([Merge(t, i - 1), Merge(t - 1, i - 1)]),
-                "dd", f"dd:adjacent-left {comp} i={i}",
+                f"dd:adjacent-left {comp} i={i}",
             ))
         for i in range(1, t - 1):
             # d[t-1,i] . d[t,i] = d[t-1,i] . d[t,i+1]
             out.append(RelationInstance(
                 mk([Merge(t, i), Merge(t - 1, i)]),
                 mk([Merge(t, i + 1), Merge(t - 1, i)]),
-                "dd", f"dd:adjacent-right {comp} i={i}",
+                f"dd:adjacent-right {comp} i={i}",
             ))
         for i in range(1, t):
             for j in range(i + 1, t):
@@ -272,7 +263,7 @@ def _dd_instances(max_sum, max_len):
                 out.append(RelationInstance(
                     mk([Merge(t, i), Merge(t - 1, j - 1)]),
                     mk([Merge(t, j), Merge(t - 1, i)]),
-                    "dd", f"dd:ordered {comp} i={i} j={j}",
+                    f"dd:ordered {comp} i={i} j={j}",
                 ))
     return out
 
@@ -297,7 +288,7 @@ def _ss_instances(max_sum, max_len):
                         out.append(RelationInstance(
                             mk([Split(t, i, a), Split(t + 1, j, b)]),
                             mk([Split(t, j, b), Split(t + 1, i + 1, a)]),
-                            "ss", f"ss:left-of {comp} i={i} j={j} a={a} b={b}",
+                            f"ss:left-of {comp} i={i} j={j} a={a} b={b}",
                         ))
             for a in range(1, ni):
                 for b in range(1, a):
@@ -305,7 +296,7 @@ def _ss_instances(max_sum, max_len):
                     out.append(RelationInstance(
                         mk([Split(t, i, a), Split(t + 1, i, b)]),
                         mk([Split(t, i, b), Split(t + 1, i + 1, a - b)]),
-                        "ss", f"ss:same-part {comp} i={i} a={a} b={b}",
+                        f"ss:same-part {comp} i={i} a={a} b={b}",
                     ))
             for a in range(2, ni):
                 for b in range(1, ni - a):
@@ -313,7 +304,7 @@ def _ss_instances(max_sum, max_len):
                     out.append(RelationInstance(
                         mk([Split(t, i, a), Split(t + 1, i + 1, b)]),
                         mk([Split(t, i, a + b), Split(t + 1, i, a)]),
-                        "ss", f"ss:right-piece {comp} i={i} a={a} b={b}",
+                        f"ss:right-piece {comp} i={i} a={a} b={b}",
                     ))
             for j in range(i + 2, t + 1):
                 nj = parts[j - 1]
@@ -325,7 +316,7 @@ def _ss_instances(max_sum, max_len):
                         out.append(RelationInstance(
                             mk([Split(t, i, a), Split(t + 1, j + 1, b)]),
                             mk([Split(t, j, b), Split(t + 1, i, a)]),
-                            "ss", f"ss:right-of {comp} i={i} j={j} a={a} b={b}",
+                            f"ss:right-of {comp} i={i} j={j} a={a} b={b}",
                         ))
     return out
 
@@ -349,7 +340,7 @@ def _shuffles_by_source(max_sum, max_len):
 def _tautau_instances(max_sum, max_len):
     by_source = _shuffles_by_source(max_sum, max_len)
     annotated = {
-        source: [(K, kappa(K).col, sigma_K(K).images) for K in group]
+        source: [(K, kappa(K).col, sigma_K(K)) for K in group]
         for source, group in by_source.items()
     }
     out = []
@@ -370,14 +361,13 @@ def _tautau_instances(max_sum, max_len):
             if K3 is not None:
                 # the chain collapses to a single shuffle
                 out.append(RelationInstance(
-                    first, MorphismWord(source, [Shuffle(K3)]), "tautau",
+                    first, MorphismWord(source, [Shuffle(K3)]),
                     f"tautau:chain-vs-step {source}->{target} K3={K3}",
                 ))
             for K1, K2 in pairs[1:]:
                 out.append(RelationInstance(
                     first,
                     MorphismWord(source, [Shuffle(K1), Shuffle(K2)]),
-                    "tautau",
                     f"tautau:equal-chains {source}->{target}",
                 ))
     return out
@@ -411,15 +401,8 @@ def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):
     return True, None
 
 
-def parse_word(text: str) -> MorphismWord:
-    """Parse the word grammar; see :mod:`hopflike.parsing`."""
-    from .parsing import parse_word as _parse
-
-    return _parse(text)
-
-
 def print_word(word: MorphismWord) -> str:
-    """Inverse of :func:`parse_word`."""
+    """Inverse of :func:`hopflike.parsing.parse_word`."""
     pieces = [str(word.source)]
     pieces.extend(str(g) for g in word.steps)
     return " ; ".join(pieces)

@@ -79,28 +79,6 @@ def _parts_of(value) -> tuple:
     return tuple(value)
 
 
-def canonicalize(parts) -> Composition:
-    """Drop zero parts; reject negative ones.  Sum is preserved."""
-    return Composition(parts)
-
-
-def blocks(alpha) -> tuple:
-    """Subdivide (1, ..., n) into the abutting intervals of ``alpha``.
-
-    Interval ``i`` has width ``alpha[i]``; returned as half-open
-    ``range`` objects over 1-based positions.
-
-    >>> [list(r) for r in blocks(Composition((2, 3)))]
-    [[1, 2], [3, 4, 5]]
-    """
-    out = []
-    start = 1
-    for p in _parts_of(alpha):
-        out.append(range(start, start + p))
-        start += p
-    return tuple(out)
-
-
 def refines(alpha, kappa):
     """Grouping witness when ``kappa`` refines ``alpha``, else ``None``.
 

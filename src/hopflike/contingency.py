@@ -16,49 +16,6 @@ from .compositions import Composition
 from .errors import HopflikeError, SumMismatchError
 
 
-class Permutation:
-    """Bijection on 1..n; ``images[p-1]`` is the image of position p."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise HopflikeError(f"not a bijection on 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, pos: int) -> int:
-        return self.images[pos - 1]
-
-    def after(self, other: "Permutation") -> "Permutation":
-        """self . other (apply ``other`` first)."""
-        if self.size != other.size:
-            raise HopflikeError("size mismatch in permutation composition")
-        return Permutation(self.images[v - 1] for v in other.images)
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.size
-        for p, v in enumerate(self.images, start=1):
-            out[v - 1] = p
-        return Permutation(out)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({self.images})"
-
-
 class ContingencyMatrix:
     """Immutable grid of non-negative integers.
 
@@ -140,12 +97,10 @@ class ContingencyMatrix:
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Row- and column-order refinements of a matrix, raw and canonical."""
+    """Row- and column-order refinements of a matrix, zero cells erased."""
 
     row: Composition
     col: Composition
-    row_raw: tuple
-    col_raw: tuple
 
 
 def _parts(margins):
@@ -269,22 +224,22 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
 def kappa(K: ContingencyMatrix) -> KappaResult:
     """Row-by-row and column-by-column readings of the entries."""
     if K._kappa is None:
-        row_raw = tuple(v for row in K.entries for v in row)
-        col_raw = tuple(
+        row = Composition(v for r in K.entries for v in r)
+        col = Composition(
             K.entries[i][j] for j in range(K.ncols) for i in range(K.nrows)
         )
-        object.__setattr__(K, "_kappa", KappaResult(
-            Composition(row_raw), Composition(col_raw), row_raw, col_raw
-        ))
+        object.__setattr__(K, "_kappa", KappaResult(row, col))
     return K._kappa
 
 
-def sigma_K(K: ContingencyMatrix) -> Permutation:
+def sigma_K(K: ContingencyMatrix) -> tuple:
     """Positionwise shuffle from the row-order to the column-order reading.
 
     Each cell (i, j) occupies an interval of width k[i][j] in both
     readings; the permutation translates the row-order interval onto the
     column-order one (the i-th sub-interval of the j-th column block).
+    It is returned as its images: entry ``p - 1`` is where position p
+    goes, for p in 1..n.
     """
     n = K.total
     row_start = {}
@@ -304,7 +259,7 @@ def sigma_K(K: ContingencyMatrix) -> Permutation:
         for j in range(K.ncols):
             for d in range(K.entries[i][j]):
                 images[row_start[i, j] + d - 1] = col_start[i, j] + d
-    return Permutation(images)
+    return tuple(images)
 
 
 def slot_sources(K: ContingencyMatrix) -> tuple:

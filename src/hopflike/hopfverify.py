@@ -109,23 +109,27 @@ def _coarse_route_word(alpha, beta, gamma) -> MorphismWord:
 def _route_comparison(alpha, beta, gamma):
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
-    The route is realized once.  The returned function takes a group of
-    matrices and yields ``(element, towers_sum, route)`` for each basis
-    element of A(alpha) on which the group's summed towers differ from
-    the route.  The towers are evaluated as one map,
-    ``PshRealization._summed_towers``, which builds no word and whose
-    row memo lives only for one group.
+    The route is realized once, and evaluated once per basis element:
+    its value is kept here the first time a group needs it.  The
+    returned function takes a group of matrices and yields
+    ``(element, towers_sum, route)`` for each basis element of A(alpha)
+    on which the group's summed towers differ from the route.  The
+    towers are evaluated as one map, ``PshRealization._summed_towers``,
+    which builds no word and whose row memo lives only for one group.
     """
     real = default_realization()
     route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
     basis = real.tensor_basis(alpha)
+    routes = [None] * len(basis)
 
     def mismatches(matrices):
         towers = real._summed_towers(alpha.parts, beta.parts, matrices)
-        for el in basis:
-            total, want = towers(el), route(el)
-            if total != want:
-                yield el, total, want
+        for i, el in enumerate(basis):
+            total = towers(el)
+            if routes[i] is None:
+                routes[i] = route(el)
+            if total != routes[i]:
+                yield el, total, routes[i]
 
     return mismatches
 
@@ -466,6 +470,8 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
     For positive degrees (a, b, c) the (u, v, w) summand survives
     exactly when one of the six patterns holds: u=0 with v=b, u=0 with
     w=c, v=0 with u=a, v=0 with w=c, w=0 with u=a, or w=0 with v=b.
+    Only that support is compared, never a coefficient, so a wrong
+    coefficient in the comultiplication cannot show here.
     """
     if min(a, b, c) <= 0:
         raise UsageError("check_six_cases needs positive degrees")

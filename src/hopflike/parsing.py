@@ -1,11 +1,11 @@
-"""Parsers for the small text grammars used by the CLI and reports.
+"""The word grammar read by the CLI.
 
 Words:          (3,4) ; d[2,1] ; s[2,2,1] ; tau[[[1,0],[0,1]]]
 Compositions:   (2,3,4)   or   ()
-Matrices:       [[1,0],[0,1]]
-Elements:       h[2] - h[1,1]     2*h[1] (x) h[1]     s[1,1]
 
-All errors carry 1-based line/column positions.
+A shuffle's margin matrix is written inside ``tau[...]`` row by row.
+Reports print elements such as ``h[2] - h[1,1]``, but nothing parses
+them.  All errors carry 1-based line/column positions.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from .category import Merge, MorphismWord, Shuffle, Split
 from .compositions import Composition
 from .contingency import ContingencyMatrix
 from .errors import WordSyntaxError
-from .symfunc import SymElement, TensorElement, _is_partition, m_to_h, schur
 
-_PUNCT = set("()[],;+-*")
+_PUNCT = set("()[],;")
 
 
 class _Token:
@@ -44,11 +43,6 @@ def _tokenize(text):
         if ch in " \t\r":
             i += 1
             col += 1
-            continue
-        if text.startswith("(x)", i):
-            tokens.append(_Token("tensor", "(x)", line, col))
-            i += 3
-            col += 3
             continue
         if ch.isdigit():
             j = i
@@ -198,125 +192,3 @@ def parse_word(text: str) -> MorphismWord:
     cur.expect_end()
     return MorphismWord(source, steps)  # may raise ChainError with step index
 
-
-# --- element grammar -------------------------------------------------------
-
-
-def _parse_atom(cur: _Cursor):
-    tok = cur.next()
-    if tok.kind == "int":
-        return ("scalar", tok.value)
-    if tok.kind != "name" or tok.value not in ("h", "m", "s"):
-        cur.error("expected h[...], s[...], m[...] or an integer", tok)
-    basis = tok.value
-    cur.expect_punct("[")
-    parts = []
-    if not cur.at_punct("]"):
-        parts.append(cur.expect_int())
-        while cur.at_punct(","):
-            cur.next()
-            parts.append(cur.expect_int())
-    cur.expect_punct("]")
-    lam = tuple(parts)
-    if not _is_partition(lam):
-        cur.error(f"{basis}[{','.join(map(str, lam))}] is not a partition", tok)
-    return (basis, lam)
-
-
-def _parse_term(cur: _Cursor):
-    """One summand: optional integer scalar, then atoms joined by (x)."""
-    coeff = 1
-    atoms = []
-    first = _parse_atom(cur)
-    if first[0] == "scalar":
-        coeff = first[1]
-        if cur.at_punct("*"):
-            cur.next()
-            atoms.append(_parse_atom(cur))
-    else:
-        atoms.append(first)
-    while cur.peek().kind == "tensor":
-        cur.next()
-        atoms.append(_parse_atom(cur))
-    return coeff, atoms
-
-
-def _parse_terms(cur: _Cursor):
-    terms = []
-    sign = 1
-    if cur.at_punct("-"):
-        cur.next()
-        sign = -1
-    coeff, atoms = _parse_term(cur)
-    terms.append((sign * coeff, atoms))
-    while cur.at_punct("+") or cur.at_punct("-"):
-        sign = 1 if cur.next().value == "+" else -1
-        coeff, atoms = _parse_term(cur)
-        terms.append((sign * coeff, atoms))
-    return terms
-
-
-def parse_sym_element(text: str):
-    """Parse a single-slot element; all atoms must share one basis."""
-    cur = _Cursor(text)
-    first = cur.peek()
-    terms = _parse_terms(cur)
-    cur.expect_end()
-    basis = None
-    degree = None
-    coeffs = {}
-    for coeff, atoms in terms:
-        if len(atoms) > 1:
-            raise WordSyntaxError(
-                "tensor element where a plain element was expected",
-                first.line, first.col,
-            )
-        if not atoms:
-            lam, b = (), None
-        else:
-            b, lam = atoms[0]
-        if b is not None:
-            if basis is None:
-                basis = b
-            elif basis != b:
-                raise WordSyntaxError(
-                    f"mixed bases {basis!r} and {b!r}", first.line, first.col
-                )
-        if degree is None:
-            degree = sum(lam)
-        elif degree != sum(lam):
-            raise WordSyntaxError(
-                "summands of different degree", first.line, first.col
-            )
-        coeffs[lam] = coeffs.get(lam, 0) + coeff
-    return SymElement(degree or 0, basis or "h", coeffs)
-
-
-def parse_tensor_element(text: str):
-    """Parse sums of scaled tensors; s/m slots are converted to h."""
-    cur = _Cursor(text)
-    first = cur.peek()
-    terms = _parse_terms(cur)
-    cur.expect_end()
-    total = None
-    for coeff, atoms in terms:
-        piece = TensorElement((), {(): coeff})
-        for basis, lam in atoms:
-            if basis == "h":
-                single = SymElement.basis_element("h", lam)
-            elif basis == "s":
-                single = schur(lam)
-            else:
-                single = m_to_h(SymElement.basis_element("m", lam))
-            slot = TensorElement(
-                (single.degree,), {(k,): v for k, v in single.coeffs.items()}
-            )
-            piece = piece.tensor(slot)
-        if total is None:
-            total = piece
-        else:
-            try:
-                total = total + piece
-            except ValueError as exc:
-                raise WordSyntaxError(str(exc), first.line, first.col) from exc
-    return total

@@ -536,13 +536,6 @@ class TensorElement:
     def __str__(self):
         return format_tensor(self)
 
-    def tensor(self, other: "TensorElement") -> "TensorElement":
-        coeffs = {}
-        for l1, c in self.coeffs.items():
-            for l2, d in other.coeffs.items():
-                coeffs[l1 + l2] = c * d
-        return TensorElement(self.shape + other.shape, coeffs)
-
 
 def _comult_action(slot: int, d1: int):
     """Coefficient map of comultiplying ``slot`` with left degree d1."""

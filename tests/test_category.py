@@ -8,11 +8,8 @@ from hopflike.category import (
     Shuffle,
     Split,
     apply_generator,
-    compose,
     enumerate_relation_instances,
-    identity_word,
     merge_chain,
-    parse_word,
     print_word,
     semantic_equal,
     split_chain,
@@ -23,6 +20,7 @@ from hopflike.hopfverify import (
     _route_comparison,
     check_square_condition,
 )
+from hopflike.parsing import parse_word
 from hopflike.symfunc import default_realization
 
 
@@ -71,10 +69,10 @@ def test_word_chain_and_compose():
     assert lower.target == C([1, 2])
     w1 = MorphismWord(C([1, 2]), [Merge(2, 1)])
     w2 = MorphismWord(C([3]), [Split(1, 1, 1)])
-    assert compose(w1, w2).steps == lower.steps
-    assert compose(w1, identity_word(C([3]))) == w1
+    assert w1.then(w2).steps == lower.steps
+    assert w1.then(MorphismWord(C([3]))) == w1
     with pytest.raises(ChainError):
-        compose(w1, w1)  # (3) does not chain onto (1,2)
+        w1.then(w1)  # (3) does not chain onto (1,2)
 
 
 def test_word_invalid_chain_reports_step():
@@ -190,7 +188,8 @@ def test_mixed_instance_with_split_support_passes():
 
 def composite_slot_map(K1, K2):
     """Oracle: where each source slot lands, from raw block positions."""
-    perm = sigma_K(K2).after(sigma_K(K1))
+    second = sigma_K(K2)
+    perm = tuple(second[v - 1] for v in sigma_K(K1))  # K1's shuffle, then K2's
     source = kappa(K1).row
     target = kappa(K2).col
     starts = []
@@ -210,7 +209,7 @@ def composite_slot_map(K1, K2):
             if s <= position < s + w
         )
 
-    out = tuple(target_slot(perm(s)) for s in starts)
+    out = tuple(target_slot(perm[s - 1]) for s in starts)
     assert all(source.parts[q] == target.parts[out[q]] for q in range(len(out)))
     return out
 

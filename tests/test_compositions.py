@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from hopflike.compositions import (
     Composition,
-    blocks,
-    canonicalize,
     common_coarsenings,
     cut_points,
     enumerate_compositions,
@@ -41,39 +39,23 @@ def brute_force_grouping(alpha, kappa):
 
 
 def test_canonicalize_examples():
-    assert canonicalize([2, 0, 3]).parts == (2, 3)
-    assert canonicalize([0, 0]).parts == ()
-    assert canonicalize([1, 2, 3]).parts == (1, 2, 3)
+    assert Composition([2, 0, 3]).parts == (2, 3)
+    assert Composition([0, 0]).parts == ()
+    assert Composition([1, 2, 3]).parts == (1, 2, 3)
 
 
 def test_canonicalize_rejects_negative():
     with pytest.raises(InvalidPartsError):
-        canonicalize([2, -1])
+        Composition([2, -1])
 
 
 @settings(derandomize=True)
 @given(st.lists(st.integers(min_value=0, max_value=12), max_size=8))
 def test_canonicalize_idempotent_and_sum_preserving(parts):
-    c = canonicalize(parts)
-    assert canonicalize(c.parts) == c
+    c = Composition(parts)
+    assert Composition(c.parts) == c
     assert c.sum == sum(parts)
     assert all(p > 0 for p in c.parts)
-
-
-def test_blocks_examples():
-    assert [list(r) for r in blocks(Composition([2, 3]))] == [[1, 2], [3, 4, 5]]
-    assert [list(r) for r in blocks(Composition([5]))] == [[1, 2, 3, 4, 5]]
-    assert [list(r) for r in blocks(Composition([1, 1, 1]))] == [[1], [2], [3]]
-
-
-@settings(derandomize=True)
-@given(st.lists(st.integers(min_value=1, max_value=6), max_size=6))
-def test_blocks_widths_and_coverage(parts):
-    c = Composition(parts)
-    ivs = blocks(c)
-    assert tuple(len(r) for r in ivs) == c.parts
-    flat = [p for r in ivs for p in r]
-    assert flat == list(range(1, c.sum + 1))
 
 
 def test_refines_examples():

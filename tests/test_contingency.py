@@ -5,7 +5,6 @@ import pytest
 from hopflike.compositions import Composition, enumerate_compositions
 from hopflike.contingency import (
     ContingencyMatrix,
-    Permutation,
     count_matrices,
     enumerate_matrices,
     kappa,
@@ -123,8 +122,6 @@ def test_kappa_examples():
     k = kappa(ContingencyMatrix([[2]]))
     assert (k.row, k.col) == (Composition([2]), Composition([2]))
     k = kappa(ContingencyMatrix([[1, 0], [0, 1]]))
-    assert k.row_raw == (1, 0, 0, 1)
-    assert k.col_raw == (1, 0, 0, 1)
     assert k.row == Composition([1, 1])
     assert k.col == Composition([1, 1])
 
@@ -143,12 +140,12 @@ def test_memos_leave_matrix_immutable():
 
 
 def test_sigma_examples():
-    assert sigma_K(ContingencyMatrix([[1, 1], [1, 1]])).images == (1, 3, 2, 4)
+    assert sigma_K(ContingencyMatrix([[1, 1], [1, 1]])) == (1, 3, 2, 4)
     for n in range(1, 5):
-        assert sigma_K(ContingencyMatrix([[n]])).images == tuple(range(1, n + 1))
+        assert sigma_K(ContingencyMatrix([[n]])) == tuple(range(1, n + 1))
     assert sigma_K(
         ContingencyMatrix([[1, 1], [1, 1], [1, 1]])
-    ).images == (1, 4, 2, 5, 3, 6)
+    ) == (1, 4, 2, 5, 3, 6)
 
 
 def test_sigma_translates_cells_blockwise():
@@ -168,21 +165,17 @@ def test_sigma_translates_cells_blockwise():
                 for j in range(K.ncols):
                     width = K.entries[i][j]
                     for d in range(width):
-                        assert sigma(pos_row + d) == starts_col[i, j] + d
+                        assert sigma[pos_row + d - 1] == starts_col[i, j] + d
                     pos_row += width
-
-
-def test_permutation_api():
-    p = Permutation([2, 3, 1])
-    assert p(1) == 2
-    assert p.inverse().after(p).images == (1, 2, 3)
-    with pytest.raises(HopflikeError):
-        Permutation([1, 1])
 
 
 def test_transpose_inverts_sigma():
     for K in enumerate_matrices(Composition([2, 1]), Composition([1, 2])):
-        assert sigma_K(transpose(K)) == sigma_K(K).inverse()
+        sigma = sigma_K(K)
+        # the transpose's shuffle sends each image back to its position
+        assert tuple(sigma_K(transpose(K))[v - 1] for v in sigma) == tuple(
+            range(1, len(sigma) + 1)
+        )
 
 
 def test_slot_sources_skips_zero_cells():

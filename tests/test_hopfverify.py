@@ -27,7 +27,7 @@ from hopflike.hopfverify import (
     six_term_12,
     six_term_21,
 )
-from hopflike.symfunc import PshRealization, SymElement, TensorElement
+from hopflike.symfunc import PshRealization, RealizedMap, SymElement, TensorElement
 
 C = Composition
 DATA = Path(__file__).parent / "data"
@@ -120,6 +120,27 @@ def test_per_k_realizes_the_route_once(monkeypatch):
     report = check_square_condition(parts, parts, "per-k")
     assert report.checked == 58
     assert len(words) == 1
+
+
+@pytest.mark.parametrize("parts, checked, calls", [
+    ((1, 2, 1, 2), 58, 59),
+    ((2, 2, 2), 21, 22),
+])
+def test_per_k_evaluates_the_route_once_per_element(monkeypatch, parts, checked, calls):
+    # every matrix fails on the first basis element: one tower-group call
+    # per matrix, and one route call for that element in all
+    count = 0
+    call = RealizedMap.__call__
+
+    def counted(self, el):
+        nonlocal count
+        count += 1
+        return call(self, el)
+
+    monkeypatch.setattr(RealizedMap, "__call__", counted)
+    report = check_square_condition(C(parts), C(parts), "per-k")
+    assert report.checked == checked
+    assert count == calls
 
 
 def _block_index(parts, gamma):

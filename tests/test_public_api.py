@@ -1,0 +1,40 @@
+"""Guards on what other code reaches: the benchmark tracer and ``__all__``."""
+
+import sys
+from pathlib import Path
+
+import hopflike
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracer  # noqa: E402  (standard library only)
+
+
+def test_every_traced_name_resolves():
+    for _, module, attr, _ in tracer.LAYERS + tracer.MEMOS:
+        owner, name = tracer._resolve(module, attr)
+        assert callable(getattr(owner, name, None)), f"{module}.{attr}"
+    for _, module, attr, _ in tracer.MEMOS:
+        owner, name = tracer._resolve(module, attr)
+        assert hasattr(getattr(owner, name), "cache_info"), f"{module}.{attr}"
+    assert "entries" in hopflike.transition_cache().stats()
+
+
+def test_public_names_are_pinned():
+    assert sorted(hopflike.__all__) == [
+        "Composition", "ContingencyMatrix", "Failure", "Merge", "MonotoneMap",
+        "MorphismWord", "PshRealization", "RelationInstance", "Shuffle",
+        "Split", "SymElement", "TensorElement", "VerificationReport",
+        "apply_generator", "check_bidegree12", "check_hopf_compat",
+        "check_mixed_relations", "check_relation_family", "check_six_cases",
+        "check_square_condition", "check_worked_examples", "common_coarsenings",
+        "count_matrices", "default_realization", "degeneracy",
+        "enumerate_compositions", "enumerate_matrices",
+        "enumerate_relation_instances", "explore_mixed_bidegree", "face",
+        "h_mult", "h_to_m", "hall_inner", "hopf_defect_12", "kappa", "m_to_h",
+        "merge_chain", "modified_mult_12", "parse_word", "partitions_of",
+        "print_word", "refines", "schur", "semantic_equal", "sigma_K",
+        "six_term_12", "six_term_21", "split_chain", "transition_cache",
+        "verify_simplicial_identities",
+    ]
+    for name in hopflike.__all__:
+        assert hasattr(hopflike, name), name
