@@ -2,13 +2,14 @@
 """Run every verification sweep at its acceptance bounds.
 
 Prints one text report per suite and exits nonzero if any sweep fails.
-The last line gives the size of the package: its source line count and
-the number of public names.  Pass --json PATH to also write the combined
-reports as a JSON array.
+The last line gives the size of the package (its source line count and
+the number of public names) and the peak RSS of the process.  Pass
+--json PATH to also write the combined reports as a JSON array.
 """
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -19,12 +20,17 @@ from hopflike.hopfverify import check_bidegree12_cases, check_bidegree12_defect
 
 
 def size_line() -> str:
-    """Lines of ``src/hopflike/*.py`` (as ``wc -l`` counts) and ``__all__``."""
+    """Lines of ``src/hopflike/*.py`` (as ``wc -l`` counts), ``__all__``
+    and this process's peak RSS (``ru_maxrss`` is in KiB on Linux)."""
     lines = sum(
         path.read_text(encoding="utf-8").count("\n")
         for path in Path(hk.__file__).parent.glob("*.py")
     )
-    return f"size: src/hopflike {lines} lines, {len(hk.__all__)} public names"
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return (
+        f"size: src/hopflike {lines} lines, {len(hk.__all__)} public names, "
+        f"peak RSS {peak_mb:.1f} MB"
+    )
 
 
 def main() -> int:

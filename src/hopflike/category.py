@@ -93,18 +93,22 @@ def apply_generator(g, domain: Composition) -> Composition:
 
 
 class MorphismWord:
-    """A source composition and a chain of generator steps."""
+    """A source composition and a chain of generator steps.
 
-    __slots__ = ("source", "steps", "target")
+    ``objects`` holds the compositions the chain passes through, from
+    ``source`` to ``target``, so step k acts on ``objects[k]``.
+    """
+
+    __slots__ = ("source", "steps", "objects", "target")
 
     def __init__(self, source: Composition, steps=()):
         if not isinstance(source, Composition):
             source = Composition(source)
         steps = tuple(steps)
-        current = source
+        objects = [source]
         for idx, g in enumerate(steps):
             try:
-                current = apply_generator(g, current)
+                objects.append(apply_generator(g, objects[-1]))
             except GeneratorDomainError as exc:
                 raise ChainError(
                     f"step {idx + 1} ({g}) breaks the chain: {exc}",
@@ -112,7 +116,8 @@ class MorphismWord:
                 ) from exc
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "target", current)
+        object.__setattr__(self, "objects", tuple(objects))
+        object.__setattr__(self, "target", objects[-1])
 
     def __setattr__(self, name, value):
         raise AttributeError("MorphismWord is immutable")
@@ -199,17 +204,25 @@ class RelationInstance:
 
 
 def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> list:
-    """All admissible instances of one relation family within bounds.
+    """All admissible instances of one relation family within bounds, as a list.
 
     Families: ``dd`` (merge-merge), ``ss`` (split-split) and ``tautau``
-    (shuffle chains with equal underlying permutations).  The mixed
-    family (split-chain; shuffle; merge-chain against a coarsening
-    route) has no single-word instances here: it holds only with towers
-    summed over the matrices that factor through a coarsening, which
+    (shuffle chains with equal underlying permutations).  The sweeps do
+    not build this list: :func:`hopflike.hopfverify.check_relation_family`
+    checks each instance as it is generated and drops it before the
+    next one exists.  The mixed family (split-chain; shuffle;
+    merge-chain against a coarsening route) has no single-word
+    instances here: it holds only with towers summed over the matrices
+    that factor through a coarsening, which
     :func:`hopflike.hopfverify.check_mixed_relations` checks group by
     group, and :func:`hopflike.hopfverify.check_square_condition`
     compares each matrix alone in its per-k reading.
     """
+    return list(_relation_instances(family, max_sum, max_len))
+
+
+def _relation_instances(family, max_sum, max_len):
+    """Iterator over one family's instances; bad bounds or family raise at the call."""
     if max_sum < 1 or max_len < 1:
         raise UsageError("bounds must be >= 1")
     if family == "dd":
@@ -229,7 +242,6 @@ def _all_compositions(max_sum, max_len):
 
 
 def _dd_instances(max_sum, max_len):
-    out = []
     for comp in _all_compositions(max_sum, max_len):
         t = comp.length
         if t < 3:
@@ -238,38 +250,36 @@ def _dd_instances(max_sum, max_len):
         for i in range(1, t):
             for j in range(1, i - 1):
                 # d[t-1,j] . d[t,i] = d[t-1,i-1] . d[t,j]   (j <= i-2)
-                out.append(RelationInstance(
+                yield RelationInstance(
                     mk([Merge(t, i), Merge(t - 1, j)]),
                     mk([Merge(t, j), Merge(t - 1, i - 1)]),
                     f"dd:far-apart {comp} i={i} j={j}",
-                ))
+                )
         for i in range(2, t):
             # d[t-1,i-1] . d[t,i] = d[t-1,i-1] . d[t,i-1]
-            out.append(RelationInstance(
+            yield RelationInstance(
                 mk([Merge(t, i), Merge(t - 1, i - 1)]),
                 mk([Merge(t, i - 1), Merge(t - 1, i - 1)]),
                 f"dd:adjacent-left {comp} i={i}",
-            ))
+            )
         for i in range(1, t - 1):
             # d[t-1,i] . d[t,i] = d[t-1,i] . d[t,i+1]
-            out.append(RelationInstance(
+            yield RelationInstance(
                 mk([Merge(t, i), Merge(t - 1, i)]),
                 mk([Merge(t, i + 1), Merge(t - 1, i)]),
                 f"dd:adjacent-right {comp} i={i}",
-            ))
+            )
         for i in range(1, t):
             for j in range(i + 1, t):
                 # d[t-1,j-1] . d[t,i] = d[t-1,i] . d[t,j]   (j >= i+1)
-                out.append(RelationInstance(
+                yield RelationInstance(
                     mk([Merge(t, i), Merge(t - 1, j - 1)]),
                     mk([Merge(t, j), Merge(t - 1, i)]),
                     f"dd:ordered {comp} i={i} j={j}",
-                ))
-    return out
+                )
 
 
 def _ss_instances(max_sum, max_len):
-    out = []
     for comp in _all_compositions(max_sum, max_len):
         t = comp.length
         if t == 0:
@@ -285,27 +295,27 @@ def _ss_instances(max_sum, max_len):
                 for a in range(1, ni):
                     for b in range(1, nj):
                         # s[t+1,j,b] . s[t,i,a] = s[t+1,i+1,a] . s[t,j,b]
-                        out.append(RelationInstance(
+                        yield RelationInstance(
                             mk([Split(t, i, a), Split(t + 1, j, b)]),
                             mk([Split(t, j, b), Split(t + 1, i + 1, a)]),
                             f"ss:left-of {comp} i={i} j={j} a={a} b={b}",
-                        ))
+                        )
             for a in range(1, ni):
                 for b in range(1, a):
                     # s[t+1,i,b] . s[t,i,a] = s[t+1,i+1,a-b] . s[t,i,b]
-                    out.append(RelationInstance(
+                    yield RelationInstance(
                         mk([Split(t, i, a), Split(t + 1, i, b)]),
                         mk([Split(t, i, b), Split(t + 1, i + 1, a - b)]),
                         f"ss:same-part {comp} i={i} a={a} b={b}",
-                    ))
+                    )
             for a in range(2, ni):
                 for b in range(1, ni - a):
                     # s[t+1,i+1,b] . s[t,i,a] = s[t+1,i,a] . s[t,i,a+b]
-                    out.append(RelationInstance(
+                    yield RelationInstance(
                         mk([Split(t, i, a), Split(t + 1, i + 1, b)]),
                         mk([Split(t, i, a + b), Split(t + 1, i, a)]),
                         f"ss:right-piece {comp} i={i} a={a} b={b}",
-                    ))
+                    )
             for j in range(i + 2, t + 1):
                 nj = parts[j - 1]
                 if min(ni, nj) < 2:
@@ -313,16 +323,15 @@ def _ss_instances(max_sum, max_len):
                 for a in range(1, ni):
                     for b in range(1, nj):
                         # s[t+1,j+1,b] . s[t,i,a] = s[t+1,i,a] . s[t,j,b]
-                        out.append(RelationInstance(
+                        yield RelationInstance(
                             mk([Split(t, i, a), Split(t + 1, j + 1, b)]),
                             mk([Split(t, j, b), Split(t + 1, i, a)]),
                             f"ss:right-of {comp} i={i} j={j} a={a} b={b}",
-                        ))
-    return out
+                        )
 
 
 def _shuffles_by_source(max_sum, max_len):
-    """All shuffle generators within bounds, grouped by canonical source."""
+    """All shuffles within bounds as ``(K, target, sigma_K(K))``, by source."""
     comps = _all_compositions(max_sum, max_len)
     by_source = {}
     for alpha in comps:
@@ -333,24 +342,19 @@ def _shuffles_by_source(max_sum, max_len):
                 continue
             for K in enumerate_matrices(alpha, beta):
                 kap = kappa(K)
-                by_source.setdefault(kap.row, []).append(K)
+                by_source.setdefault(kap.row, []).append((K, kap.col, sigma_K(K)))
     return by_source
 
 
 def _tautau_instances(max_sum, max_len):
     by_source = _shuffles_by_source(max_sum, max_len)
-    annotated = {
-        source: [(K, kappa(K).col, sigma_K(K)) for K in group]
-        for source, group in by_source.items()
-    }
-    out = []
     for source in sorted(by_source):
         singles = {}
-        for K3, target, images in annotated[source]:
+        for K3, target, images in by_source[source]:
             singles.setdefault((target, images), K3)
         chains = {}
-        for K1, mid, images1 in annotated[source]:
-            for K2, target, images2 in annotated.get(mid, ()):
+        for K1, mid, images1 in by_source[source]:
+            for K2, target, images2 in by_source.get(mid, ()):
                 composite = tuple(images2[v - 1] for v in images1)
                 chains.setdefault((target, composite), []).append((K1, K2))
         for (target, composite), pairs in sorted(chains.items()):
@@ -360,17 +364,16 @@ def _tautau_instances(max_sum, max_len):
             K3 = singles.get((target, composite))
             if K3 is not None:
                 # the chain collapses to a single shuffle
-                out.append(RelationInstance(
+                yield RelationInstance(
                     first, MorphismWord(source, [Shuffle(K3)]),
                     f"tautau:chain-vs-step {source}->{target} K3={K3}",
-                ))
+                )
+            description = f"tautau:equal-chains {source}->{target}"
             for K1, K2 in pairs[1:]:
-                out.append(RelationInstance(
-                    first,
-                    MorphismWord(source, [Shuffle(K1), Shuffle(K2)]),
-                    f"tautau:equal-chains {source}->{target}",
-                ))
-    return out
+                yield RelationInstance(
+                    first, MorphismWord(source, [Shuffle(K1), Shuffle(K2)]),
+                    description,
+                )
 
 
 def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .compositions import Composition
+from .compositions import Composition, _parts_of
 from .errors import HopflikeError, SumMismatchError
 
 
@@ -103,12 +103,6 @@ class KappaResult:
     col: Composition
 
 
-def _parts(margins):
-    if isinstance(margins, Composition):
-        return margins.parts
-    return tuple(margins)
-
-
 def _lowest_entry(mode: str) -> int:
     """Smallest entry allowed by ``mode``; unknown modes raise."""
     if mode not in ("nonnegative", "strictly-positive"):
@@ -125,8 +119,8 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
     first, so reports are deterministic.  Entries are generated within
     their bounds, so the matrices skip the constructor's checks.
     """
-    a = _parts(alpha)
-    b = _parts(beta)
+    a = _parts_of(alpha)
+    b = _parts_of(beta)
     if sum(a) != sum(b):
         raise SumMismatchError(
             f"margin sums differ: {sum(a)} vs {sum(b)}"
@@ -209,8 +203,8 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
     Same count as ``len(enumerate_matrices(alpha, beta, mode))`` but via
     a memoized recursion that never materializes the matrices.
     """
-    a = _parts(alpha)
-    b = _parts(beta)
+    a = _parts_of(alpha)
+    b = _parts_of(beta)
     if sum(a) != sum(b):
         raise SumMismatchError(f"margin sums differ: {sum(a)} vs {sum(b)}")
     low = _lowest_entry(mode)

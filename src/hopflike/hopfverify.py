@@ -33,7 +33,7 @@ from .compositions import (
 from .contingency import ContingencyMatrix, enumerate_matrices
 from .category import (
     MorphismWord,
-    enumerate_relation_instances,
+    _relation_instances,
     merge_chain,
     semantic_equal,
     split_chain,
@@ -186,13 +186,13 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
 
 
 def check_relation_family(family: str, max_sum: int, max_len: int) -> VerificationReport:
-    """Run semantic equality over every enumerated instance of a family."""
+    """Run semantic equality over each instance of a family as it is generated."""
     if family == "mixed":
         return check_mixed_relations(max_sum, max_len)
     report = VerificationReport(
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
-    for instance in enumerate_relation_instances(family, max_sum, max_len):
+    for instance in _relation_instances(family, max_sum, max_len):
         report.checked += 1
         equal, witness = semantic_equal(instance.left, instance.right)
         if not equal:

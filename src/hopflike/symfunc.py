@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .compositions import Composition
 from .contingency import slot_sources, transpose
-from .category import Merge, Shuffle, Split, apply_generator
+from .category import Merge, Shuffle, Split
 from .errors import (
     BasisMismatchError,
     DegreeMismatchError,
@@ -669,12 +669,8 @@ class PshRealization:
         raise RealizationError(f"unknown generator {g!r}")
 
     def realize_word(self, word) -> RealizedMap:
-        actions = []
-        domain = word.source
-        for g in word.steps:
-            codomain = apply_generator(g, domain)
-            actions.append(self._action(g, domain))
-            domain = codomain
+        """Compile ``word``; each step's domain is read from ``word.objects``."""
+        actions = [self._action(g, d) for g, d in zip(word.steps, word.objects)]
         return self._compiled(word.target.parts, word.source.parts, actions[::-1])
 
     @staticmethod

@@ -1,6 +1,6 @@
 import pytest
 
-from hopflike.compositions import Composition, enumerate_compositions
+from hopflike.compositions import Composition, enumerate_compositions, refines
 from hopflike.contingency import ContingencyMatrix, enumerate_matrices, kappa, sigma_K
 from hopflike.category import (
     Merge,
@@ -257,6 +257,35 @@ def test_parse_word_examples():
     assert word.source == C([3, 4]) and word.target == C([7])
     word = parse_word("(7) ; s[1,1,3] ; s[2,2,2]")
     assert word.target == C([3, 2, 2])
+
+
+def _objects_words():
+    for text in [
+        "(3,4) ; d[2,1]",
+        "(7) ; s[1,1,3] ; s[2,2,2]",
+        "(1,1,1,1) ; tau[[[1,1],[1,1]]] ; d[4,1] ; d[3,2]",
+        "()",
+    ]:
+        yield parse_word(text)
+    for n in range(1, 6):
+        comps = enumerate_compositions(n)
+        for alpha in comps:
+            for beta in comps:
+                if refines(alpha, beta) is not None:
+                    yield split_chain(alpha, beta)
+                    yield merge_chain(beta, alpha)
+
+
+def test_word_objects_are_the_walked_chain():
+    checked = 0
+    for word in _objects_words():
+        objects = word.objects
+        assert objects[0] == word.source and objects[-1] == word.target
+        assert len(objects) == len(word.steps) + 1
+        for g, dom, cod in zip(word.steps, objects, objects[1:]):
+            assert apply_generator(g, dom) == cod
+        checked += 1
+    assert checked > 4
 
 
 def test_parse_word_chain_error_names_step():

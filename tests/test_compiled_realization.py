@@ -39,6 +39,7 @@ from hopflike.hopfverify import (
     check_bidegree12_defect,
     check_hopf_compat,
     check_mixed_relations,
+    check_relation_family,
     check_square_condition,
     check_worked_examples,
 )
@@ -159,7 +160,20 @@ def comult_fault(monkeypatch):
     monkeypatch.setattr(symfunc, "_comult_table", corrupted)
 
 
+def label_fault(monkeypatch):
+    """Multiply labels that should give (3,1) into (2,2) instead."""
+    real = symfunc._merge_labels
+
+    def faulty(lam, mu):
+        merged = real(lam, mu)
+        return (2, 2) if merged == (3, 1) else merged
+
+    monkeypatch.setattr(symfunc, "_merge_labels", faulty)
+
+
 SWEEPS = {
+    "dd-6-4": lambda: check_relation_family("dd", 6, 4),
+    "ss-6-4": lambda: check_relation_family("ss", 6, 4),
     "worked-4": lambda: check_worked_examples(4),
     "mixed-4-2": lambda: check_mixed_relations(4, 2),
     "square-22": lambda: check_square_condition((2, 2), (2, 2)),
@@ -168,8 +182,12 @@ SWEEPS = {
 }
 
 # sweep, fault, instance of the first failure.  No word or tower reaches
-# the Hopf and bidegree sweeps, so the shuffle fault cannot either.
+# the Hopf and bidegree sweeps, so the shuffle fault cannot either.  The
+# dd sweep reaches the coproduct and the ss sweep the product.  The swap
+# fault is a consistent relabelling, so no tautau relation can see it.
 FAULT_CASES = [
+    ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
+    ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
     ("worked-4", swap_fault, "2x2 alpha=(2,2) beta=(2,2) gamma=(4)"),
     ("worked-4", comult_fault, "2x2 alpha=(1,2) beta=(1,2) gamma=(3)"),
     ("mixed-4-2", swap_fault, "mixed alpha=(2,2) beta=(2,2) gamma=(4) #K=3"),

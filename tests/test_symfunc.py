@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -281,6 +282,31 @@ def test_realize_compose_functorial_sweep():
                     second = real.realize_word(w2)
                     for el in real.tensor_basis(w2.target):
                         assert whole(el) == first(second(el))
+
+
+def test_realize_word_reads_the_recorded_objects(monkeypatch):
+    from hopflike import category
+
+    K = ContingencyMatrix([[1, 1], [1, 1]])
+    word = MorphismWord(
+        C([1, 1, 1, 1]), [Shuffle(K), Merge(4, 1), Split(3, 1, 1), Merge(4, 3)]
+    )
+    calls = []
+    apply_generator = category.apply_generator
+
+    def counted(g, domain):
+        calls.append(g)
+        return apply_generator(g, domain)
+
+    # every module that binds the name, so no import can bypass the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopflike") and hasattr(module, "apply_generator"):
+            monkeypatch.setattr(module, "apply_generator", counted)
+    real = default_realization()
+    realized = real.realize_word(word)
+    for el in real.tensor_basis(word.target):
+        realized(el)
+    assert calls == []
 
 
 def test_realized_map_rejects_wrong_shape():
