@@ -207,8 +207,9 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
     """All admissible instances of one relation family within bounds, as a list.
 
     Families: ``dd`` (merge-merge), ``ss`` (split-split) and ``tautau``
-    (shuffle chains with equal underlying permutations).  The sweeps do
-    not build this list: :func:`hopflike.hopfverify.check_relation_family`
+    (shuffle chains with equal underlying permutations), by sorted
+    source; tautau yields a source's instances in chain order.  The
+    sweeps do not build this list: :func:`hopflike.hopfverify.check_relation_family`
     checks each instance as it is generated and drops it before the
     next one exists.  The mixed family (split-chain; shuffle;
     merge-chain against a coarsening route) has no single-word
@@ -352,28 +353,23 @@ def _tautau_instances(max_sum, max_len):
         singles = {}
         for K3, target, images in by_source[source]:
             singles.setdefault((target, images), K3)
-        chains = {}
+        firsts = {}  # (target, composite images) -> (first chain, description)
         for K1, mid, images1 in by_source[source]:
             for K2, target, images2 in by_source.get(mid, ()):
-                composite = tuple(images2[v - 1] for v in images1)
-                chains.setdefault((target, composite), []).append((K1, K2))
-        for (target, composite), pairs in sorted(chains.items()):
-            first = MorphismWord(
-                source, [Shuffle(pairs[0][0]), Shuffle(pairs[0][1])]
-            )
-            K3 = singles.get((target, composite))
-            if K3 is not None:
-                # the chain collapses to a single shuffle
-                yield RelationInstance(
-                    first, MorphismWord(source, [Shuffle(K3)]),
-                    f"tautau:chain-vs-step {source}->{target} K3={K3}",
-                )
-            description = f"tautau:equal-chains {source}->{target}"
-            for K1, K2 in pairs[1:]:
-                yield RelationInstance(
-                    first, MorphismWord(source, [Shuffle(K1), Shuffle(K2)]),
-                    description,
-                )
+                key = (target, tuple(images2[v - 1] for v in images1))
+                word = MorphismWord(source, [Shuffle(K1), Shuffle(K2)])
+                first = firsts.get(key)
+                if first is not None:
+                    yield RelationInstance(first[0], word, first[1])
+                    continue
+                firsts[key] = (word, f"tautau:equal-chains {source}->{target}")
+                K3 = singles.get(key)
+                if K3 is not None:
+                    # the chain collapses to a single shuffle
+                    yield RelationInstance(
+                        word, MorphismWord(source, [Shuffle(K3)]),
+                        f"tautau:chain-vs-step {source}->{target} K3={K3}",
+                    )
 
 
 def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):

@@ -206,17 +206,10 @@ def _run_normalize(args) -> int:
     realized = real.realize_word(word)
     domain_basis = real.tensor_basis(word.target)
     codomain_basis = real.tensor_basis(word.source)
-    index = {next(iter(b.coeffs)): k for k, b in enumerate(codomain_basis)}
-    matrix = []
-    for col in domain_basis:
-        image = realized(col)
-        column = [0] * len(codomain_basis)
-        for label, coeff in image.coeffs.items():
-            column[index[label]] = coeff
-        matrix.append(column)
+    images = [realized(col).coeffs for col in domain_basis]
     rows = [
-        [matrix[c][r] for c in range(len(domain_basis))]
-        for r in range(len(codomain_basis))
+        [image.get(next(iter(row.coeffs)), 0) for image in images]
+        for row in codomain_basis
     ]
     if args.format == "json":
         print(json.dumps(

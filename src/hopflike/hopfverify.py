@@ -332,6 +332,7 @@ def _require_triple(x: TensorElement):
 def _modified_product_label(labels, degrees):
     """Merged label of a modified triple product, or None when it dies."""
     d1, d2, d3 = degrees
+    # check_six_cases decides survival by this degree rule alone
     if d1 > 0 and d2 > 0 and d3 > 0:
         return None
     if d1 == 0:
@@ -470,8 +471,11 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
     For positive degrees (a, b, c) the (u, v, w) summand survives
     exactly when one of the six patterns holds: u=0 with v=b, u=0 with
     w=c, v=0 with u=a, v=0 with w=c, w=0 with u=a, or w=0 with v=b.
-    Only that support is compared, never a coefficient, so a wrong
-    coefficient in the comultiplication cannot show here.
+    Support is decided from degrees, by ``_modified_product_label``'s
+    rule: each left-degree triple the slots' comultiplication tables
+    offer survives when min(u, v, w) == 0 == min(a-u, b-v, c-w).  Only that
+    support is compared, never a coefficient, so a wrong coefficient in
+    the comultiplication cannot show here.
     """
     if min(a, b, c) <= 0:
         raise UsageError("check_six_cases needs positive degrees")
@@ -489,22 +493,14 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
         for mu in partitions_of(b):
             for nu in partitions_of(c):
                 report.checked += 1
-                surviving = set()
-                for u, m1, n1, _ in comult_splittings(lam):
-                    for v, m2, n2, _ in comult_splittings(mu):
-                        for w, m3, n3, _ in comult_splittings(nu):
-                            degrees = (u, v, w)
-                            left = _modified_product_label(
-                                (m1, m2, m3), degrees
-                            )
-                            if left is None:
-                                continue
-                            right = _modified_product_label(
-                                (n1, n2, n3), (a - u, b - v, c - w)
-                            )
-                            if right is None:
-                                continue
-                            surviving.add(degrees)
+                us, vs, ws = (
+                    {u for u, *_ in comult_splittings(x)} for x in (lam, mu, nu)
+                )
+                surviving = {
+                    (u, v, w)
+                    for u in us for v in vs for w in ws
+                    if min(u, v, w) == 0 and min(a - u, b - v, c - w) == 0
+                }
                 if surviving != expected:
                     report.record(
                         f"tridegree ({a},{b},{c}) "

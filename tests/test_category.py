@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from hopflike.compositions import Composition, enumerate_compositions, refines
@@ -5,8 +8,11 @@ from hopflike.contingency import ContingencyMatrix, enumerate_matrices, kappa, s
 from hopflike.category import (
     Merge,
     MorphismWord,
+    RelationInstance,
     Shuffle,
     Split,
+    _relation_instances,
+    _shuffles_by_source,
     apply_generator,
     enumerate_relation_instances,
     merge_chain,
@@ -236,6 +242,54 @@ def test_tautau_chains_realize_as_permutations():
                 assert got.coeffs == {want_label: 1}
                 checked += 1
     assert checked
+
+
+def collected_tautau_instances(max_sum, max_len):
+    """Reference: collect every chain pair per group, sort the groups, replay."""
+    by_source = _shuffles_by_source(max_sum, max_len)
+    for source in sorted(by_source):
+        singles = {}
+        for K3, target, images in by_source[source]:
+            singles.setdefault((target, images), K3)
+        chains = {}
+        for K1, mid, images1 in by_source[source]:
+            for K2, target, images2 in by_source.get(mid, ()):
+                composite = tuple(images2[v - 1] for v in images1)
+                chains.setdefault((target, composite), []).append((K1, K2))
+        for (target, composite), pairs in sorted(chains.items()):
+            first = MorphismWord(
+                source, [Shuffle(pairs[0][0]), Shuffle(pairs[0][1])]
+            )
+            K3 = singles.get((target, composite))
+            if K3 is not None:
+                yield RelationInstance(
+                    first, MorphismWord(source, [Shuffle(K3)]),
+                    f"tautau:chain-vs-step {source}->{target} K3={K3}",
+                )
+            for K1, K2 in pairs[1:]:
+                yield RelationInstance(
+                    first, MorphismWord(source, [Shuffle(K1), Shuffle(K2)]),
+                    f"tautau:equal-chains {source}->{target}",
+                )
+
+
+@pytest.mark.parametrize("max_sum, max_len", [(4, 3), (4, 4)])
+def test_streamed_tautau_yields_the_collected_instances(max_sum, max_len):
+    streamed = Counter(_relation_instances("tautau", max_sum, max_len))
+    assert streamed == Counter(collected_tautau_instances(max_sum, max_len))
+    assert sum(streamed.values()) > 100
+
+
+def test_streamed_tautau_holds_one_word_per_group():
+    # 2.9 MB when every chain pair of a source is held at once
+    tracemalloc.start()
+    try:
+        for _ in _relation_instances("tautau", 4, 4):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_parse_print_round_trip():

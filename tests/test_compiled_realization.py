@@ -15,7 +15,7 @@ import types
 import pytest
 
 import hopflike
-from hopflike import symfunc
+from hopflike import category, symfunc
 from hopflike.category import (
     Merge,
     MorphismWord,
@@ -171,9 +171,21 @@ def label_fault(monkeypatch):
     monkeypatch.setattr(symfunc, "_merge_labels", faulty)
 
 
+def sigma_fault(monkeypatch):
+    """Report the identity position images for the one shuffle along SWAP."""
+    real = category.sigma_K
+
+    def faulty(K):
+        images = real(K)
+        return tuple(range(1, len(images) + 1)) if K == SWAP else images
+
+    monkeypatch.setattr(category, "sigma_K", faulty)
+
+
 SWEEPS = {
     "dd-6-4": lambda: check_relation_family("dd", 6, 4),
     "ss-6-4": lambda: check_relation_family("ss", 6, 4),
+    "tautau-4-2": lambda: check_relation_family("tautau", 4, 2),
     "worked-4": lambda: check_worked_examples(4),
     "mixed-4-2": lambda: check_mixed_relations(4, 2),
     "square-22": lambda: check_square_condition((2, 2), (2, 2)),
@@ -184,10 +196,13 @@ SWEEPS = {
 # sweep, fault, instance of the first failure.  No word or tower reaches
 # the Hopf and bidegree sweeps, so the shuffle fault cannot either.  The
 # dd sweep reaches the coproduct and the ss sweep the product.  The swap
-# fault is a consistent relabelling, so no tautau relation can see it.
+# fault is a consistent relabelling, so no tautau relation can see it;
+# wrong position images group chains that realize differently, so the
+# sigma fault shows there.
 FAULT_CASES = [
     ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
     ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
+    ("tautau-4-2", sigma_fault, "tautau:equal-chains (2,2)->(2,2)"),
     ("worked-4", swap_fault, "2x2 alpha=(2,2) beta=(2,2) gamma=(4)"),
     ("worked-4", comult_fault, "2x2 alpha=(1,2) beta=(1,2) gamma=(3)"),
     ("mixed-4-2", swap_fault, "mixed alpha=(2,2) beta=(2,2) gamma=(4) #K=3"),
