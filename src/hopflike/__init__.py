@@ -39,7 +39,6 @@ from .symfunc import (
     m_to_h,
     partitions_of,
     schur,
-    transition_cache,
 )
 from .hopfverify import (
     check_bidegree12,
@@ -72,7 +71,7 @@ __all__ = [
     "h_mult", "h_to_m", "hall_inner", "hopf_defect_12", "kappa", "m_to_h",
     "merge_chain", "modified_mult_12", "parse_word", "partitions_of",
     "print_word", "refines", "schur", "semantic_equal", "sigma_K",
-    "six_term_12", "six_term_21", "split_chain", "transition_cache",
+    "six_term_12", "six_term_21", "split_chain",
     "verify_simplicial_identities",
 ]
 

@@ -29,19 +29,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def handled_by(p, run, *sweeps):
+        """Add ``--format`` and declare the handler.  A verify suite also
+        gets ``--timing`` and its sweeps, each a function of the args."""
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if sweeps:
+            p.add_argument(
+                "--timing", action="store_true", help="include measured wall "
+                "time in reports (breaks byte determinism)",
+            )
+        p.set_defaults(run=run, sweeps=sweeps)
+
     verify = sub.add_parser("verify", help="run an identity sweep")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
-    def output_flags(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--timing", action="store_true",
-            help="include measured wall time in reports (breaks byte determinism)",
-        )
-
     p = vsub.add_parser("simplicial", help="face/degeneracy identity families")
     p.add_argument("--max-n", type=int, default=6)
-    output_flags(p)
+    handled_by(p, _run_verify,
+               lambda a: simplicial.verify_simplicial_identities(a.max_n))
 
     p = vsub.add_parser("relations", help="generator relation families")
     p.add_argument(
@@ -51,28 +56,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-sum", type=int, default=6)
     p.add_argument("--max-len", type=int, default=4)
-    output_flags(p)
+    handled_by(p, _run_verify, lambda a: hopfverify.check_relation_family(
+        a.family, a.max_sum, a.max_len
+    ))
 
     p = vsub.add_parser("hopf", help="product/coproduct compatibility")
     p.add_argument("--max-degree", type=int, default=6)
-    output_flags(p)
+    handled_by(p, _run_verify,
+               lambda a: hopfverify.check_hopf_compat(a.max_degree))
 
     p = vsub.add_parser("square", help="towers against the coarse route")
     p.add_argument("--alpha", required=True, help="row margins, e.g. '(1,1)'")
     p.add_argument("--beta", required=True, help="column margins, e.g. '(1,1)'")
     p.add_argument("--reading", choices=("summed", "per-k"), default="summed")
-    output_flags(p)
+    handled_by(p, _run_verify, lambda a: hopfverify.check_square_condition(
+        parse_composition(a.alpha), parse_composition(a.beta), a.reading
+    ))
 
     p = vsub.add_parser("bidegree12", help="modified multiplication defect")
     p.add_argument("--max-total", type=int, default=6)
-    output_flags(p)
+    handled_by(
+        p, _run_verify,
+        lambda a: hopfverify.check_bidegree12_defect(a.max_total),
+        lambda a: hopfverify.check_bidegree12_cases(a.max_total),
+    )
 
     explore = sub.add_parser("explore", help="exploratory computations")
     esub = explore.add_subparsers(dest="what", required=True)
     p = esub.add_parser("mixed", help="both Hopf-square routes, no verdict")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--beta", required=True, help="two-part shape, e.g. '(1,1)'")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    handled_by(p, _run_explore)
 
     p = sub.add_parser("matrices", help="margin matrices")
     p.add_argument("--alpha", required=True)
@@ -81,21 +95,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("nonnegative", "strictly-positive"),
         default="nonnegative",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    handled_by(p, _run_matrices)
 
     p = sub.add_parser("compositions", help="compositions of n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    handled_by(p, _run_compositions)
 
     p = sub.add_parser("normalize", help="parse a word; print its realized map")
     p.add_argument("word")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    handled_by(p, _run_normalize)
 
     return parser
 
 
-def _emit_reports(reports, args) -> int:
+def _run_verify(args) -> int:
+    """Run the suite's sweeps; under ``--timing`` each report carries the
+    time of its own sweep."""
+    reports = []
+    for sweep in args.sweeps:
+        start = time.monotonic()
+        reports.append(sweep(args))
+        if args.timing:
+            reports[-1].millis = int((time.monotonic() - start) * 1000)
     if args.format == "json":
         payload = [r.to_json_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
@@ -103,49 +125,6 @@ def _emit_reports(reports, args) -> int:
         for r in reports:
             print(r.to_text())
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _timed(fn, args) -> list:
-    """Run one sweep; under ``--timing`` its report carries its own time."""
-    start = time.monotonic()
-    report = fn()
-    if args.timing:
-        report.millis = int((time.monotonic() - start) * 1000)
-    return [report]
-
-
-def _run_verify(args) -> int:
-    if args.suite == "simplicial":
-        reports = _timed(
-            lambda: simplicial.verify_simplicial_identities(args.max_n), args
-        )
-    elif args.suite == "relations":
-        reports = _timed(
-            lambda: hopfverify.check_relation_family(
-                args.family, args.max_sum, args.max_len
-            ),
-            args,
-        )
-    elif args.suite == "hopf":
-        reports = _timed(
-            lambda: hopfverify.check_hopf_compat(args.max_degree), args
-        )
-    elif args.suite == "square":
-        alpha = parse_composition(args.alpha)
-        beta = parse_composition(args.beta)
-        reports = _timed(
-            lambda: hopfverify.check_square_condition(alpha, beta, args.reading),
-            args,
-        )
-    elif args.suite == "bidegree12":
-        reports = _timed(
-            lambda: hopfverify.check_bidegree12_defect(args.max_total), args
-        ) + _timed(
-            lambda: hopfverify.check_bidegree12_cases(args.max_total), args
-        )
-    else:  # pragma: no cover - argparse enforces choices
-        raise HopflikeError(f"unknown suite {args.suite!r}")
-    return _emit_reports(reports, args)
 
 
 def _run_explore(args) -> int:
@@ -241,20 +220,9 @@ def _run_normalize(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "explore":
-            return _run_explore(args)
-        if args.command == "matrices":
-            return _run_matrices(args)
-        if args.command == "compositions":
-            return _run_compositions(args)
-        if args.command == "normalize":
-            return _run_normalize(args)
-        raise HopflikeError(f"unknown command {args.command!r}")
+        return args.run(args)
     except HopflikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,182 +1,129 @@
 """The word grammar read by the CLI.
 
-Words:          (3,4) ; d[2,1] ; s[2,2,1] ; tau[[[1,0],[0,1]]]
-Compositions:   (2,3,4)   or   ()
+    word        := composition (';' step)*
+    composition := '(' ')' | '(' int (',' int)* ')'
+    step        := 'd' '[' int ',' int ']' | 's' '[' int ',' int ',' int ']'
+                 | 'tau' '[' matrix ']'
+    matrix      := '[' row (',' row)* ']'
+    row         := '[' int (',' int)* ']'
 
-A shuffle's margin matrix is written inside ``tau[...]`` row by row.
-Reports print elements such as ``h[2] - h[1,1]``, but nothing parses
-them.  All errors carry 1-based line/column positions.
+Integers ``[0-9]+`` and names ``[A-Za-z]+`` are ASCII; blanks are spaces,
+tabs, carriage returns and newlines.  Any other character is an error, and
+every error carries its 1-based line and column.  Reports print elements
+such as ``h[2] - h[1,1]``, but nothing parses them.
 """
 
 from __future__ import annotations
 
+import re
+
 from .category import Merge, MorphismWord, Shuffle, Split
 from .compositions import Composition
 from .contingency import ContingencyMatrix
-from .errors import WordSyntaxError
+from .errors import HopflikeError, WordSyntaxError
 
-_PUNCT = set("()[],;")
+_SCANNER = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<punct>[()\[\],;])"
+    r"|(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<other>.)"
+)
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise WordSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
-    return tokens
+_INDEXED_STEPS = {"d": (Merge, 2), "s": (Split, 3)}  # tau takes a matrix
 
 
 class _Cursor:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    """Tokens as ``(kind, value, line, column)`` tuples, closed by ``end``."""
 
-    def peek(self) -> _Token:
+    def __init__(self, text):
+        self.tokens, self.pos = [], 0
+        line, line_start = 1, 0
+        for match in _SCANNER.finditer(text):
+            kind, value = match.lastgroup, match.group()
+            col = match.start() - line_start + 1
+            if kind == "newline":
+                line, line_start = line + 1, match.end()
+            elif kind == "other":
+                raise WordSyntaxError(f"unexpected character {value!r}", line, col)
+            elif kind != "blank":
+                self.tokens.append((kind, value, line, col))
+        self.tokens.append(("end", None, line, len(text) - line_start + 1))
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
     def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise WordSyntaxError(message, tok.line, tok.col)
+        _, _, line, col = tok or self.peek()
+        raise WordSyntaxError(message, line, col)
 
-    def expect_punct(self, ch):
+    def at(self, ch) -> bool:
+        return self.peek()[1] == ch
+
+    def expect(self, ch):
         tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
+        if tok[1] != ch:
             self.error(f"expected {ch!r}", tok)
-        return tok
 
     def expect_int(self) -> int:
         tok = self.next()
-        if tok.kind != "int":
+        if tok[0] != "int":
             self.error("expected an integer", tok)
-        return tok.value
-
-    def at_punct(self, ch) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == ch
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.error("integer too long", tok)
 
     def expect_end(self):
-        tok = self.peek()
-        if tok.kind != "end":
-            self.error("unexpected trailing input", tok)
+        if self.peek()[0] != "end":
+            self.error("unexpected trailing input")
+
+    def items(self, item, open_="[", close="]", may_be_empty=False) -> list:
+        """The one list rule: ``open item (',' item)* close``."""
+        self.expect(open_)
+        values = [] if may_be_empty and self.at(close) else [item()]
+        while values and self.at(","):
+            self.next()
+            values.append(item())
+        self.expect(close)
+        return values
 
 
-def _parse_composition(cur: _Cursor) -> Composition:
-    cur.expect_punct("(")
-    parts = []
-    if not cur.at_punct(")"):
-        parts.append(cur.expect_int())
-        while cur.at_punct(","):
-            cur.next()
-            parts.append(cur.expect_int())
-    cur.expect_punct(")")
-    return Composition(parts)
+def _composition(cur: _Cursor) -> Composition:
+    return Composition(cur.items(cur.expect_int, "(", ")", may_be_empty=True))
 
 
-def _parse_int_row(cur: _Cursor) -> tuple:
-    cur.expect_punct("[")
-    row = [cur.expect_int()]
-    while cur.at_punct(","):
-        cur.next()
-        row.append(cur.expect_int())
-    cur.expect_punct("]")
-    return tuple(row)
-
-
-def _parse_matrix(cur: _Cursor) -> ContingencyMatrix:
-    cur.expect_punct("[")
-    rows = [_parse_int_row(cur)]
-    while cur.at_punct(","):
-        cur.next()
-        rows.append(_parse_int_row(cur))
-    cur.expect_punct("]")
-    first = cur.peek()
-    try:
-        return ContingencyMatrix(rows)
-    except ValueError as exc:
-        raise WordSyntaxError(str(exc), first.line, first.col) from exc
-
-
-def _parse_step(cur: _Cursor):
+def _step(cur: _Cursor):
     tok = cur.next()
-    if tok.kind != "name":
+    kind, name, _, _ = tok
+    if kind != "name":
         cur.error("expected a step: d[...], s[...] or tau[...]", tok)
-    if tok.value == "d":
-        cur.expect_punct("[")
-        t = cur.expect_int()
-        cur.expect_punct(",")
-        i = cur.expect_int()
-        cur.expect_punct("]")
-        return Merge(t, i)
-    if tok.value == "s":
-        cur.expect_punct("[")
-        t = cur.expect_int()
-        cur.expect_punct(",")
-        i = cur.expect_int()
-        cur.expect_punct(",")
-        a = cur.expect_int()
-        cur.expect_punct("]")
-        return Split(t, i, a)
-    if tok.value == "tau":
-        cur.expect_punct("[")
-        matrix = _parse_matrix(cur)
-        cur.expect_punct("]")
+    if name == "tau":
+        cur.expect("[")
+        rows = cur.items(lambda: cur.items(cur.expect_int))
+        try:
+            matrix = ContingencyMatrix(rows)
+        except HopflikeError as exc:
+            cur.error(str(exc))
+        cur.expect("]")
         return Shuffle(matrix)
-    cur.error(f"unknown step kind {tok.value!r}", tok)
+    if name not in _INDEXED_STEPS:
+        cur.error(f"unknown step kind {name!r}", tok)
+    generator, arity = _INDEXED_STEPS[name]
+    indices = []
+    for separator in "[" + "," * (arity - 1):
+        cur.expect(separator)
+        indices.append(cur.expect_int())
+    cur.expect("]")
+    return generator(*indices)
 
 
 def parse_composition(text: str) -> Composition:
     cur = _Cursor(text)
-    comp = _parse_composition(cur)
+    comp = _composition(cur)
     cur.expect_end()
     return comp
 
@@ -184,11 +131,10 @@ def parse_composition(text: str) -> Composition:
 def parse_word(text: str) -> MorphismWord:
     """Parse ``composition (';' step)*``; round-trips with print_word."""
     cur = _Cursor(text)
-    source = _parse_composition(cur)
+    source = _composition(cur)
     steps = []
-    while cur.at_punct(";"):
+    while cur.at(";"):
         cur.next()
-        steps.append(_parse_step(cur))
+        steps.append(_step(cur))
     cur.expect_end()
     return MorphismWord(source, steps)  # may raise ChainError with step index
-

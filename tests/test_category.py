@@ -311,6 +311,7 @@ def test_parse_word_examples():
     assert word.source == C([3, 4]) and word.target == C([7])
     word = parse_word("(7) ; s[1,1,3] ; s[2,2,2]")
     assert word.target == C([3, 2, 2])
+    assert parse_word("(3, 4)\t;\r\n d [2,1] ") == parse_word("(3,4) ; d[2,1]")
 
 
 def _objects_words():

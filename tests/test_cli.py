@@ -4,6 +4,8 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import pytest
+
 from hopflike import cli
 
 from hopflike.cli import main
@@ -132,6 +134,36 @@ def test_relations_bad_bounds_exit_two(capsys):
             assert code == 2, (family, bound)
             assert "bounds must be >= 1" in err
             assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "(²)"],
+    ["verify", "square", "--alpha", "(²)", "--beta", "(2)"],
+])
+def test_non_ascii_digit_exit_two(capsys, argv):
+    # '²' is a digit to str.isdigit() but not to int().
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character '²' (line 1, column 2)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "simplicial", "--max-n", "0"],
+    ["verify", "relations", "--family", "mixed", "--max-sum", "0"],
+    ["verify", "hopf", "--max-degree", "0"],
+    ["verify", "square", "--alpha", "(1,1)", "--beta", "(3)"],
+    ["verify", "bidegree12", "--max-total", "0"],
+    ["explore", "mixed", "--a", "-1", "--beta", "(1,1)"],
+    ["matrices", "--alpha", "(1,", "--beta", "(1)"],
+    ["compositions", "--n", "-1"],
+    ["normalize", "(2) ; x[1]"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_every_command_exits_two_on_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_explore_mixed_json(capsys):

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import hopflike
+from hopflike import symfunc
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402  (standard library only)
@@ -16,7 +17,7 @@ def test_every_traced_name_resolves():
     for _, module, attr, _ in tracer.MEMOS:
         owner, name = tracer._resolve(module, attr)
         assert hasattr(getattr(owner, name), "cache_info"), f"{module}.{attr}"
-    assert "entries" in hopflike.transition_cache().stats()
+    assert "entries" in symfunc.transition_cache().stats()
 
 
 def test_public_names_are_pinned():
@@ -33,7 +34,7 @@ def test_public_names_are_pinned():
         "h_mult", "h_to_m", "hall_inner", "hopf_defect_12", "kappa", "m_to_h",
         "merge_chain", "modified_mult_12", "parse_word", "partitions_of",
         "print_word", "refines", "schur", "semantic_equal", "sigma_K",
-        "six_term_12", "six_term_21", "split_chain", "transition_cache",
+        "six_term_12", "six_term_21", "split_chain",
         "verify_simplicial_identities",
     ]
     for name in hopflike.__all__:
