@@ -209,12 +209,16 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
     Families: ``dd`` (merge-merge), ``ss`` (split-split) and ``tautau``
     (shuffle chains with equal underlying permutations), by sorted
     source; tautau yields a source's instances in chain order.  The
-    sweeps do not build this list: :func:`hopflike.hopfverify.check_relation_family`
-    checks each instance as it is generated and drops it before the
-    next one exists.  The mixed family (split-chain; shuffle;
-    merge-chain against a coarsening route) has no single-word
-    instances here: it holds only with towers summed over the matrices
-    that factor through a coarsening, which
+    sweeps do not build this list.
+    :func:`hopflike.hopfverify.check_relation_family` checks each dd
+    and ss instance's two words as it is generated and drops it before
+    the next one exists.  Its tautau sweep builds no words at all: it
+    walks the same chains (``_tautau_chains``), values each one from
+    per-shuffle basis tables, and builds an instance's words only when
+    the values differ, to report the failure.  The mixed family
+    (split-chain; shuffle; merge-chain against a coarsening route) has
+    no single-word instances here: it holds only with towers summed
+    over the matrices that factor through a coarsening, which
     :func:`hopflike.hopfverify.check_mixed_relations` checks group by
     group, and :func:`hopflike.hopfverify.check_square_condition`
     compares each matrix alone in its per-k reading.
@@ -224,8 +228,7 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
 
 def _relation_instances(family, max_sum, max_len):
     """Iterator over one family's instances; bad bounds or family raise at the call."""
-    if max_sum < 1 or max_len < 1:
-        raise UsageError("bounds must be >= 1")
+    _check_bounds(max_sum, max_len)
     if family == "dd":
         return _dd_instances(max_sum, max_len)
     if family == "ss":
@@ -233,6 +236,11 @@ def _relation_instances(family, max_sum, max_len):
     if family == "tautau":
         return _tautau_instances(max_sum, max_len)
     raise UsageError(f"unknown relation family {family!r}")
+
+
+def _check_bounds(max_sum, max_len):
+    if max_sum < 1 or max_len < 1:
+        raise UsageError("bounds must be >= 1")
 
 
 def _all_compositions(max_sum, max_len):
@@ -347,29 +355,67 @@ def _shuffles_by_source(max_sum, max_len):
     return by_source
 
 
-def _tautau_instances(max_sum, max_len):
+def _tautau_chains(max_sum, max_len):
+    """The tautau grouping walk, as plain matrix tuples, in instance order.
+
+    A chain is a tuple of margin matrices whose shuffles are applied left
+    to right from ``source``.  Two-shuffle chains from ``source`` to
+    ``target`` are grouped by their composite position images.  Each
+    instance is yielded as ``(source, target, first, other)``: ``first``
+    is the first chain of its group (the same tuple for every instance
+    of the group), and ``other`` is either a later chain of the group
+    or, once, when the group opens, ``(K3,)`` for the single shuffle
+    with the same images.  Only one chain per group is held.
+    """
     by_source = _shuffles_by_source(max_sum, max_len)
     for source in sorted(by_source):
         singles = {}
         for K3, target, images in by_source[source]:
-            singles.setdefault((target, images), K3)
-        firsts = {}  # (target, composite images) -> (first chain, description)
+            singles.setdefault((target.parts, images), (K3,))
+        firsts = {}  # (target parts, composite images) -> first chain
         for K1, mid, images1 in by_source[source]:
+            positions = [v - 1 for v in images1]
             for K2, target, images2 in by_source.get(mid, ()):
-                key = (target, tuple(images2[v - 1] for v in images1))
-                word = MorphismWord(source, [Shuffle(K1), Shuffle(K2)])
+                key = (target.parts, tuple([images2[p] for p in positions]))
                 first = firsts.get(key)
                 if first is not None:
-                    yield RelationInstance(first[0], word, first[1])
+                    yield source, target, first, (K1, K2)
                     continue
-                firsts[key] = (word, f"tautau:equal-chains {source}->{target}")
-                K3 = singles.get(key)
-                if K3 is not None:
+                first = firsts[key] = (K1, K2)
+                step = singles.get(key)
+                if step is not None:
                     # the chain collapses to a single shuffle
-                    yield RelationInstance(
-                        word, MorphismWord(source, [Shuffle(K3)]),
-                        f"tautau:chain-vs-step {source}->{target} K3={K3}",
-                    )
+                    yield source, target, first, step
+
+
+def _shuffle_word(source, chain) -> MorphismWord:
+    return MorphismWord(source, [Shuffle(K) for K in chain])
+
+
+def _tautau_instance(source, target, first, other, left=None) -> RelationInstance:
+    """One tuple of :func:`_tautau_chains` as two words and a description.
+
+    ``left``, if given, is the word of ``first``, already built.
+    """
+    if len(other) == 1:
+        description = f"tautau:chain-vs-step {source}->{target} K3={other[0]}"
+    else:
+        description = f"tautau:equal-chains {source}->{target}"
+    if left is None:
+        left = _shuffle_word(source, first)
+    return RelationInstance(left, _shuffle_word(source, other), description)
+
+
+def _tautau_instances(max_sum, max_len):
+    """The walk's instances as words; one word per chain group of a source."""
+    words, current = {}, None
+    for source, target, first, other in _tautau_chains(max_sum, max_len):
+        if source is not current:  # groups never span sources
+            words, current = {}, source
+        left = words.get(first)
+        if left is None:
+            left = words[first] = _shuffle_word(source, first)
+        yield _tautau_instance(source, target, first, other, left)
 
 
 def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):

@@ -14,12 +14,16 @@ import json
 import sys
 import time
 
-from .compositions import enumerate_compositions
+from .compositions import _count_compositions, enumerate_compositions
 from .contingency import enumerate_matrices
-from .errors import HopflikeError
+from .errors import HopflikeError, UsageError
 from .parsing import parse_composition, parse_word
-from .symfunc import default_realization, format_tensor
+from .symfunc import _partition_counts, default_realization, format_tensor
 from . import hopfverify, simplicial
+
+# The most compositions, or matrix entries, that one command lists.
+# Larger outputs are refused from a closed-form count, before any work.
+MAX_OUTPUT = 2**18
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +171,19 @@ def _run_matrices(args) -> int:
 
 
 def _run_compositions(args) -> int:
-    comps = enumerate_compositions(args.n, args.max_length)
+    n, cap = args.n, args.max_length
+    count = _count_compositions(n, cap, stop=MAX_OUTPUT)
+    if count > MAX_OUTPUT:
+        if cap is None or cap >= n:
+            size = f"2^{n - 1}" + (f" = {1 << n - 1}" if n <= 64 else "")
+        else:
+            size = f"at least {count}"
+        raise UsageError(
+            f"{n} has {size} compositions"
+            + ("" if cap is None else f" of at most {cap} parts")
+            + f", more than the {MAX_OUTPUT} this command lists"
+        )
+    comps = enumerate_compositions(n, cap)
     if args.format == "json":
         print(json.dumps(
             {"n": args.n, "compositions": [str(c) for c in comps]}, indent=2
@@ -179,8 +195,36 @@ def _run_compositions(args) -> int:
     return 0
 
 
+def _basis_size(comp, counts) -> tuple:
+    """``(size, exact)`` for A(comp): the product of p(part) over its parts.
+
+    A part past ``counts`` counts as its last entry, and the product
+    stops once it is above MAX_OUTPUT; either makes ``size`` a lower
+    bound, and ``exact`` False.
+    """
+    size, exact = 1, True
+    for part in comp.parts:
+        if size > MAX_OUTPUT:
+            return size, False
+        exact = exact and part < len(counts)
+        size *= counts[min(part, len(counts) - 1)]
+    return size, exact
+
+
 def _run_normalize(args) -> int:
     word = parse_word(args.word)
+    # p(200) alone is far above MAX_OUTPUT: larger parts need no exact p
+    top = max(word.source.parts + word.target.parts, default=0)
+    counts = _partition_counts(min(top, 200))
+    rows, rows_exact = _basis_size(word.source, counts)
+    cols, cols_exact = _basis_size(word.target, counts)
+    if rows * cols > MAX_OUTPUT:
+        bound = "" if rows_exact and cols_exact else "at least "
+        raise UsageError(
+            f"the matrix of A{word.target} -> A{word.source} has {bound}{rows} "
+            f"rows and {bound}{cols} columns, {bound}{rows * cols} entries, "
+            f"more than the {MAX_OUTPUT} this command lists"
+        )
     real = default_realization()
     realized = real.realize_word(word)
     domain_basis = real.tensor_basis(word.target)

@@ -120,10 +120,7 @@ def enumerate_compositions(n: int, max_length=None) -> list:
     There are ``2**(n-1)`` of them for ``n >= 1`` when the length is not
     capped.
     """
-    if n < 0:
-        raise InvalidPartsError("n must be non-negative")
-    if max_length is not None and max_length < 0:
-        raise InvalidPartsError("max_length must be non-negative")
+    _check_count_args(n, max_length)
     if n == 0:
         return [Composition()]
     top = n if max_length is None else min(n, max_length)
@@ -131,6 +128,36 @@ def enumerate_compositions(n: int, max_length=None) -> list:
     for length in range(1, top + 1):
         out.extend(Composition(c) for c in _exact_length(n, length))
     return out
+
+
+def _check_count_args(n, max_length):
+    if n < 0:
+        raise InvalidPartsError("n must be non-negative")
+    if max_length is not None and max_length < 0:
+        raise InvalidPartsError("max_length must be non-negative")
+
+
+def _count_compositions(n: int, max_length=None, stop=None) -> int:
+    """How many compositions ``enumerate_compositions`` lists, in closed form.
+
+    The sum of C(n-1, k-1) over the lengths 1 <= k <= max_length, which
+    is 2**(n-1) when the length is not capped.  With ``stop``, summing
+    ends at the first partial sum above it, which is returned instead,
+    so that a huge count costs no more than ``stop``.
+    """
+    _check_count_args(n, max_length)
+    if n == 0:
+        return 1
+    top = n if max_length is None else min(n, max_length)
+    if top == n and (stop is None or n - 1 < stop.bit_length()):
+        return 1 << (n - 1)
+    total, term = 0, 1  # term = C(n-1, k)
+    for k in range(top):
+        total += term
+        if stop is not None and total > stop:
+            break
+        term = term * (n - 1 - k) // (k + 1)
+    return total
 
 
 def _exact_length(n, length):

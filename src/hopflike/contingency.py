@@ -20,11 +20,11 @@ class ContingencyMatrix:
     """Immutable grid of non-negative integers.
 
     ``_kappa`` and ``_slot_sources`` memoize :func:`kappa` and
-    :func:`slot_sources` for this instance; equality and hashing ignore
-    them.
+    :func:`slot_sources` for this instance, and ``_hash`` its hash;
+    equality and hashing ignore them.
     """
 
-    __slots__ = ("entries", "nrows", "ncols", "_kappa", "_slot_sources")
+    __slots__ = ("entries", "nrows", "ncols", "_kappa", "_slot_sources", "_hash")
 
     def __init__(self, entries, ncols=None):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
@@ -43,6 +43,7 @@ class ContingencyMatrix:
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_kappa", None)
         object.__setattr__(self, "_slot_sources", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyMatrix is immutable")
@@ -60,6 +61,7 @@ class ContingencyMatrix:
         object.__setattr__(K, "ncols", ncols)
         object.__setattr__(K, "_kappa", None)
         object.__setattr__(K, "_slot_sources", None)
+        object.__setattr__(K, "_hash", None)
         return K
 
     @property
@@ -84,7 +86,9 @@ class ContingencyMatrix:
         )
 
     def __hash__(self):
-        return hash((self.entries, self.ncols))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.entries, self.ncols)))
+        return self._hash
 
     def __repr__(self):
         return f"ContingencyMatrix({self.entries!r})"

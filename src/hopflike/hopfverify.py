@@ -30,10 +30,14 @@ from .compositions import (
     enumerate_compositions,
     refines,
 )
-from .contingency import ContingencyMatrix, enumerate_matrices
+from .contingency import ContingencyMatrix, enumerate_matrices, kappa
 from .category import (
     MorphismWord,
+    Shuffle,
+    _check_bounds,
     _relation_instances,
+    _tautau_chains,
+    _tautau_instance,
     merge_chain,
     semantic_equal,
     split_chain,
@@ -186,24 +190,121 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
 
 
 def check_relation_family(family: str, max_sum: int, max_len: int) -> VerificationReport:
-    """Run semantic equality over each instance of a family as it is generated."""
+    """Check each instance of a family as it is generated.
+
+    dd and ss compare each instance's two words with
+    :func:`semantic_equal`; tautau compares chain values built from
+    per-shuffle tables, :func:`_check_tautau`.
+    """
     if family == "mixed":
         return check_mixed_relations(max_sum, max_len)
+    instances = _relation_instances(family, max_sum, max_len)  # checks args
     report = VerificationReport(
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
-    for instance in _relation_instances(family, max_sum, max_len):
+    if family == "tautau":
+        _check_tautau(report, max_sum, max_len)
+        return report
+    for instance in instances:
         report.checked += 1
         equal, witness = semantic_equal(instance.left, instance.right)
         if not equal:
-            label, lv, rv = witness
-            report.record(
-                instance.description,
-                format_tensor(TensorElement.basis(label)),
-                format_tensor(lv),
-                format_tensor(rv),
-            )
+            _record_relation(report, instance, witness)
     return report
+
+
+def _record_relation(report, instance, witness):
+    label, lv, rv = witness
+    report.record(
+        instance.description,
+        format_tensor(TensorElement.basis(label)),
+        format_tensor(lv),
+        format_tensor(rv),
+    )
+
+
+class _ShuffleTables(dict):
+    """Basis tables of shuffles, each built on its first lookup.
+
+    ``tables[K]`` maps every basis label of A(kappa(K).col) to the
+    coefficient dict of ``Shuffle(K)`` applied to it, as the
+    realization's one hook ``_action`` gives it: a linear map known by
+    its values on a basis, as SageMath's
+    ``CombinatorialFreeModule.module_morphism`` defines one.  Tables
+    live as long as this dict.
+    """
+
+    def __init__(self, realization):
+        super().__init__()
+        self.realization = realization
+
+    def __missing__(self, K):
+        kap = kappa(K)
+        act = self.realization._action(Shuffle(K), kap.row)
+        table = self[K] = {}
+        for el in self.realization.tensor_basis(kap.col):
+            label = next(iter(el.coeffs))
+            table[label] = {k: v for k, v in act({label: 1}).items() if v}
+        return table
+
+
+def _apply_table(step, coeffs) -> dict:
+    """The linear extension of the table ``step`` applied to ``coeffs``."""
+    if len(coeffs) == 1:
+        ((label, c),) = coeffs.items()
+        if c == 1:
+            return step[label]
+    out = {}
+    for label, c in coeffs.items():
+        for image, d in step[label].items():
+            out[image] = out.get(image, 0) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+def _chain_value(tables, chain) -> list:
+    """The composite of ``chain``'s shuffles on each basis label of its target.
+
+    Realization is contravariant, so the last shuffle acts first; every
+    earlier table is then applied linearly and summed exactly.  The
+    values come in the target's basis order.
+    """
+    values = list(tables[chain[-1]].values())
+    for K in chain[-2::-1]:
+        step = tables[K]
+        values = [_apply_table(step, coeffs) for coeffs in values]
+    return values
+
+
+def _check_tautau(report, max_sum, max_len):
+    """The tautau sweep over :func:`_tautau_chains`, valued from tables.
+
+    Each shuffle is evaluated once per basis element, and each chain is
+    the composite of its shuffles' tables.  A group's first chain is
+    valued once; every later chain of the group, and the single shuffle
+    K3, is compared with that value, never with the group key.  Words
+    are built only when the values differ: :func:`semantic_equal` on
+    them then gives the failure's witness.  If it finds the words
+    equal, the two engines disagree, and the sweep raises.
+    """
+    tables = _ShuffleTables(default_realization())
+    firsts, current = {}, None
+    for source, target, first, other in _tautau_chains(max_sum, max_len):
+        if source is not current:  # groups never span sources
+            firsts, current = {}, source
+        report.checked += 1
+        value = firsts.get(first)
+        if value is None:
+            value = firsts[first] = _chain_value(tables, first)
+        if _chain_value(tables, other) == value:
+            continue
+        instance = _tautau_instance(source, target, first, other)
+        equal, witness = semantic_equal(instance.left, instance.right)
+        if equal:
+            raise RuntimeError(
+                f"shuffle tables and realized words disagree on "
+                f"{instance.description}"
+            )
+        _record_relation(report, instance, witness)
 
 
 def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
@@ -215,8 +316,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
     per-matrix reading is handled (and refuted) by
     :func:`check_square_condition`.
     """
-    if max_sum < 1 or max_len < 1:
-        raise UsageError("bounds must be >= 1")
+    _check_bounds(max_sum, max_len)
     report = VerificationReport(
         "mixed-relations",
         {"max_sum": max_sum, "max_len": max_len, "reading": "summed"},

@@ -56,6 +56,25 @@ def partitions_of(n: int) -> tuple:
     return tuple(out)
 
 
+def _partition_counts(top: int) -> list:
+    """p(0), ..., p(top) by Euler's pentagonal recurrence.
+
+    p(n) = sum over k >= 1 of (-1)**(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+    """
+    counts = [1]
+    for n in range(1, top + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            pentagonal = k * (3 * k - 1) // 2
+            total += sign * counts[n - pentagonal]
+            if pentagonal + k <= n:
+                total += sign * counts[n - pentagonal - k]
+            k += 1
+        counts.append(total)
+    return counts
+
+
 def _is_partition(lam: tuple) -> bool:
     """True for a weakly decreasing tuple of positive integers."""
     return not lam or (lam[-1] > 0 and list(lam) == sorted(lam, reverse=True))

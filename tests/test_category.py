@@ -24,6 +24,7 @@ from hopflike.errors import ChainError, GeneratorDomainError, UsageError, WordSy
 from hopflike.hopfverify import (
     _factoring_matrices,
     _route_comparison,
+    check_relation_family,
     check_square_condition,
 )
 from hopflike.parsing import parse_word
@@ -289,6 +290,18 @@ def test_streamed_tautau_holds_one_word_per_group():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+def test_tautau_sweep_holds_little_memory():
+    # the per-shuffle tables and one value per chain group of a source
+    tracemalloc.start()
+    try:
+        report = check_relation_family("tautau", 4, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 40_820
     assert peak <= 1_000_000
 
 

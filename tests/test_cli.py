@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -106,6 +107,62 @@ def test_compositions_negative_max_length_exit_two(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["total: 0"]
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    (["compositions", "--n", "40"], "40 has 2^39 = 549755813888 compositions"),
+    (["compositions", "--n", "40", "--max-length", "6"],
+     "40 has at least 667928 compositions of at most 6 parts"),
+    (["compositions", "--n", "1000000000000"], "has 2^999999999999 compositions"),
+    (["normalize", "(60)"],
+     "A(60) -> A(60) has 966467 rows and 966467 columns, 934058462089 entries"),
+    (["normalize", "(1000000000)"], "has at least 3972999029388 rows"),
+    (["normalize", "(30,30) ; d[2,1]"],
+     "A(60) -> A(30,30) has 31404816 rows and 966467 columns"),
+    (["normalize", "(300,30) ; d[2,1]"], "A(330) -> A(300,30) has at least"),
+])
+def test_oversized_output_exits_two_at_once(capsys, argv, estimate):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and estimate in err, err
+    assert f"more than the {cli.MAX_OUTPUT} this command lists" in err
+
+
+def test_output_limit_is_exact(capsys, monkeypatch):
+    # (4) has 8 compositions and A(4) has 5 basis elements, so a 5 x 5 map
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 8)
+    assert run_cli(capsys, "compositions", "--n", "4")[0] == 0
+    assert run_cli(capsys, "compositions", "--n", "5")[0] == 2
+    assert run_cli(capsys, "compositions", "--n", "8", "--max-length", "2")[0] == 0
+    assert run_cli(capsys, "compositions", "--n", "9", "--max-length", "2")[0] == 2
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 25)
+    assert run_cli(capsys, "normalize", "(4)")[0] == 0
+    assert run_cli(capsys, "normalize", "(4) ; s[1,1,1]")[0] == 0
+    code, _, err = run_cli(capsys, "normalize", "(5)")
+    assert code == 2 and "7 rows and 7 columns, 49 entries" in err
+
+
+def test_small_outputs_are_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "normalize", "(3) ; s[1,1,1]")
+    assert code == 0 and out.splitlines() == [
+        "word: (3) ; s[1,1,1]",
+        "source: (3)",
+        "target: (1,2)",
+        "map: A(1,2) -> A(3)",
+        "columns (domain basis): h[1] (x) h[2], h[1] (x) h[1,1]",
+        "rows (codomain basis): h[3], h[2,1], h[1,1,1]",
+        "  [  0   0]",
+        "  [  1   0]",
+        "  [  0   1]",
+    ]
+    code, out, _ = run_cli(
+        capsys, "compositions", "--n", "4", "--max-length", "2", "--format", "json"
+    )
+    assert code == 0 and json.loads(out) == {
+        "n": 4, "compositions": ["(4)", "(1,3)", "(2,2)", "(3,1)"],
+    }
 
 
 def test_normalize(capsys):

@@ -11,11 +11,13 @@ the realized tower words of :func:`tower_word`.
 """
 
 import types
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
 import hopflike
-from hopflike import category, symfunc
+from hopflike import category, hopfverify, symfunc
 from hopflike.category import (
     Merge,
     MorphismWord,
@@ -24,6 +26,7 @@ from hopflike.category import (
     apply_generator,
     enumerate_relation_instances,
     merge_chain,
+    semantic_equal,
     split_chain,
 )
 from hopflike.compositions import Composition, enumerate_compositions
@@ -31,11 +34,13 @@ from hopflike.contingency import (
     ContingencyMatrix,
     enumerate_matrices,
     kappa,
+    sigma_K,
     slot_sources,
     transpose,
 )
 from hopflike.hopfverify import (
     _coarse_route_word,
+    _ShuffleTables,
     check_bidegree12_defect,
     check_hopf_compat,
     check_mixed_relations,
@@ -43,9 +48,11 @@ from hopflike.hopfverify import (
     check_square_condition,
     check_worked_examples,
 )
+from hopflike.reports import VerificationReport
 from hopflike.symfunc import (
     TensorElement,
     default_realization,
+    format_tensor,
     tensor_comult_component,
     tensor_mult_slots,
     tensor_permute,
@@ -182,6 +189,27 @@ def sigma_fault(monkeypatch):
     monkeypatch.setattr(category, "sigma_K", faulty)
 
 
+def blend_fault(monkeypatch):
+    """Realize the shuffle along SWAP as its permutation plus twice the
+    identity: a linear map that is not a permutation."""
+    real = symfunc.PshRealization._action
+
+    def faulty(g, domain):
+        act = real(g, domain)
+        if not (isinstance(g, Shuffle) and g.K == SWAP):
+            return act
+
+        def blended(coeffs):
+            out = dict(act(coeffs))
+            for label, c in coeffs.items():
+                out[label] = out.get(label, 0) + 2 * c
+            return out
+
+        return blended
+
+    monkeypatch.setattr(symfunc.PshRealization, "_action", staticmethod(faulty))
+
+
 SWEEPS = {
     "dd-6-4": lambda: check_relation_family("dd", 6, 4),
     "ss-6-4": lambda: check_relation_family("ss", 6, 4),
@@ -196,9 +224,12 @@ SWEEPS = {
 # sweep, fault, instance of the first failure.  No word or tower reaches
 # the Hopf and bidegree sweeps, so the shuffle fault cannot either.  The
 # dd sweep reaches the coproduct and the ss sweep the product.  The swap
-# fault is a consistent relabelling, so no tautau relation can see it;
-# wrong position images group chains that realize differently, so the
-# sigma fault shows there.
+# fault is a consistent relabelling, so no tautau relation can see it:
+# relations only check that chains agree with each other.  The anchor
+# test below, test_shuffle_tables_are_anchored_to_sigma, checks each
+# shuffle against sigma_K instead and catches it.  Wrong position images
+# group chains that realize differently, so the sigma fault shows in the
+# tautau sweep.
 FAULT_CASES = [
     ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
     ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
@@ -228,6 +259,144 @@ def test_injected_fault_is_reported(monkeypatch, sweep, inject, instance):
     inject(monkeypatch)
     failures = SWEEPS[sweep]().failures
     assert failures and failures[0].instance == instance
+
+
+# --- the tautau sweep's shuffle tables ----------------------------------------
+
+
+def reference_relation_report(family, max_sum, max_len):
+    """A relation sweep's report rebuilt from words: ``semantic_equal`` on
+    every instance of ``enumerate_relation_instances``, no tables."""
+    report = VerificationReport(
+        f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
+    )
+    for instance in enumerate_relation_instances(family, max_sum, max_len):
+        report.checked += 1
+        equal, witness = semantic_equal(instance.left, instance.right)
+        if not equal:
+            label, lv, rv = witness
+            report.record(
+                instance.description,
+                format_tensor(TensorElement.basis(label)),
+                format_tensor(lv),
+                format_tensor(rv),
+            )
+    return report
+
+
+@pytest.mark.parametrize(
+    "inject, max_sum, max_len, failures",
+    [
+        (None, 4, 3, 0),
+        (swap_fault, 4, 3, 0),
+        (sigma_fault, 4, 2, 6),
+        (blend_fault, 4, 2, 1),
+    ],
+    ids=["true", "swap", "sigma", "blend"],
+)
+def test_tautau_tables_agree_with_the_word_path(
+    monkeypatch, inject, max_sum, max_len, failures
+):
+    if inject:
+        inject(monkeypatch)
+    want = reference_relation_report("tautau", max_sum, max_len)
+    got = check_relation_family("tautau", max_sum, max_len)
+    assert got.to_json() == want.to_json()
+    assert len(got.failures) == failures and got.checked > 100
+
+
+def test_tautau_builds_words_only_for_failures(monkeypatch):
+    built = []
+    post_init = category.RelationInstance.__post_init__
+
+    def counted(self):
+        built.append(self.description)
+        post_init(self)
+
+    monkeypatch.setattr(category.RelationInstance, "__post_init__", counted)
+    assert check_relation_family("tautau", 4, 3).passed and built == []
+    sigma_fault(monkeypatch)
+    report = check_relation_family("tautau", 4, 2)
+    assert built == [f.instance for f in report.failures] and built
+
+
+def test_tautau_raises_when_tables_and_words_disagree(monkeypatch):
+    real = hopfverify._chain_value
+
+    def wrong(tables, chain):
+        values = real(tables, chain)
+        return [{}] * len(values) if len(chain) == 1 else values
+
+    monkeypatch.setattr(hopfverify, "_chain_value", wrong)
+    with pytest.raises(RuntimeError, match="tautau:chain-vs-step"):
+        check_relation_family("tautau", 2, 2)
+
+
+def shuffles_within(max_sum, max_len):
+    return [
+        K
+        for shuffles in category._shuffles_by_source(max_sum, max_len).values()
+        for K, _, _ in shuffles
+    ]
+
+
+def test_shuffle_tables_match_one_step_words():
+    real = default_realization()
+    tables = _ShuffleTables(real)
+    shuffles = shuffles_within(4, 4)
+    for K in shuffles:
+        kap = kappa(K)
+        realized = real.realize_word(MorphismWord(kap.row, [Shuffle(K)]))
+        basis = real.tensor_basis(kap.col)
+        assert list(tables[K]) == [next(iter(el.coeffs)) for el in basis]
+        for el in basis:
+            assert tables[K][next(iter(el.coeffs))] == realized(el).coeffs, K
+    assert len(shuffles) > 100
+
+
+def slots_from_sigma(K):
+    """For each slot of kappa(K).row, the slot of kappa(K).col it reads.
+
+    Read off the position images of ``sigma_K``: the slot starting at
+    position p goes to the target slot that contains its image.
+    """
+    kap = kappa(K)
+    images = sigma_K(K)
+    starts = [0, *accumulate(kap.row.parts)][:-1]
+    target_starts = [0, *accumulate(kap.col.parts)][:-1]
+    return tuple(
+        bisect_right(target_starts, images[p] - 1) - 1 for p in starts
+    )
+
+
+def shuffles_off_sigma(max_sum, max_len):
+    """Shuffles whose table moves a slot label away from where sigma_K puts it.
+
+    A table is evaluated on the basis labels whose slots of degree 2 or
+    more carry pairwise distinct partitions, so that each label's image
+    shows which slot it came from.  Slots of degree 1 all carry h[1]: a
+    swap between them cannot show, and they are not compared.
+    """
+    tables = _ShuffleTables(default_realization())
+    flagged = []
+    for K in shuffles_within(max_sum, max_len):
+        expected = slots_from_sigma(K)
+        for label, value in tables[K].items():
+            wide = [lam for lam in label if sum(lam) > 1]
+            if len(set(wide)) < len(wide):
+                continue
+            want = tuple(label[t] for t in expected)
+            if value != {want: 1}:
+                flagged.append(K)
+                break
+    return flagged
+
+
+def test_shuffle_tables_are_anchored_to_sigma(monkeypatch):
+    assert shuffles_off_sigma(4, 4) == []
+    swap_fault(monkeypatch)
+    assert shuffles_off_sigma(4, 4) == [SWAP]
+    assert check_relation_family("tautau", 4, 2).passed  # no relation sees it
 
 
 @pytest.mark.parametrize("inject", [None, comult_fault], ids=["true", "comult"])

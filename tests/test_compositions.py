@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopflike.compositions import (
     Composition,
+    _count_compositions,
     common_coarsenings,
     cut_points,
     enumerate_compositions,
@@ -108,6 +109,20 @@ def test_enumerate_respects_max_length():
     assert all(c.length <= 2 for c in got)
     assert Composition([1, 3]) in got
     assert Composition([1, 1, 2]) not in got
+
+
+def test_count_matches_enumeration():
+    for n in range(12):
+        for cap in (None, *range(13)):
+            count = len(enumerate_compositions(n, cap))
+            assert _count_compositions(n, cap) == count, (n, cap)
+            for stop in (0, 3, 40):
+                got = _count_compositions(n, cap, stop)
+                assert got == count if count <= stop else count >= got > stop
+    assert _count_compositions(10**12, 1, stop=10) == 1
+    assert _count_compositions(10**12, stop=10) > 10
+    with pytest.raises(InvalidPartsError):
+        _count_compositions(-1)
 
 
 def test_common_coarsenings():

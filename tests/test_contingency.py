@@ -134,7 +134,7 @@ def test_memos_leave_matrix_immutable():
     assert slot_sources(K) is slot_sources(K)
     assert hash(K) == before == hash(twin)
     assert K == twin and kappa(twin) == kappa(K)
-    for name in ("entries", "_kappa", "_slot_sources"):
+    for name in ("entries", "_kappa", "_slot_sources", "_hash"):
         with pytest.raises(AttributeError):
             setattr(K, name, None)
 

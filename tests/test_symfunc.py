@@ -20,6 +20,7 @@ from hopflike.symfunc import (
     TensorElement,
     TransitionCache,
     _inverse_transition,
+    _partition_counts,
     _kostka,
     comult_component,
     default_realization,
@@ -68,6 +69,12 @@ def h_lambda_poly(lam, nvars):
     for part in lam:
         out = poly_mul(out, h_poly(part, nvars))
     return out
+
+
+def test_pentagonal_counts_match_partitions():
+    assert _partition_counts(30) == [len(partitions_of(n)) for n in range(31)]
+    assert _partition_counts(0) == [1]
+    assert _partition_counts(100)[100] == 190569292
 
 
 def test_partitions_of():
