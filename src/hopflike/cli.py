@@ -13,16 +13,17 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 
 from .compositions import _count_compositions, enumerate_compositions
-from .contingency import enumerate_matrices
+from .contingency import _matrices, enumerate_matrices
 from .errors import HopflikeError, UsageError
 from .parsing import parse_composition, parse_word
 from .symfunc import _partition_counts, default_realization, format_tensor
 from . import hopfverify, simplicial
 
-# The most compositions, or matrix entries, that one command lists.
-# Larger outputs are refused from a closed-form count, before any work.
+# The most compositions, margin matrices or matrix entries that one
+# command lists.  Larger outputs are refused before they are built.
 MAX_OUTPUT = 2**18
 
 
@@ -152,6 +153,14 @@ def _run_explore(args) -> int:
 def _run_matrices(args) -> int:
     alpha = parse_composition(args.alpha)
     beta = parse_composition(args.beta)
+    # no closed form, and counting can take minutes: walk, keeping nothing
+    walk = _matrices(alpha, beta, args.mode)
+    if sum(1 for _ in islice(walk, MAX_OUTPUT + 1)) > MAX_OUTPUT:
+        raise UsageError(
+            f"margins {alpha} and {beta} have at least {MAX_OUTPUT + 1} "
+            f"{args.mode} matrices, more than the {MAX_OUTPUT} this "
+            "command lists"
+        )
     matrices = enumerate_matrices(alpha, beta, args.mode)
     if args.format == "json":
         print(json.dumps(

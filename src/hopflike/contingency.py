@@ -5,12 +5,17 @@ refinements of n = sum(alpha): its entries read row by row (kappa-row)
 and column by column (kappa-col), together with the permutation of
 (1, ..., n) that translates each cell's row-order interval onto its
 column-order interval.
+
+Strict positivity is a shift of the margins: subtracting 1 from every
+entry maps the strictly positive matrices of (alpha, beta) one-to-one
+onto the non-negative matrices of (alpha - #columns, beta - #rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .compositions import Composition, _parts_of
 from .errors import HopflikeError, SumMismatchError
@@ -107,11 +112,70 @@ class KappaResult:
     col: Composition
 
 
-def _lowest_entry(mode: str) -> int:
-    """Smallest entry allowed by ``mode``; unknown modes raise."""
-    if mode not in ("nonnegative", "strictly-positive"):
+def _nonnegative_margins(alpha, beta, mode: str):
+    """``(a, b, lift)``: the matrices in ``mode`` are the non-negative
+    matrices of (a, b) plus ``lift`` in every entry; None if a margin of
+    (a, b) is negative, since then there are none."""
+    a = _parts_of(alpha)
+    b = _parts_of(beta)
+    if sum(a) != sum(b):
+        raise SumMismatchError(f"margin sums differ: {sum(a)} vs {sum(b)}")
+    if mode == "strictly-positive":
+        lift = 1
+        a, b = tuple(v - len(b) for v in a), tuple(v - len(a) for v in b)
+    elif mode == "nonnegative":
+        lift = 0
+    else:
         raise HopflikeError(f"unknown mode {mode!r}")
-    return 0 if mode == "nonnegative" else 1
+    if min(a + b, default=0) < 0:
+        return None
+    return a, b, lift
+
+
+def _rows(total, caps):
+    """Rows summing to ``total``, entry j at most ``caps[j]``, largest first.
+
+    Needs caps and 0 <= total <= sum(caps).  Each entry is kept within
+    what the later columns can take, so the last one is forced.
+    """
+    if len(caps) == 1:
+        yield (total,)
+        return
+    first, rest = caps[0], caps[1:]
+    for v in range(min(total, first), max(0, total - sum(rest)) - 1, -1):
+        for tail in _rows(total - v, rest):
+            yield (v, *tail)
+
+
+def _matrices(alpha, beta, mode: str):
+    """The matrices of :func:`enumerate_matrices`, one at a time.
+
+    Rows are filled top to bottom from what each column has left.  The
+    sums agree, so every partial fill has a completion (the north-west
+    corner rule): no row needs a lookahead, and the last row is forced.
+    """
+    shifted = _nonnegative_margins(alpha, beta, mode)
+    if shifted is None:
+        return
+    a, b, lift = shifted
+    if not a or not b:
+        # no cells; equal sums force n = 0
+        yield ContingencyMatrix._trusted(((),) * len(a), len(b))
+        return
+
+    def fill(i, colrem):
+        if i == len(a) - 1:
+            yield (colrem,)
+            return
+        for row in _rows(a[i], colrem):
+            left = tuple(c - v for c, v in zip(colrem, row))
+            for rest in fill(i + 1, left):
+                yield (row, *rest)
+
+    for rows in fill(0, b):
+        if lift:
+            rows = tuple(tuple(v + lift for v in row) for row in rows)
+        yield ContingencyMatrix._trusted(rows, len(b))
 
 
 def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
@@ -123,78 +187,26 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
     first, so reports are deterministic.  Entries are generated within
     their bounds, so the matrices skip the constructor's checks.
     """
-    a = _parts_of(alpha)
-    b = _parts_of(beta)
-    if sum(a) != sum(b):
-        raise SumMismatchError(
-            f"margin sums differ: {sum(a)} vs {sum(b)}"
-        )
-    low = _lowest_entry(mode)
-    r, s = len(a), len(b)
-    if r == 0 or s == 0:
-        # only reachable for n = 0; a grid with no cells
-        if r == 0:
-            return [ContingencyMatrix((), ncols=s)]
-        return [ContingencyMatrix(((),) * r, ncols=0)]
-    out = []
-    rows = []
-
-    def fill(i, colrem):
-        if i == r:
-            out.append(ContingencyMatrix._trusted(tuple(rows), s))
-            return
-        remaining_rows = r - i - 1
-        row = [0] * s
-        # later[j]: what columns j+1.. can still take in this row; those
-        # columns are untouched until the row reaches them
-        later = [0] * s
-        for k in range(s - 1, 0, -1):
-            later[k - 1] = later[k] + colrem[k] - low * remaining_rows
-
-        def cell(j, rowrem):
-            if j == s - 1:
-                v = rowrem
-                if low <= v <= colrem[j] - low * remaining_rows:
-                    row[j] = v
-                    colrem[j] -= v
-                    rows.append(tuple(row))
-                    fill(i + 1, colrem)
-                    rows.pop()
-                    colrem[j] += v
-                return
-            hi = min(rowrem - low * (s - 1 - j), colrem[j] - low * remaining_rows)
-            lo = max(low, rowrem - later[j])
-            for v in range(hi, lo - 1, -1):
-                row[j] = v
-                colrem[j] -= v
-                cell(j + 1, rowrem - v)
-                colrem[j] += v
-
-        cell(0, a[i])
-
-    fill(0, list(b))
-    return out
+    return list(_matrices(alpha, beta, mode))
 
 
 @lru_cache(maxsize=None)
-def _count(rows, cols, low):
+def _count(rows, cols):
     # cols is sorted; the count only depends on the multiset of capacities.
+    # The sums agree, so once the rows run out the columns are used up.
     if not rows:
-        return 1 if sum(cols) == 0 else 0
+        return 1
     total = 0
     s = len(cols)
-    remaining = len(rows) - 1
 
     def distribute(j, rowrem, acc):
         nonlocal total
         if j == s - 1:
-            v = rowrem
-            if low <= v <= cols[j] - low * remaining:
-                rest = tuple(sorted(acc + (cols[j] - v,)))
-                total += _count(rows[1:], rest, low)
+            if rowrem <= cols[j]:
+                rest = tuple(sorted(acc + (cols[j] - rowrem,)))
+                total += _count(rows[1:], rest)
             return
-        hi = min(rowrem - low * (s - 1 - j), cols[j] - low * remaining)
-        for v in range(low, hi + 1):
+        for v in range(min(rowrem, cols[j]) + 1):
             distribute(j + 1, rowrem - v, acc + (cols[j] - v,))
 
     distribute(0, rows[0], ())
@@ -207,16 +219,13 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
     Same count as ``len(enumerate_matrices(alpha, beta, mode))`` but via
     a memoized recursion that never materializes the matrices.
     """
-    a = _parts_of(alpha)
-    b = _parts_of(beta)
-    if sum(a) != sum(b):
-        raise SumMismatchError(f"margin sums differ: {sum(a)} vs {sum(b)}")
-    low = _lowest_entry(mode)
-    if len(a) == 0 or len(b) == 0:
-        return 1  # no cells; equal sums force n = 0
-    if low == 1 and (min(a) < len(b) or min(b) < len(a)):
+    shifted = _nonnegative_margins(alpha, beta, mode)
+    if shifted is None:
         return 0
-    return _count(a, tuple(sorted(b)), low)
+    a, b, _ = shifted
+    if not a or not b:
+        return 1  # no cells; equal sums force n = 0
+    return _count(a, tuple(sorted(b)))
 
 
 def kappa(K: ContingencyMatrix) -> KappaResult:
@@ -239,25 +248,16 @@ def sigma_K(K: ContingencyMatrix) -> tuple:
     It is returned as its images: entry ``p - 1`` is where position p
     goes, for p in 1..n.
     """
-    n = K.total
-    row_start = {}
-    pos = 1
-    for i in range(K.nrows):
-        for j in range(K.ncols):
-            row_start[i, j] = pos
-            pos += K.entries[i][j]
-    col_start = {}
-    pos = 1
-    for j in range(K.ncols):
-        for i in range(K.nrows):
-            col_start[i, j] = pos
-            pos += K.entries[i][j]
-    images = [0] * n
-    for i in range(K.nrows):
-        for j in range(K.ncols):
-            for d in range(K.entries[i][j]):
-                images[row_start[i, j] + d - 1] = col_start[i, j] + d
-    return tuple(images)
+    r = K.nrows
+    by_column = (K.entries[i][j] for j in range(K.ncols) for i in range(r))
+    # start[j * r + i]: where cell (i, j) begins in the column-order reading
+    start = list(accumulate(by_column, initial=1))
+    return tuple(
+        p
+        for i, row in enumerate(K.entries)
+        for j, v in enumerate(row)
+        for p in range(start[j * r + i], start[j * r + i] + v)
+    )
 
 
 def slot_sources(K: ContingencyMatrix) -> tuple:

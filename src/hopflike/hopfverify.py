@@ -435,11 +435,9 @@ def _modified_product_label(labels, degrees):
     # check_six_cases decides survival by this degree rule alone
     if d1 > 0 and d2 > 0 and d3 > 0:
         return None
-    if d1 == 0:
-        return _merge_labels(labels[1], labels[2])
-    if d2 == 0:
-        return _merge_labels(labels[0], labels[2])
-    return _merge_labels(labels[0], labels[1])
+    # a slot of degree 0 carries the empty label
+    l1, l2, l3 = labels
+    return _merge_labels(l1, l2 + l3)
 
 
 def modified_mult_12(x: TensorElement) -> SymElement:
@@ -631,42 +629,33 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
+    real = default_realization()
     for a in range(max_total + 1):
         for b in range(max_total - a + 1):
             for c in range(max_total - a - b + 1):
                 positive = min(a, b, c) > 0
-                for lam in partitions_of(a):
-                    for mu in partitions_of(b):
-                        for nu in partitions_of(c):
-                            el = TensorElement(
-                                (a, b, c), {(lam, mu, nu): 1}
-                            )
-                            report.checked += 1
-                            defect = hopf_defect_12(el)
-                            if positive:
-                                expansion = six_term_12(el)
-                                mirrored = six_term_21(el)
-                                if defect != expansion:
-                                    report.record(
-                                        f"tridegree ({a},{b},{c}) bracket (1,2)",
-                                        format_tensor(el),
-                                        format_graded(defect),
-                                        format_graded(expansion),
-                                    )
-                                if defect != mirrored:
-                                    report.record(
-                                        f"tridegree ({a},{b},{c}) bracket (2,1)",
-                                        format_tensor(el),
-                                        format_graded(defect),
-                                        format_graded(mirrored),
-                                    )
-                            elif defect:
+                for el in real.tensor_basis((a, b, c)):
+                    report.checked += 1
+                    defect = hopf_defect_12(el)
+                    if positive:
+                        expansions = (
+                            ("(1,2)", six_term_12(el)), ("(2,1)", six_term_21(el))
+                        )
+                        for bracket, expansion in expansions:
+                            if defect != expansion:
                                 report.record(
-                                    f"tridegree ({a},{b},{c}) zero branch",
+                                    f"tridegree ({a},{b},{c}) bracket {bracket}",
                                     format_tensor(el),
                                     format_graded(defect),
-                                    "0",
+                                    format_graded(expansion),
                                 )
+                    elif defect:
+                        report.record(
+                            f"tridegree ({a},{b},{c}) zero branch",
+                            format_tensor(el),
+                            format_graded(defect),
+                            "0",
+                        )
     return report
 
 

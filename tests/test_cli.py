@@ -8,6 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from hopflike import cli
+from hopflike.contingency import enumerate_matrices
+from hopflike.parsing import parse_composition
 
 from hopflike.cli import main
 
@@ -87,6 +89,12 @@ def test_matrices_listing(capsys):
     code, out, _ = run_cli(capsys, "matrices", "--alpha", "(1,1)", "--beta", "(1,1)")
     assert code == 0
     assert out.splitlines() == ["[[1,0],[0,1]]", "[[0,1],[1,0]]", "total: 2"]
+    code, out, _ = run_cli(
+        capsys, "matrices", "--alpha", "(3,3)", "--beta", "(3,3)",
+        "--mode", "strictly-positive",
+    )
+    assert code == 0
+    assert out.splitlines() == ["[[2,1],[1,2]]", "[[1,2],[2,1]]", "total: 2"]
 
 
 def test_compositions_listing(capsys):
@@ -142,6 +150,46 @@ def test_output_limit_is_exact(capsys, monkeypatch):
     assert run_cli(capsys, "normalize", "(4) ; s[1,1,1]")[0] == 0
     code, _, err = run_cli(capsys, "normalize", "(5)")
     assert code == 2 and "7 rows and 7 columns, 49 entries" in err
+
+
+@pytest.mark.parametrize("margins, mode", [
+    ("(1,1,1)", "nonnegative"),
+    # shifted by 3 in every margin: the (1,1,1) problem again
+    ("(4,4,4)", "strictly-positive"),
+])
+def test_matrices_limit_is_exact(capsys, monkeypatch, margins, mode):
+    argv = ["matrices", "--alpha", margins, "--beta", margins, "--mode", mode]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 6)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    parts = parse_composition(margins)
+    assert out.splitlines() == [
+        str(K) for K in enumerate_matrices(parts, parts, mode)
+    ] + ["total: 6"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 5)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: margins {margins} and {margins} have at least 6 {mode} "
+        "matrices, more than the 5 this command lists\n"
+    )
+
+
+@pytest.mark.parametrize("alpha, beta, mode", [
+    ("(10,10,10,10)", "(10,10,10,10)", "nonnegative"),
+    ("(40,40,40,40,40)", "(50,50,50,50)", "nonnegative"),
+    ("(20,20,20,20)", "(20,20,20,20)", "strictly-positive"),
+])
+def test_matrices_refusal_stops_at_the_limit(capsys, monkeypatch, alpha, beta, mode):
+    # millions of matrices or more: only a walk that stops can answer fast
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 100)
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "matrices", "--alpha", alpha, "--beta", beta, "--mode", mode
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert "have at least 101" in err
 
 
 def test_small_outputs_are_unchanged(capsys):

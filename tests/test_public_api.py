@@ -1,13 +1,18 @@
-"""Guards on what other code reaches: the benchmark tracer and ``__all__``."""
+"""Guards on what other code reaches: the benchmark tracer, its recorded
+report digests and ``__all__``."""
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import hopflike
 from hopflike import symfunc
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402  (standard library only)
+import workloads  # noqa: E402
 
 
 def test_every_traced_name_resolves():
@@ -39,3 +44,16 @@ def test_public_names_are_pinned():
     ]
     for name in hopflike.__all__:
         assert hasattr(hopflike, name), name
+
+
+@pytest.mark.parametrize("name", [
+    "relations-dd-8-4", "relations-ss-8-4", "relations-tautau-4-4",
+    "relations-mixed-6-3", "square-11-summed", "square-11-per-k",
+])
+def test_reports_match_recorded_digests(name):
+    # "the same reports" means byte-identical JSON: these are the recorded
+    # bytes' SHA-256, for the sweeps fast enough to run on every test run
+    digests = json.loads(workloads.DIGESTS.read_text(encoding="utf-8"))
+    status, out = workloads.run_cli(workloads.CLI_SWEEPS[name])
+    assert status == (1 if name == workloads.PER_K else 0)
+    assert workloads.digest(out) == digests[name]
