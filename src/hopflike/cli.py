@@ -23,7 +23,8 @@ from .symfunc import _partition_counts, default_realization, format_tensor
 from . import hopfverify, simplicial
 
 # The most compositions, margin matrices or matrix entries that one
-# command lists.  Larger outputs are refused before they are built.
+# command lists, and the most h-basis inputs a Hopf or bidegree-(1,2)
+# sweep checks.  Larger outputs and sweeps are refused before they start.
 MAX_OUTPUT = 2**18
 
 
@@ -67,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("hopf", help="product/coproduct compatibility")
     p.add_argument("--max-degree", type=int, default=6)
-    handled_by(p, _run_verify,
-               lambda a: hopfverify.check_hopf_compat(a.max_degree))
+    handled_by(p, _run_verify, lambda a: hopfverify.check_hopf_compat(
+        _sweep_bound(a.max_degree, 2, "--max-degree")
+    ))
 
     p = vsub.add_parser("square", help="towers against the coarse route")
     p.add_argument("--alpha", required=True, help="row margins, e.g. '(1,1)'")
@@ -82,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total", type=int, default=6)
     handled_by(
         p, _run_verify,
-        lambda a: hopfverify.check_bidegree12_defect(a.max_total),
+        lambda a: hopfverify.check_bidegree12_defect(
+            _sweep_bound(a.max_total, 3, "--max-total")
+        ),
         lambda a: hopfverify.check_bidegree12_cases(a.max_total),
     )
 
@@ -112,6 +116,33 @@ def build_parser() -> argparse.ArgumentParser:
     handled_by(p, _run_normalize)
 
     return parser
+
+
+def _sweep_bound(bound: int, slots: int, option: str) -> int:
+    """``bound``, once the sweep it bounds is known to be small enough.
+
+    The sweep checks every h-basis element of A(a1, ..., a_slots) with
+    a1 + ... + a_slots <= bound: the sum of p(a1) ... p(a_slots), here
+    from ``slots`` convolutions of the partition counts.  Above
+    MAX_OUTPUT it raises ``UsageError`` with that count.
+    """
+    # p(200) alone is far above MAX_OUTPUT: larger bounds need no exact count
+    top = min(bound, 200)
+    counts = _partition_counts(max(top, 0))
+    series = [1] + [0] * top
+    for _ in range(slots):
+        series = [
+            sum(series[i] * counts[n - i] for i in range(n + 1))
+            for n in range(top + 1)
+        ]
+    size = sum(series)
+    if size > MAX_OUTPUT:
+        least = "at least " if bound > top else ""
+        raise UsageError(
+            f"{option} {bound} gives {least}{size} h-basis inputs, more "
+            f"than the {MAX_OUTPUT} this command checks"
+        )
+    return bound
 
 
 def _run_verify(args) -> int:

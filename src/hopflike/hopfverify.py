@@ -21,6 +21,7 @@ covers them, which makes the expansion equal the defect exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, islice, product
 
 from .compositions import (
@@ -76,21 +77,22 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
             for lam in partitions_of(a):
                 for mu in partitions_of(b):
                     report.checked += 1
-                    left = {}
-                    for j, m1, n1, c in comult_splittings(_merge_labels(lam, mu)):
-                        bucket = left.setdefault(j, {})
-                        bucket[(m1, n1)] = bucket.get((m1, n1), 0) + c
-                    right = {}
-                    for u1, m1, n1, c1 in comult_splittings(lam):
-                        for u2, m2, n2, c2 in comult_splittings(mu):
-                            j = u1 + u2
-                            key = (_merge_labels(m1, m2), _merge_labels(n1, n2))
-                            bucket = right.setdefault(j, {})
-                            bucket[key] = bucket.get(key, 0) + c1 * c2
+                    whole = comult_splittings(_merge_labels(lam, mu))
+                    xs, ys = comult_splittings(lam), comult_splittings(mu)
                     for j in range(a + b + 1):
+                        right = {}
+                        for u in range(max(0, j - b), min(a, j) + 1):
+                            for m1, n1, c1 in xs[u]:
+                                for m2, n2, c2 in ys[j - u]:
+                                    key = (
+                                        _merge_labels(m1, m2), _merge_labels(n1, n2)
+                                    )
+                                    right[key] = right.get(key, 0) + c1 * c2
                         shape = (j, a + b - j)
-                        lv = TensorElement._trusted(shape, left.get(j, {}))
-                        rv = TensorElement._trusted(shape, right.get(j, {}))
+                        lv = TensorElement._trusted(
+                            shape, {(m, n): c for m, n, c in whole[j]}
+                        )
+                        rv = TensorElement._trusted(shape, right)
                         if lv != rv:
                             report.record(
                                 f"degrees a={a} b={b} component j={j}",
@@ -429,15 +431,35 @@ def _require_triple(x: TensorElement):
         raise UsageError(f"need a three-slot element, got shape {x.shape}")
 
 
+def _survives(degrees) -> bool:
+    """The modified multiplication's degree rule: a triple product
+    survives exactly when some factor has degree 0."""
+    # check_six_cases decides survival by this degree rule alone
+    return 0 in degrees
+
+
 def _modified_product_label(labels, degrees):
     """Merged label of a modified triple product, or None when it dies."""
-    d1, d2, d3 = degrees
-    # check_six_cases decides survival by this degree rule alone
-    if d1 > 0 and d2 > 0 and d3 > 0:
+    if not _survives(degrees):
         return None
     # a slot of degree 0 carries the empty label
     l1, l2, l3 = labels
     return _merge_labels(l1, l2 + l3)
+
+
+@lru_cache(maxsize=None)
+def _surviving_triples(shape) -> tuple:
+    """Left-degree triples u of a tridegree whose two halves both survive.
+
+    Filters the whole box 0 <= u <= shape by ``_survives`` on u and on
+    shape - u.  Nothing here knows the six patterns of the expansion.
+    """
+    a, b, c = shape
+    return tuple(
+        u
+        for u in product(range(a + 1), range(b + 1), range(c + 1))
+        if _survives(u) and _survives((a - u[0], b - u[1], c - u[2]))
+    )
 
 
 def modified_mult_12(x: TensorElement) -> SymElement:
@@ -471,33 +493,37 @@ def hopf_defect_12(x: TensorElement) -> dict:
     against second halves, applies the modified multiplication to both
     triples, and subtracts comult(modified product).  Keys of the result
     are output bidegrees (i, j).
+
+    Only the left-degree triples of ``_surviving_triples`` are expanded:
+    every other triple has a half that the modified multiplication
+    kills.  They are found by filtering the whole degree box with the
+    product's own degree rule, not from the six patterns, so the defect
+    stays independent of ``six_term_12`` and ``check_six_cases``, which
+    it is checked against.  On a zero tridegree every triple survives.
     """
     _require_triple(x)
-    a, b, c = x.shape
+    total = sum(x.shape)
     buckets = {}
     for label, co in x.coeffs.items():
-        l1, l2, l3 = label
-        for u1, m1, n1, c1 in comult_splittings(l1):
-            for u2, m2, n2, c2 in comult_splittings(l2):
-                for u3, m3, n3, c3 in comult_splittings(l3):
-                    left_degrees = (u1, u2, u3)
-                    right_degrees = (a - u1, b - u2, c - u3)
-                    left = _modified_product_label((m1, m2, m3), left_degrees)
-                    if left is None:
-                        continue
-                    right = _modified_product_label((n1, n2, n3), right_degrees)
-                    if right is None:
-                        continue
-                    key = (sum(left_degrees), sum(right_degrees))
-                    bucket = buckets.setdefault(key, {})
-                    lab = (left, right)
-                    bucket[lab] = bucket.get(lab, 0) + co * c1 * c2 * c3
+        t1, t2, t3 = map(comult_splittings, label)
+        for u1, u2, u3 in _surviving_triples(x.shape):
+            left_degree = u1 + u2 + u3
+            bucket = buckets.setdefault((left_degree, total - left_degree), {})
+            # a surviving product merges all three labels, as in
+            # _modified_product_label; the first two merge once per pair
+            for m1, n1, c1 in t1[u1]:
+                for m2, n2, c2 in t2[u2]:
+                    m12, n12 = _merge_labels(m1, m2), _merge_labels(n1, n2)
+                    c12 = co * c1 * c2
+                    for m3, n3, c3 in t3[u3]:
+                        lab = (_merge_labels(m12, m3), _merge_labels(n12, n3))
+                        bucket[lab] = bucket.get(lab, 0) + c12 * c3
     product = modified_mult_12(x)
     for lam, co in product.coeffs.items():
-        for u, mu, nu, d in comult_splittings(lam):
-            key = (u, product.degree - u)
-            bucket = buckets.setdefault(key, {})
-            bucket[(mu, nu)] = bucket.get((mu, nu), 0) - co * d
+        for u, group in enumerate(comult_splittings(lam)):
+            bucket = buckets.setdefault((u, product.degree - u), {})
+            for mu, nu, d in group:
+                bucket[(mu, nu)] = bucket.get((mu, nu), 0) - co * d
     return _normalize_graded(buckets)
 
 
@@ -523,23 +549,24 @@ def six_term_12(x: TensorElement) -> dict:
         bucket[label] = bucket.get(label, 0) + coeff
 
     for (lx, ly, lz), co in x.coeffs.items():
-        for w, z1, z2, cz in comult_splittings(lz):
-            # (1): x z1 (x) y z2, full range
-            add(a + w, b + c - w,
-                (_merge_labels(lx, z1), _merge_labels(ly, z2)), co * cz)
-            # (2): y z1 (x) x z2, full range
-            add(b + w, a + c - w,
-                (_merge_labels(ly, z1), _merge_labels(lx, z2)), co * cz)
-        for v, y1, y2, cy in comult_splittings(ly):
-            if v >= 1:
+        for w, group in enumerate(comult_splittings(lz)):
+            for z1, z2, cz in group:
+                # (1): x z1 (x) y z2, full range
+                add(a + w, b + c - w,
+                    (_merge_labels(lx, z1), _merge_labels(ly, z2)), co * cz)
+                # (2): y z1 (x) x z2, full range
+                add(b + w, a + c - w,
+                    (_merge_labels(ly, z1), _merge_labels(lx, z2)), co * cz)
+        for v, group in enumerate(comult_splittings(ly)[1:], 1):
+            for y1, y2, cy in group:
                 # (3): x y1 (x) z y2; v=0 corner already in (1)
                 add(a + v, c + b - v,
                     (_merge_labels(lx, y1), _merge_labels(lz, y2)), co * cy)
                 # (4): z y2 (x) y1 x; the |y1|=0 corner already in (2)
                 add(c + b - v, v + a,
                     (_merge_labels(lz, y2), _merge_labels(y1, lx)), co * cy)
-        for u, x1, x2, cx in comult_splittings(lx):
-            if 1 <= u <= a - 1:
+        for u, group in enumerate(comult_splittings(lx)[1:a], 1):
+            for x1, x2, cx in group:
                 # (5): x1 y (x) x2 z; u=0 corner in (2), u=a corner in (3)
                 add(u + b, a - u + c,
                     (_merge_labels(x1, ly), _merge_labels(x2, lz)), co * cx)
@@ -571,9 +598,10 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
     w=c, v=0 with u=a, v=0 with w=c, w=0 with u=a, or w=0 with v=b.
     Support is decided from degrees, by ``_modified_product_label``'s
     rule: each left-degree triple the slots' comultiplication tables
-    offer survives when min(u, v, w) == 0 == min(a-u, b-v, c-w).  Only that
-    support is compared, never a coefficient, so a wrong coefficient in
-    the comultiplication cannot show here.
+    offer (the indices of their nonempty groups) survives when
+    min(u, v, w) == 0 == min(a-u, b-v, c-w).  Only that support is
+    compared, never a coefficient, so a wrong coefficient in the
+    comultiplication cannot show here.
     """
     if min(a, b, c) <= 0:
         raise UsageError("check_six_cases needs positive degrees")
@@ -592,7 +620,8 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
             for nu in partitions_of(c):
                 report.checked += 1
                 us, vs, ws = (
-                    {u for u, *_ in comult_splittings(x)} for x in (lam, mu, nu)
+                    {u for u, group in enumerate(comult_splittings(x)) if group}
+                    for x in (lam, mu, nu)
                 )
                 surviving = {
                     (u, v, w)
@@ -717,12 +746,13 @@ def _halves(shape, label):
     whose zero slots are dropped.
     """
     for slot, d in enumerate(shape):
-        for u, mu, nu, c in comult_splittings(label[slot]):
-            left = _strip_zero_slots(shape[:slot] + (u,), label[:slot] + (mu,))
-            right = _strip_zero_slots(
-                (d - u,) + shape[slot + 1:], (nu,) + label[slot + 1:]
-            )
-            yield left, right, c
+        for u, group in enumerate(comult_splittings(label[slot])):
+            for mu, nu, c in group:
+                left = _strip_zero_slots(shape[:slot] + (u,), label[:slot] + (mu,))
+                right = _strip_zero_slots(
+                    (d - u,) + shape[slot + 1:], (nu,) + label[slot + 1:]
+                )
+                yield left, right, c
 
 
 def explore_mixed_bidegree(a: int, beta) -> dict:

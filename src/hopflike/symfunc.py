@@ -84,16 +84,23 @@ def sort_parts(parts) -> tuple:
     return tuple(sorted((p for p in parts if p > 0), reverse=True))
 
 
+@lru_cache(maxsize=None)
 def _merge_labels(lam, mu):
+    """The h-basis product label of h_lam h_mu: the parts of both, re-sorted.
+
+    Memoized: the sweeps merge few distinct label pairs very many times.
+    """
     return tuple(sorted(lam + mu, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _comult_table(lam: tuple) -> tuple:
-    """All splittings of h_lam: ((u, mu, nu, coeff), ...), u = |mu|.
+    """All splittings of h_lam, grouped by left degree.
 
-    Multiplicative extension of h_n |-> sum_i h_i (x) h_(n-i).  The left
-    degree u is carried in each entry so that no reader re-sums mu.
+    Multiplicative extension of h_n |-> sum_i h_i (x) h_(n-i).  Entry u
+    of the table, for u = 0, ..., |lam|, is the tuple of (mu, nu, coeff)
+    with |mu| = u and |nu| = |lam| - u, sorted; no group is empty.  A
+    reader wanting one left degree indexes it instead of filtering.
     """
     table = {(0, (), ()): 1}
     for part in lam:
@@ -105,11 +112,18 @@ def _comult_table(lam: tuple) -> tuple:
                 key = (u + i, left, right)
                 new[key] = new.get(key, 0) + c
         table = new
-    return tuple(sorted((u, mu, nu, c) for (u, mu, nu), c in table.items()))
+    groups = [[] for _ in range(sum(lam) + 1)]
+    for (u, mu, nu), c in sorted(table.items()):
+        groups[u].append((mu, nu, c))
+    return tuple(map(tuple, groups))
 
 
 def comult_splittings(lam) -> tuple:
-    """Public view of the splitting table of h_lam: (u, mu, nu, coeff)."""
+    """Public view of the splitting table of h_lam.
+
+    Entry u is the tuple of (mu, nu, coeff) with |mu| = u, as in
+    ``_comult_table``.
+    """
     return _comult_table(tuple(lam))
 
 
@@ -226,7 +240,7 @@ def comult_component(x: SymElement, d1: int, d2: int) -> "TensorElement":
     """The (d1, d2) graded piece of the comultiplication of x."""
     if x.basis != "h":
         raise BasisMismatchError("comult_component needs the h basis")
-    if x.degree != d1 + d2:
+    if min(d1, d2) < 0 or x.degree != d1 + d2:
         raise DegreeMismatchError(f"({d1},{d2}) does not split degree {x.degree}")
     coeffs = _comult_action(0, d1)({(lam,): c for lam, c in x.coeffs.items()})
     return TensorElement((d1, d2), coeffs)
@@ -563,10 +577,9 @@ def _comult_action(slot: int, d1: int):
         out = {}
         for label, c in coeffs.items():
             head, tail = label[:slot], label[slot + 1:]
-            for u, mu, nu, d in _comult_table(label[slot]):
-                if u == d1:
-                    key = head + (mu, nu) + tail
-                    out[key] = out.get(key, 0) + c * d
+            for mu, nu, d in _comult_table(label[slot])[d1]:
+                key = head + (mu, nu) + tail
+                out[key] = out.get(key, 0) + c * d
         return out
 
     return act
@@ -605,7 +618,7 @@ def tensor_comult_component(
 ) -> TensorElement:
     """Split ``slot`` into degrees (d1, d2) by comultiplication."""
     shape = el.shape
-    if not 0 <= slot < len(shape) or shape[slot] != d1 + d2:
+    if not 0 <= slot < len(shape) or min(d1, d2) < 0 or shape[slot] != d1 + d2:
         raise RealizationError(
             f"cannot split slot {slot} of shape {shape} into ({d1},{d2})"
         )

@@ -9,6 +9,7 @@ import pytest
 
 from hopflike import cli
 from hopflike.contingency import enumerate_matrices
+from hopflike.errors import UsageError
 from hopflike.parsing import parse_composition
 
 from hopflike.cli import main
@@ -190,6 +191,47 @@ def test_matrices_refusal_stops_at_the_limit(capsys, monkeypatch, alpha, beta, m
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
     assert "have at least 101" in err
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["verify", "hopf", "--max-degree", "40"], 38361236),
+    (["verify", "bidegree12", "--max-total", "30"], 53828275),
+    (["verify", "bidegree12", "--max-total", "1000000000"], "at least "),
+])
+def test_oversized_sweep_exits_two_at_once(capsys, argv, size):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[2]} {argv[3]} gives {size}"), err
+    assert err.endswith(f" h-basis inputs, more than the {cli.MAX_OUTPUT} this "
+                        "command checks\n")
+
+
+@pytest.mark.parametrize("suite, option, bound, size", [
+    ("hopf", "--max-degree", 12, 3132),
+    ("bidegree12", "--max-total", 7, 844),
+])
+def test_sweep_limit_is_exact(capsys, monkeypatch, suite, option, bound, size):
+    # the closed-form count is the number of inputs the sweep checks
+    argv = ["verify", suite, option, str(bound), "--format", "json"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", size)
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload if suite == "hopf" else payload[0])["checked"] == size
+    monkeypatch.setattr(cli, "MAX_OUTPUT", size - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{option} {bound} gives {size} h-basis inputs" in err
+
+
+def test_bidegree12_at_twelve_is_within_the_limit(monkeypatch):
+    # 18240 inputs; the sweep itself takes seconds, so only the guard runs
+    assert cli._sweep_bound(12, 3, "--max-total") == 12
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 18239)
+    with pytest.raises(UsageError, match="--max-total 12 gives 18240 h-basis"):
+        cli._sweep_bound(12, 3, "--max-total")
 
 
 def test_small_outputs_are_unchanged(capsys):

@@ -12,6 +12,7 @@ the realized tower words of :func:`tower_word`.
 
 import types
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 
 import pytest
@@ -160,8 +161,8 @@ def comult_fault(monkeypatch):
         if lam != (2,):
             return table
         return tuple(
-            (u, mu, nu, c + 1 if mu == nu == (1,) else c)
-            for u, mu, nu, c in table
+            tuple((mu, nu, c + 1 if mu == nu == (1,) else c) for mu, nu, c in group)
+            for group in table
         )
 
     monkeypatch.setattr(symfunc, "_comult_table", corrupted)
@@ -176,6 +177,18 @@ def label_fault(monkeypatch):
         return (2, 2) if merged == (3, 1) else merged
 
     monkeypatch.setattr(symfunc, "_merge_labels", faulty)
+
+
+def survival_fault(monkeypatch):
+    """Let a triple product whose three degrees are all 1 survive."""
+    real = hopfverify._survives
+    monkeypatch.setattr(
+        hopfverify, "_survives", lambda degrees: real(degrees) or degrees == (1, 1, 1)
+    )
+    # The survivor memo is process-wide: the fault gets a fresh one, so a
+    # sweep run before cannot hide it and it does not outlive the test.
+    fresh = lru_cache(maxsize=None)(hopfverify._surviving_triples.__wrapped__)
+    monkeypatch.setattr(hopfverify, "_surviving_triples", fresh)
 
 
 def sigma_fault(monkeypatch):
@@ -229,7 +242,9 @@ SWEEPS = {
 # test below, test_shuffle_tables_are_anchored_to_sigma, checks each
 # shuffle against sigma_K instead and catches it.  Wrong position images
 # group chains that realize differently, so the sigma fault shows in the
-# tautau sweep.
+# tautau sweep.  A tridegree with a zero slot keeps every degree triple
+# under any degree rule that spares zero slots, so the survival fault
+# first shows at (1,1,1).
 FAULT_CASES = [
     ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
     ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
@@ -244,6 +259,7 @@ FAULT_CASES = [
      "alpha=(2,2) beta=(2,2) gamma=(4) #K=3 reading=summed"),
     ("hopf-3", comult_fault, "degrees a=1 b=2 component j=1"),
     ("bidegree12-4", comult_fault, "tridegree (0,1,2) zero branch"),
+    ("bidegree12-4", survival_fault, "tridegree (1,1,1) bracket (1,2)"),
 ]
 
 
@@ -259,6 +275,21 @@ def test_injected_fault_is_reported(monkeypatch, sweep, inject, instance):
     inject(monkeypatch)
     failures = SWEEPS[sweep]().failures
     assert failures and failures[0].instance == instance
+
+
+def test_survival_fault_reaches_a_positive_bracket(monkeypatch):
+    # every tridegree with a zero keeps all its triples, so only a positive
+    # one can show a wrong degree rule
+    assert SWEEPS["bidegree12-4"]().passed
+    survival_fault(monkeypatch)
+    brackets = [
+        f.instance.split()[1]
+        for f in SWEEPS["bidegree12-4"]().failures
+        if f.instance.endswith("bracket (1,2)")
+    ]
+    assert brackets and all(
+        min(map(int, t.strip("()").split(","))) > 0 for t in brackets
+    )
 
 
 # --- the tautau sweep's shuffle tables ----------------------------------------

@@ -14,6 +14,7 @@ from hopflike.contingency import enumerate_matrices
 from hopflike.errors import SumMismatchError, UsageError
 from hopflike.hopfverify import (
     _factoring_matrices,
+    _modified_product_label,
     check_bidegree12,
     check_hopf_compat,
     check_mixed_relations,
@@ -27,7 +28,14 @@ from hopflike.hopfverify import (
     six_term_12,
     six_term_21,
 )
-from hopflike.symfunc import PshRealization, RealizedMap, SymElement, TensorElement
+from hopflike.symfunc import (
+    PshRealization,
+    RealizedMap,
+    SymElement,
+    TensorElement,
+    comult_splittings,
+    default_realization,
+)
 
 C = Composition
 DATA = Path(__file__).parent / "data"
@@ -260,6 +268,55 @@ def test_defect_vanishes_on_zero_tridegree():
     assert hopf_defect_12(h_tensor((), (1,), (1,))) == {}
     assert hopf_defect_12(h_tensor((2,), (), (1,))) == {}
     assert hopf_defect_12(h_tensor((), (), ())) == {}
+
+
+def reference_hopf_defect_12(x):
+    """The defect from the full triple loop: every combination of the
+    three slots' splittings, the dead ones discarded afterwards."""
+    a, b, c = x.shape
+
+    def flat(lam):
+        return [
+            (u, mu, nu, d)
+            for u, group in enumerate(comult_splittings(lam))
+            for mu, nu, d in group
+        ]
+
+    buckets = {}
+    for (l1, l2, l3), co in x.coeffs.items():
+        for u1, m1, n1, c1 in flat(l1):
+            for u2, m2, n2, c2 in flat(l2):
+                for u3, m3, n3, c3 in flat(l3):
+                    left_degrees = (u1, u2, u3)
+                    right_degrees = (a - u1, b - u2, c - u3)
+                    left = _modified_product_label((m1, m2, m3), left_degrees)
+                    right = _modified_product_label((n1, n2, n3), right_degrees)
+                    if left is None or right is None:
+                        continue
+                    key = (sum(left_degrees), sum(right_degrees))
+                    bucket = buckets.setdefault(key, {})
+                    lab = (left, right)
+                    bucket[lab] = bucket.get(lab, 0) + co * c1 * c2 * c3
+    product = modified_mult_12(x)
+    for lam, co in product.coeffs.items():
+        for u, mu, nu, d in flat(lam):
+            bucket = buckets.setdefault((u, product.degree - u), {})
+            bucket[(mu, nu)] = bucket.get((mu, nu), 0) - co * d
+    out = {key: TensorElement(key, coeffs) for key, coeffs in buckets.items()}
+    return {key: el for key, el in out.items() if not el.is_zero}
+
+
+def test_defect_equals_the_full_triple_loop():
+    real = default_realization()
+    checked = zero = 0
+    for a in range(8):
+        for b in range(8 - a):
+            for c in range(8 - a - b):
+                for el in real.tensor_basis((a, b, c)):
+                    assert hopf_defect_12(el) == reference_hopf_defect_12(el), el
+                    checked += 1
+                    zero += min(a, b, c) == 0
+    assert checked == 844 and 0 < zero < checked
 
 
 def test_six_term_equals_defect_pointwise():

@@ -23,6 +23,7 @@ from hopflike.symfunc import (
     _partition_counts,
     _kostka,
     comult_component,
+    comult_splittings,
     default_realization,
     format_sym,
     format_tensor,
@@ -121,6 +122,46 @@ def test_comult_component_needs_the_h_basis():
     for basis in ("m", "s"):
         with pytest.raises(BasisMismatchError):
             comult_component(SymElement.basis_element(basis, (2,)), 1, 1)
+
+
+def test_comult_component_rejects_negative_degrees():
+    # the table is indexed by left degree: -1 must not read its last group
+    with pytest.raises(DegreeMismatchError):
+        comult_component(H(2), -1, 3)
+    with pytest.raises(DegreeMismatchError):
+        comult_component(H(2), 3, -1)
+    with pytest.raises(RealizationError):
+        symfunc.tensor_comult_component(TensorElement.basis([(2,)]), 0, -1, 3)
+
+
+def flat_splittings(lam):
+    """Sorted (u, mu, nu, coeff) of h_lam from the product of the parts'
+    coproducts: part p contributes h_i (x) h_(p-i) for one i in 0..p."""
+    terms = {}
+    for cut in itertools.product(*(range(p + 1) for p in lam)):
+        key = (
+            sum(cut),
+            symfunc.sort_parts(cut),
+            symfunc.sort_parts(p - i for p, i in zip(lam, cut)),
+        )
+        terms[key] = terms.get(key, 0) + 1
+    return sorted(key + (c,) for key, c in terms.items())
+
+
+def test_comult_table_is_grouped_by_left_degree():
+    for n in range(9):
+        for lam in partitions_of(n):
+            table = comult_splittings(lam)
+            assert len(table) == n + 1, lam
+            for u, group in enumerate(table):
+                assert group, (lam, u)
+                for mu, nu, _ in group:
+                    assert sum(mu) == u and sum(nu) == n - u, (lam, u)
+            assert sum(c for group in table for *_, c in group) == math.prod(
+                p + 1 for p in lam
+            )
+            flat = [(u, *entry) for u, group in enumerate(table) for entry in group]
+            assert flat == flat_splittings(lam), lam
 
 
 def test_h_comult_against_alphabet_doubling():
