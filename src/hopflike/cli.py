@@ -23,8 +23,9 @@ from .symfunc import _partition_counts, default_realization, format_tensor
 from . import hopfverify, simplicial
 
 # The most compositions, margin matrices or matrix entries that one
-# command lists, and the most h-basis inputs a Hopf or bidegree-(1,2)
-# sweep checks.  Larger outputs and sweeps are refused before they start.
+# command lists, the most h-basis inputs a Hopf or bidegree-(1,2) sweep
+# checks, and the most identities the simplicial sweep checks.  Larger
+# outputs and sweeps are refused before they start.
 MAX_OUTPUT = 2**18
 
 
@@ -51,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("simplicial", help="face/degeneracy identity families")
     p.add_argument("--max-n", type=int, default=6)
-    handled_by(p, _run_verify,
-               lambda a: simplicial.verify_simplicial_identities(a.max_n))
+    handled_by(p, _run_verify, lambda a: simplicial.verify_simplicial_identities(
+        _simplicial_bound(a.max_n)
+    ))
 
     p = vsub.add_parser("relations", help="generator relation families")
     p.add_argument(
@@ -143,6 +145,22 @@ def _sweep_bound(bound: int, slots: int, option: str) -> int:
             f"than the {MAX_OUTPUT} this command checks"
         )
     return bound
+
+
+def _simplicial_bound(max_n: int) -> int:
+    """``max_n``, once its sweep is known to be small enough.
+
+    The check count is in closed form; above MAX_OUTPUT it raises
+    ``UsageError`` with the count.  A ``max_n`` below 1 is left for the
+    sweep to refuse.
+    """
+    size = simplicial.identity_check_count(max_n) if max_n >= 1 else 0
+    if size > MAX_OUTPUT:
+        raise UsageError(
+            f"--max-n {max_n} gives {size} checks, more than the "
+            f"{MAX_OUTPUT} this command checks"
+        )
+    return max_n
 
 
 def _run_verify(args) -> int:

@@ -17,6 +17,21 @@ correction: each of the six index lines meets two neighbouring lines in
 a corner term, and summing all six closed ranges would count every
 corner twice.  Corners are assigned to the lowest-numbered map that
 covers them, which makes the expansion equal the defect exactly.
+
+The two coalgebra sweeps, Hopf compatibility and the bidegree-(1,2)
+defect, work on additive integer codes of h-basis labels
+(``symfunc._CodedTables``).  A partition lambda gets the code
+sum over p of m_p(lambda) * 2**(W * (p - 1)), m_p(lambda) being the
+number of parts equal to p, and a pair (mu, nu) gets
+code(mu) + code(nu) * 2**H.  Merging labels is then one integer add,
+and a sweep compares plain {code: coeff} dicts.  The width is
+W = d.bit_length() and H = W * d, where d is the sweep's degree bound,
+or the element's total degree when a public function is called
+directly: no multiplicity of a label of degree at most d reaches 2**W,
+so fields never carry.  Codes are decoded to ``TensorElement`` only in
+return values and to format a failure.  The width cannot be checked by
+the sweeps themselves: too narrow a field would merge labels on both
+sides alike, so ``tests/test_symfunc.py`` pins it.
 """
 
 from __future__ import annotations
@@ -48,13 +63,13 @@ from .reports import VerificationReport
 from .symfunc import (
     SymElement,
     TensorElement,
+    _CodedTables,
     comult_splittings,
     default_realization,
     format_graded,
     format_tensor,
     partitions_of,
     _merge_labels,
-    tensor_permute,
 )
 
 
@@ -67,40 +82,43 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
 
     Componentwise over the (u, v) rectangle: the (j, a+b-j) piece of
     comult(x*y) must equal the sum over u+v = j of
-    (x_u * y_v) (x) (x_rest * y_rest).
+    (x_u * y_v) (x) (x_rest * y_rest).  Labels are pair codes of
+    ``_CodedTables``, so the product of two splittings is one add.
     """
     if max_degree < 1:
         raise UsageError("max_degree must be >= 1")
     report = VerificationReport("hopf-compat", {"max_degree": max_degree})
+    tables = _CodedTables(max_degree)
     for a in range(max_degree + 1):
         for b in range(max_degree - a + 1):
             for lam in partitions_of(a):
                 for mu in partitions_of(b):
                     report.checked += 1
-                    whole = comult_splittings(_merge_labels(lam, mu))
-                    xs, ys = comult_splittings(lam), comult_splittings(mu)
+                    whole = tables[_merge_labels(lam, mu)]
+                    xs, ys = tables[lam], tables[mu]
                     for j in range(a + b + 1):
                         right = {}
+                        get = right.get
                         for u in range(max(0, j - b), min(a, j) + 1):
-                            for m1, n1, c1 in xs[u]:
-                                for m2, n2, c2 in ys[j - u]:
-                                    key = (
-                                        _merge_labels(m1, m2), _merge_labels(n1, n2)
-                                    )
-                                    right[key] = right.get(key, 0) + c1 * c2
-                        shape = (j, a + b - j)
-                        lv = TensorElement._trusted(
-                            shape, {(m, n): c for m, n, c in whole[j]}
-                        )
-                        rv = TensorElement._trusted(shape, right)
-                        if lv != rv:
+                            group = ys[j - u].items()
+                            for k1, c1 in xs[u].items():
+                                for k2, c2 in group:
+                                    k = k1 + k2
+                                    right[k] = get(k, 0) + c1 * c2
+                        # whole[j] has no zero coefficient: compare raw first
+                        if whole[j] != right and whole[j] != _nonzero(right):
+                            shape = (j, a + b - j)
                             report.record(
                                 f"degrees a={a} b={b} component j={j}",
                                 f"h{list(lam)} (x) h{list(mu)}",
-                                format_tensor(lv),
-                                format_tensor(rv),
+                                format_tensor(tables.tensor(shape, whole[j])),
+                                format_tensor(tables.tensor(shape, right)),
                             )
     return report
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return {k: v for k, v in coeffs.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +495,30 @@ def modified_mult_12(x: TensorElement) -> SymElement:
     return SymElement(sum(x.shape), "h", coeffs)
 
 
-def _normalize_graded(buckets: dict) -> dict:
+def _coded_defect(tables, shape, coeffs) -> dict:
+    """:func:`hopf_defect_12` of {label triple: coeff} on ``shape``, as
+    pair codes without zero coefficients."""
     out = {}
-    for key, coeffs in buckets.items():
-        el = TensorElement._trusted(key, coeffs)
-        if not el.is_zero:
-            out[key] = el
-    return out
+    get = out.get
+    triples = _surviving_triples(shape)
+    for label, co in coeffs.items():
+        t1, t2, t3 = (tables[lam] for lam in label)
+        for u1, u2, u3 in triples:
+            # a surviving product merges all three labels, as in
+            # _modified_product_label: merging adds codes
+            g2, g3 = t2[u2].items(), t3[u3].items()
+            for k1, c1 in t1[u1].items():
+                for k2, c2 in g2:
+                    k12, c12 = k1 + k2, co * c1 * c2
+                    for k3, c3 in g3:
+                        k = k12 + k3
+                        out[k] = get(k, 0) + c12 * c3
+        merged = _modified_product_label(label, shape)
+        if merged is not None:
+            for group in tables[merged]:
+                for k, d in group.items():
+                    out[k] = get(k, 0) - co * d
+    return _nonzero(out)
 
 
 def hopf_defect_12(x: TensorElement) -> dict:
@@ -502,29 +537,68 @@ def hopf_defect_12(x: TensorElement) -> dict:
     it is checked against.  On a zero tridegree every triple survives.
     """
     _require_triple(x)
-    total = sum(x.shape)
-    buckets = {}
-    for label, co in x.coeffs.items():
-        t1, t2, t3 = map(comult_splittings, label)
-        for u1, u2, u3 in _surviving_triples(x.shape):
-            left_degree = u1 + u2 + u3
-            bucket = buckets.setdefault((left_degree, total - left_degree), {})
-            # a surviving product merges all three labels, as in
-            # _modified_product_label; the first two merge once per pair
-            for m1, n1, c1 in t1[u1]:
-                for m2, n2, c2 in t2[u2]:
-                    m12, n12 = _merge_labels(m1, m2), _merge_labels(n1, n2)
-                    c12 = co * c1 * c2
-                    for m3, n3, c3 in t3[u3]:
-                        lab = (_merge_labels(m12, m3), _merge_labels(n12, n3))
-                        bucket[lab] = bucket.get(lab, 0) + c12 * c3
-    product = modified_mult_12(x)
-    for lam, co in product.coeffs.items():
-        for u, group in enumerate(comult_splittings(lam)):
-            bucket = buckets.setdefault((u, product.degree - u), {})
-            for mu, nu, d in group:
-                bucket[(mu, nu)] = bucket.get((mu, nu), 0) - co * d
-    return _normalize_graded(buckets)
+    tables = _CodedTables(sum(x.shape))
+    return tables.graded(_coded_defect(tables, x.shape, x.coeffs))
+
+
+def _coded_six_term_12(tables, shape, coeffs) -> dict:
+    """The six-map expansion of {label triple: coeff}, as pair codes.
+
+    Each map comultiplies one slot and multiplies the other two labels
+    into the halves, so a term's code is the splitting's code plus the
+    code of the pair those two labels make.  Zero coefficients are
+    dropped.
+    """
+    a = shape[0]
+    pair, swap = tables.pair_code, tables.swap
+    out = {}
+    get = out.get
+    for (lx, ly, lz), co in coeffs.items():
+        # (1): x z1 (x) y z2 and (2): y z1 (x) x z2, full range
+        o1, o2 = pair(lx, ly), pair(ly, lx)
+        for group in tables[lz]:
+            for k, c in group.items():
+                c *= co
+                out[k + o1] = get(k + o1, 0) + c
+                out[k + o2] = get(k + o2, 0) + c
+        # (3): x y1 (x) z y2; v=0 corner already in (1)
+        # (4): z y2 (x) y1 x, (3) swapped; the |y1|=0 corner already in (2)
+        o3 = pair(lx, lz)
+        for group in tables[ly][1:]:
+            for k, c in group.items():
+                c *= co
+                k += o3
+                out[k] = get(k, 0) + c
+                k = swap(k)
+                out[k] = get(k, 0) + c
+        # (5): x1 y (x) x2 z; u=0 corner in (2), u=a corner in (3)
+        # (6): x1 z (x) x2 y; u=0 corner in (4), u=a corner in (1)
+        o5, o6 = pair(ly, lz), pair(lz, ly)
+        for group in tables[lx][1:a]:
+            for k, c in group.items():
+                c *= co
+                out[k + o5] = get(k + o5, 0) + c
+                out[k + o6] = get(k + o6, 0) + c
+    return _nonzero(out)
+
+
+def _coded_six_term_21(tables, shape, coeffs) -> dict:
+    """The (1,2) expansion of the reversed labels, each half-pair swapped."""
+    swap = tables.swap
+    reversed_coeffs = {label[::-1]: c for label, c in coeffs.items()}
+    return {
+        swap(k): c
+        for k, c in _coded_six_term_12(tables, shape[::-1], reversed_coeffs).items()
+    }
+
+
+def _require_positive(x: TensorElement, name: str):
+    _require_triple(x)
+    if 0 in x.shape:
+        raise UsageError(
+            f"{name} needs positive degrees in all three slots; "
+            "zero tridegrees satisfy the Hopf axiom instead"
+        )
 
 
 def six_term_12(x: TensorElement) -> dict:
@@ -535,45 +609,9 @@ def six_term_12(x: TensorElement) -> dict:
     corners (lowest-numbered map wins) so the total counts every
     surviving term exactly once.
     """
-    _require_triple(x)
-    a, b, c = x.shape
-    if a == 0 or b == 0 or c == 0:
-        raise UsageError(
-            "six_term_12 needs positive degrees in all three slots; "
-            "zero tridegrees satisfy the Hopf axiom instead"
-        )
-    buckets = {}
-
-    def add(i, j, label, coeff):
-        bucket = buckets.setdefault((i, j), {})
-        bucket[label] = bucket.get(label, 0) + coeff
-
-    for (lx, ly, lz), co in x.coeffs.items():
-        for w, group in enumerate(comult_splittings(lz)):
-            for z1, z2, cz in group:
-                # (1): x z1 (x) y z2, full range
-                add(a + w, b + c - w,
-                    (_merge_labels(lx, z1), _merge_labels(ly, z2)), co * cz)
-                # (2): y z1 (x) x z2, full range
-                add(b + w, a + c - w,
-                    (_merge_labels(ly, z1), _merge_labels(lx, z2)), co * cz)
-        for v, group in enumerate(comult_splittings(ly)[1:], 1):
-            for y1, y2, cy in group:
-                # (3): x y1 (x) z y2; v=0 corner already in (1)
-                add(a + v, c + b - v,
-                    (_merge_labels(lx, y1), _merge_labels(lz, y2)), co * cy)
-                # (4): z y2 (x) y1 x; the |y1|=0 corner already in (2)
-                add(c + b - v, v + a,
-                    (_merge_labels(lz, y2), _merge_labels(y1, lx)), co * cy)
-        for u, group in enumerate(comult_splittings(lx)[1:a], 1):
-            for x1, x2, cx in group:
-                # (5): x1 y (x) x2 z; u=0 corner in (2), u=a corner in (3)
-                add(u + b, a - u + c,
-                    (_merge_labels(x1, ly), _merge_labels(x2, lz)), co * cx)
-                # (6): x1 z (x) x2 y; u=0 corner in (4), u=a corner in (1)
-                add(u + c, a - u + b,
-                    (_merge_labels(x1, lz), _merge_labels(x2, ly)), co * cx)
-    return _normalize_graded(buckets)
+    _require_positive(x, "six_term_12")
+    tables = _CodedTables(sum(x.shape))
+    return tables.graded(_coded_six_term_12(tables, x.shape, x.coeffs))
 
 
 def six_term_21(x: TensorElement) -> dict:
@@ -582,12 +620,9 @@ def six_term_21(x: TensorElement) -> dict:
     Obtained by reversing the slots, applying the (1,2) expansion and
     mirroring the output pair.
     """
-    _require_triple(x)
-    mirrored = tensor_permute(x, (2, 1, 0))
-    out = {}
-    for (i, j), el in six_term_12(mirrored).items():
-        out[(j, i)] = tensor_permute(el, (1, 0))
-    return out
+    _require_positive(x, "six_term_21")
+    tables = _CodedTables(sum(x.shape))
+    return tables.graded(_coded_six_term_21(tables, x.shape, x.coeffs))
 
 
 def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
@@ -615,19 +650,25 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
         or (v == 0 and u == a) or (v == 0 and w == c)
         or (w == 0 and u == a) or (w == 0 and v == b)
     }
+    # labels share few supports, so each support triple's set is built once
+    supports = {
+        x: frozenset(u for u, group in enumerate(comult_splittings(x)) if group)
+        for d in {a, b, c}
+        for x in partitions_of(d)
+    }
+    survivors = {}
     for lam in partitions_of(a):
         for mu in partitions_of(b):
             for nu in partitions_of(c):
                 report.checked += 1
-                us, vs, ws = (
-                    {u for u, group in enumerate(comult_splittings(x)) if group}
-                    for x in (lam, mu, nu)
-                )
-                surviving = {
-                    (u, v, w)
-                    for u in us for v in vs for w in ws
-                    if min(u, v, w) == 0 and min(a - u, b - v, c - w) == 0
-                }
+                key = us, vs, ws = supports[lam], supports[mu], supports[nu]
+                surviving = survivors.get(key)
+                if surviving is None:
+                    surviving = survivors[key] = {
+                        (u, v, w)
+                        for u in us for v in vs for w in ws
+                        if min(u, v, w) == 0 and min(a - u, b - v, c - w) == 0
+                    }
                 if surviving != expected:
                     report.record(
                         f"tridegree ({a},{b},{c}) "
@@ -653,38 +694,38 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
 
     Compares the defect with the expansion (and its mirrored form) on
     every h-basis input with a + b + c <= max_total, and checks that the
-    defect vanishes when some degree is zero.
+    defect vanishes when some degree is zero.  All three are built as
+    pair codes of one ``_CodedTables``, which lives for this call only.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
-    real = default_realization()
+    tables = _CodedTables(max_total)
     for a in range(max_total + 1):
         for b in range(max_total - a + 1):
             for c in range(max_total - a - b + 1):
-                positive = min(a, b, c) > 0
-                for el in real.tensor_basis((a, b, c)):
+                shape = (a, b, c)
+                positive = min(shape) > 0
+                for label in product(*map(partitions_of, shape)):
                     report.checked += 1
-                    defect = hopf_defect_12(el)
+                    coeffs = {label: 1}
+                    args = (tables, shape, coeffs)
+                    defect = _coded_defect(*args)
                     if positive:
-                        expansions = (
-                            ("(1,2)", six_term_12(el)), ("(2,1)", six_term_21(el))
+                        expected = (
+                            ("bracket (1,2)", _coded_six_term_12(*args)),
+                            ("bracket (2,1)", _coded_six_term_21(*args)),
                         )
-                        for bracket, expansion in expansions:
-                            if defect != expansion:
-                                report.record(
-                                    f"tridegree ({a},{b},{c}) bracket {bracket}",
-                                    format_tensor(el),
-                                    format_graded(defect),
-                                    format_graded(expansion),
-                                )
-                    elif defect:
-                        report.record(
-                            f"tridegree ({a},{b},{c}) zero branch",
-                            format_tensor(el),
-                            format_graded(defect),
-                            "0",
-                        )
+                    else:
+                        expected = (("zero branch", {}),)
+                    for case, expansion in expected:
+                        if defect != expansion:
+                            report.record(
+                                f"tridegree ({a},{b},{c}) {case}",
+                                format_tensor(TensorElement._trusted(shape, coeffs)),
+                                format_graded(tables.graded(defect)),
+                                format_graded(tables.graded(expansion)),
+                            )
     return report
 
 

@@ -18,6 +18,8 @@ operator outermost.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import IndexRangeError
 from .reports import VerificationReport
 
@@ -102,6 +104,19 @@ def _operator_chain(maps):
     for m in maps[1:]:
         result = result.after(m)
     return result
+
+
+def identity_check_count(max_n: int) -> int:
+    """How many checks ``verify_simplicial_identities(max_n)`` makes.
+
+    The five families, in sweep order, make sum over n = 2..N of
+    C(n+1, 2), sum over n = 1..N of C(n+1, 2), sum over n = 0..N of
+    2(n+1), sum over n = 1..N of C(n+1, 2) and sum over n = 0..N of
+    C(n+2, 2) checks, with N = ``max_n`` >= 1.  By the hockey-stick
+    identity that is 3 C(N+2, 3) - 1 + (N+1)(N+2) + C(N+3, 3).
+    """
+    n = max_n
+    return 3 * comb(n + 2, 3) - 1 + (n + 1) * (n + 2) + comb(n + 3, 3)
 
 
 def verify_simplicial_identities(

@@ -645,6 +645,92 @@ def tensor_permute(el: TensorElement, sources) -> TensorElement:
 
 
 # ---------------------------------------------------------------------------
+# additive label codes (the coalgebra sweeps' label format)
+
+
+def _label_code(lam, width: int) -> int:
+    """Code of a partition: the sum of 2**(width * (p - 1)) over its parts p.
+
+    Field p - 1 holds the multiplicity of p, so merging labels adds
+    codes.  Fields never carry into each other when no multiplicity
+    reaches 2**width, as holds for labels of degree below 2**width.
+    """
+    return sum(1 << width * (p - 1) for p in lam)
+
+
+def _decode_label(code: int, width: int) -> tuple:
+    """The partition of ``_label_code``, largest part first."""
+    parts, p, mask = [], 1, (1 << width) - 1
+    while code:
+        parts += [p] * (code & mask)
+        code >>= width
+        p += 1
+    return tuple(reversed(parts))
+
+
+def _decode_pair(code: int, width: int, shift: int) -> tuple:
+    """The labels (mu, nu) of the pair code code(mu) + code(nu) * 2**shift."""
+    return (
+        _decode_label(code & ((1 << shift) - 1), width),
+        _decode_label(code >> shift, width),
+    )
+
+
+class _CodedTables(dict):
+    """Comultiplication tables on additive pair codes, built on first lookup.
+
+    For sweeps over labels of degree at most ``degree``: labels get width
+    W = ``degree.bit_length()`` and a pair (mu, nu) gets
+    code(mu) + code(nu) * 2**H with H = W * ``degree``, above every label
+    code.  A product of pair tensors is then a sum of codes.
+
+    ``tables[lam]`` is ``_comult_table(lam)`` group by group, each group a
+    dict {pair code: coeff} without zero coefficients.  The table is read
+    from the module attribute on each miss, and the memo lives as long as
+    this dict: one sweep.
+    """
+
+    def __init__(self, degree: int):
+        super().__init__()
+        self.width = degree.bit_length()
+        self.shift = self.width * degree
+        self.mask = (1 << self.shift) - 1
+
+    def __missing__(self, lam):
+        pair = self.pair_code
+        table = self[lam] = tuple(
+            {pair(mu, nu): c for mu, nu, c in group if c}
+            for group in _comult_table(lam)
+        )
+        return table
+
+    def pair_code(self, mu, nu) -> int:
+        width = self.width
+        return _label_code(mu, width) + (_label_code(nu, width) << self.shift)
+
+    def swap(self, code: int) -> int:
+        """The code of (nu, mu) from that of (mu, nu)."""
+        return (code >> self.shift) + ((code & self.mask) << self.shift)
+
+    def tensor(self, shape, coeffs: dict) -> TensorElement:
+        """{pair code: coeff} as a two-slot element of ``shape``."""
+        return TensorElement._trusted(tuple(shape), {
+            _decode_pair(k, self.width, self.shift): c for k, c in coeffs.items()
+        })
+
+    def graded(self, coeffs: dict) -> dict:
+        """{pair code: coeff} as nonzero {(i, j): TensorElement}, by bidegree."""
+        buckets = {}
+        for k, c in coeffs.items():
+            mu, nu = pair = _decode_pair(k, self.width, self.shift)
+            buckets.setdefault((sum(mu), sum(nu)), {})[pair] = c
+        graded = {
+            key: TensorElement._trusted(key, buckets[key]) for key in sorted(buckets)
+        }
+        return {key: el for key, el in graded.items() if not el.is_zero}
+
+
+# ---------------------------------------------------------------------------
 # the contravariant realization
 
 

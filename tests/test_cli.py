@@ -226,6 +226,28 @@ def test_sweep_limit_is_exact(capsys, monkeypatch, suite, option, bound, size):
     assert f"{option} {bound} gives {size} h-basis inputs" in err
 
 
+def test_oversized_simplicial_sweep_exits_two_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", "simplicial", "--max-n", "400")
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --max-n 400 gives 43229002 checks, more than the "
+        f"{cli.MAX_OUTPUT} this command checks\n"
+    )
+
+
+def test_simplicial_limit_is_exact(capsys, monkeypatch):
+    argv = ["verify", "simplicial", "--max-n", "6", "--format", "json"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 307)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["checked"] == 307
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 306)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--max-n 6 gives 307 checks" in err
+
+
 def test_bidegree12_at_twelve_is_within_the_limit(monkeypatch):
     # 18240 inputs; the sweep itself takes seconds, so only the guard runs
     assert cli._sweep_bound(12, 3, "--max-total") == 12

@@ -28,6 +28,7 @@ from hopflike.hopfverify import (
     six_term_12,
     six_term_21,
 )
+from hopflike import symfunc
 from hopflike.symfunc import (
     PshRealization,
     RealizedMap,
@@ -317,6 +318,40 @@ def test_defect_equals_the_full_triple_loop():
                     checked += 1
                     zero += min(a, b, c) == 0
     assert checked == 844 and 0 < zero < checked
+
+
+def test_unit_labels_at_the_width_step():
+    # total degree 8 is where the label code width steps from 3 to 4 bits:
+    # h[1^8] is the first label with a multiplicity of 8
+    for a in range(9):
+        for b in range(9 - a):
+            c = 8 - a - b
+            el = h_tensor((1,) * a, (1,) * b, (1,) * c)
+            reference = reference_hopf_defect_12(el)
+            assert hopf_defect_12(el) == reference, el
+            if min(a, b, c) > 0:
+                assert six_term_12(el) == reference, el
+                assert six_term_21(el) == reference, el
+
+
+def test_hopf_failure_decodes_the_widest_label(monkeypatch):
+    # both sides of a Hopf comparison merge labels by the same add, so only
+    # the decoded failure shows whether h[1^8] kept its own code
+    assert check_hopf_compat(8).passed
+    real = symfunc._comult_table
+    ones = (1,) * 8
+
+    def corrupted(lam):
+        table = real(lam)
+        if lam != ones:
+            return table
+        return table[:-1] + (((ones, (), 2),),)
+
+    monkeypatch.setattr(symfunc, "_comult_table", corrupted)
+    failure = check_hopf_compat(8).failures[0]
+    assert failure.instance == "degrees a=1 b=7 component j=8"
+    assert failure.left == "2*h[1,1,1,1,1,1,1,1] (x) h[]"
+    assert failure.right == "h[1,1,1,1,1,1,1,1] (x) h[]"
 
 
 def test_six_term_equals_defect_pointwise():

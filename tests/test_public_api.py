@@ -49,6 +49,7 @@ def test_public_names_are_pinned():
 @pytest.mark.parametrize("name", [
     "relations-dd-8-4", "relations-ss-8-4", "relations-tautau-4-4",
     "relations-mixed-6-3", "square-11-summed", "square-11-per-k",
+    "hopf-12", "bidegree12-11",
 ])
 def test_reports_match_recorded_digests(name):
     # "the same reports" means byte-identical JSON: these are the recorded

@@ -8,6 +8,7 @@ from hopflike.simplicial import (
     degeneracy,
     face,
     identity,
+    identity_check_count,
     verify_simplicial_identities,
 )
 
@@ -63,6 +64,12 @@ def test_sweep_passes():
     report = verify_simplicial_identities(6)
     assert report.passed
     assert report.checked > 100
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 6, 10, 20])
+def test_check_count_is_the_sweeps(max_n):
+    # both sides are cubics in max_n from 2 on, so five points pin them
+    assert identity_check_count(max_n) == verify_simplicial_identities(max_n).checked
 
 
 def test_corrupted_face_is_caught_and_named():

@@ -19,7 +19,11 @@ from hopflike.symfunc import (
     SymElement,
     TensorElement,
     TransitionCache,
+    _CodedTables,
+    _decode_label,
+    _decode_pair,
     _inverse_transition,
+    _label_code,
     _partition_counts,
     _kostka,
     comult_component,
@@ -162,6 +166,53 @@ def test_comult_table_is_grouped_by_left_degree():
             )
             flat = [(u, *entry) for u, group in enumerate(table) for entry in group]
             assert flat == flat_splittings(lam), lam
+
+
+def test_label_codes_round_trip_at_their_width():
+    # a sweep up to degree d codes labels at width d.bit_length(); too
+    # narrow a field would merge labels silently, since codes stay additive
+    for d in range(17):
+        width = d.bit_length()
+        labels = [lam for n in range(d + 1) for lam in partitions_of(n)]
+        codes = [_label_code(lam, width) for lam in labels]
+        assert len(set(codes)) == len(labels), d
+        for lam, code in zip(labels, codes):
+            assert _decode_label(code, width) == lam, (d, lam)
+    assert _CodedTables(7).width == 3 and _CodedTables(8).width == 4
+
+
+def test_pair_codes_add_like_merged_labels():
+    tables = _CodedTables(8)
+    pairs = [
+        (mu, nu)
+        for n in range(9)
+        for u in range(n + 1)
+        for mu in partitions_of(u)
+        for nu in partitions_of(n - u)
+    ]
+    codes = [tables.pair_code(mu, nu) for mu, nu in pairs]
+    assert len(set(codes)) == len(pairs)
+    for (mu, nu), code in zip(pairs, codes):
+        assert _decode_pair(code, tables.width, tables.shift) == (mu, nu)
+        assert tables.swap(code) == tables.pair_code(nu, mu)
+    for (m1, n1), k1 in zip(pairs[::7], codes[::7]):
+        for (m2, n2), k2 in zip(pairs[::5], codes[::5]):
+            if sum(m1 + n1 + m2 + n2) <= 8:
+                merged = (symfunc._merge_labels(m1, m2), symfunc._merge_labels(n1, n2))
+                assert _decode_pair(k1 + k2, tables.width, tables.shift) == merged
+
+
+def test_coded_tables_decode_to_the_comult_table():
+    tables = _CodedTables(8)
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert [
+                tables.tensor((u, n - u), group).coeffs
+                for u, group in enumerate(tables[lam])
+            ] == [
+                {(mu, nu): c for mu, nu, c in group}
+                for group in comult_splittings(lam)
+            ], lam
 
 
 def test_h_comult_against_alphabet_doubling():
