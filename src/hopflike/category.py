@@ -18,6 +18,7 @@ rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 from .compositions import Composition, enumerate_compositions, refines
 from .contingency import ContingencyMatrix, enumerate_matrices, kappa, sigma_K
@@ -208,17 +209,14 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
 
     Families: ``dd`` (merge-merge), ``ss`` (split-split) and ``tautau``
     (shuffle chains with equal underlying permutations), by sorted
-    source; tautau yields a source's instances in chain order.  The
-    sweeps do not build this list.
-    :func:`hopflike.hopfverify.check_relation_family` checks each dd
-    and ss instance's two words as it is generated and drops it before
-    the next one exists.  Its tautau sweep builds no words at all: it
-    walks the same chains (``_tautau_chains``), values each one from
-    per-shuffle basis tables, and builds an instance's words only when
-    the values differ, to report the failure.  The mixed family
-    (split-chain; shuffle; merge-chain against a coarsening route) has
-    no single-word instances here: it holds only with towers summed
-    over the matrices that factor through a coarsening, which
+    source; tautau yields a source's instances in chain order.  Every
+    instance is a tuple of the family's walk, ``_relation_chains``, with
+    its words and description built by ``_relation_instance``.  The
+    sweep, :func:`hopflike.hopfverify.check_relation_family`, reads the
+    same walk and builds an instance only for a failure.  The mixed
+    family (split-chain; shuffle; merge-chain against a coarsening
+    route) has no single-word instances here: it holds only with towers
+    summed over the matrices that factor through a coarsening, which
     :func:`hopflike.hopfverify.check_mixed_relations` checks group by
     group, and :func:`hopflike.hopfverify.check_square_condition`
     compares each matrix alone in its per-k reading.
@@ -228,14 +226,21 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
 
 def _relation_instances(family, max_sum, max_len):
     """Iterator over one family's instances; bad bounds or family raise at the call."""
+    return starmap(_relation_instance, _relation_chains(family, max_sum, max_len))
+
+
+def _relation_chains(family, max_sum, max_len):
+    """One family's walk of ``(source, left, right, info)`` tuples.
+
+    ``left`` and ``right`` are chains of step keys (:func:`_step`) from
+    ``source`` to one target; ``info`` is the description's template and
+    its fields after the source.  Bad bounds or family raise at the call.
+    """
     _check_bounds(max_sum, max_len)
-    if family == "dd":
-        return _dd_instances(max_sum, max_len)
-    if family == "ss":
-        return _ss_instances(max_sum, max_len)
-    if family == "tautau":
-        return _tautau_instances(max_sum, max_len)
-    raise UsageError(f"unknown relation family {family!r}")
+    walks = {"dd": _dd_chains, "ss": _ss_chains, "tautau": _tautau_chains}
+    if family not in walks:
+        raise UsageError(f"unknown relation family {family!r}")
+    return walks[family](max_sum, max_len)
 
 
 def _check_bounds(max_sum, max_len):
@@ -250,51 +255,62 @@ def _all_compositions(max_sum, max_len):
     return out
 
 
-def _dd_instances(max_sum, max_len):
+def _step(key):
+    """``(generator, domain)`` of a step key: a margin matrix K stands for
+    ``Shuffle(K)`` on kappa(K).row, a merge or split key is the pair."""
+    if isinstance(key, ContingencyMatrix):
+        return Shuffle(key), kappa(key).row
+    return key
+
+
+def _chain(source, g, h) -> tuple:
+    """The step keys of ``g`` and then ``h`` from ``source``."""
+    return (g, source), (h, apply_generator(g, source))
+
+
+def _dd_chains(max_sum, max_len):
     for comp in _all_compositions(max_sum, max_len):
         t = comp.length
         if t < 3:
             continue
-        mk = lambda steps: MorphismWord(comp, steps)
         for i in range(1, t):
             for j in range(1, i - 1):
                 # d[t-1,j] . d[t,i] = d[t-1,i-1] . d[t,j]   (j <= i-2)
-                yield RelationInstance(
-                    mk([Merge(t, i), Merge(t - 1, j)]),
-                    mk([Merge(t, j), Merge(t - 1, i - 1)]),
-                    f"dd:far-apart {comp} i={i} j={j}",
+                yield (
+                    comp, _chain(comp, Merge(t, i), Merge(t - 1, j)),
+                    _chain(comp, Merge(t, j), Merge(t - 1, i - 1)),
+                    ("dd:far-apart {} i={} j={}", i, j),
                 )
         for i in range(2, t):
             # d[t-1,i-1] . d[t,i] = d[t-1,i-1] . d[t,i-1]
-            yield RelationInstance(
-                mk([Merge(t, i), Merge(t - 1, i - 1)]),
-                mk([Merge(t, i - 1), Merge(t - 1, i - 1)]),
-                f"dd:adjacent-left {comp} i={i}",
+            yield (
+                comp, _chain(comp, Merge(t, i), Merge(t - 1, i - 1)),
+                _chain(comp, Merge(t, i - 1), Merge(t - 1, i - 1)),
+                ("dd:adjacent-left {} i={}", i),
             )
         for i in range(1, t - 1):
             # d[t-1,i] . d[t,i] = d[t-1,i] . d[t,i+1]
-            yield RelationInstance(
-                mk([Merge(t, i), Merge(t - 1, i)]),
-                mk([Merge(t, i + 1), Merge(t - 1, i)]),
-                f"dd:adjacent-right {comp} i={i}",
+            yield (
+                comp, _chain(comp, Merge(t, i), Merge(t - 1, i)),
+                _chain(comp, Merge(t, i + 1), Merge(t - 1, i)),
+                ("dd:adjacent-right {} i={}", i),
             )
         for i in range(1, t):
             for j in range(i + 1, t):
                 # d[t-1,j-1] . d[t,i] = d[t-1,i] . d[t,j]   (j >= i+1)
-                yield RelationInstance(
-                    mk([Merge(t, i), Merge(t - 1, j - 1)]),
-                    mk([Merge(t, j), Merge(t - 1, i)]),
-                    f"dd:ordered {comp} i={i} j={j}",
+                yield (
+                    comp, _chain(comp, Merge(t, i), Merge(t - 1, j - 1)),
+                    _chain(comp, Merge(t, j), Merge(t - 1, i)),
+                    ("dd:ordered {} i={} j={}", i, j),
                 )
 
 
-def _ss_instances(max_sum, max_len):
+def _ss_chains(max_sum, max_len):
     for comp in _all_compositions(max_sum, max_len):
         t = comp.length
         if t == 0:
             continue
         parts = comp.parts
-        mk = lambda steps: MorphismWord(comp, steps)
         for i in range(1, t + 1):
             ni = parts[i - 1]
             for j in range(1, i):
@@ -304,26 +320,26 @@ def _ss_instances(max_sum, max_len):
                 for a in range(1, ni):
                     for b in range(1, nj):
                         # s[t+1,j,b] . s[t,i,a] = s[t+1,i+1,a] . s[t,j,b]
-                        yield RelationInstance(
-                            mk([Split(t, i, a), Split(t + 1, j, b)]),
-                            mk([Split(t, j, b), Split(t + 1, i + 1, a)]),
-                            f"ss:left-of {comp} i={i} j={j} a={a} b={b}",
+                        yield (
+                            comp, _chain(comp, Split(t, i, a), Split(t + 1, j, b)),
+                            _chain(comp, Split(t, j, b), Split(t + 1, i + 1, a)),
+                            ("ss:left-of {} i={} j={} a={} b={}", i, j, a, b),
                         )
             for a in range(1, ni):
                 for b in range(1, a):
                     # s[t+1,i,b] . s[t,i,a] = s[t+1,i+1,a-b] . s[t,i,b]
-                    yield RelationInstance(
-                        mk([Split(t, i, a), Split(t + 1, i, b)]),
-                        mk([Split(t, i, b), Split(t + 1, i + 1, a - b)]),
-                        f"ss:same-part {comp} i={i} a={a} b={b}",
+                    yield (
+                        comp, _chain(comp, Split(t, i, a), Split(t + 1, i, b)),
+                        _chain(comp, Split(t, i, b), Split(t + 1, i + 1, a - b)),
+                        ("ss:same-part {} i={} a={} b={}", i, a, b),
                     )
             for a in range(2, ni):
                 for b in range(1, ni - a):
                     # s[t+1,i+1,b] . s[t,i,a] = s[t+1,i,a] . s[t,i,a+b]
-                    yield RelationInstance(
-                        mk([Split(t, i, a), Split(t + 1, i + 1, b)]),
-                        mk([Split(t, i, a + b), Split(t + 1, i, a)]),
-                        f"ss:right-piece {comp} i={i} a={a} b={b}",
+                    yield (
+                        comp, _chain(comp, Split(t, i, a), Split(t + 1, i + 1, b)),
+                        _chain(comp, Split(t, i, a + b), Split(t + 1, i, a)),
+                        ("ss:right-piece {} i={} a={} b={}", i, a, b),
                     )
             for j in range(i + 2, t + 1):
                 nj = parts[j - 1]
@@ -332,10 +348,10 @@ def _ss_instances(max_sum, max_len):
                 for a in range(1, ni):
                     for b in range(1, nj):
                         # s[t+1,j+1,b] . s[t,i,a] = s[t+1,i,a] . s[t,j,b]
-                        yield RelationInstance(
-                            mk([Split(t, i, a), Split(t + 1, j + 1, b)]),
-                            mk([Split(t, j, b), Split(t + 1, i, a)]),
-                            f"ss:right-of {comp} i={i} j={j} a={a} b={b}",
+                        yield (
+                            comp, _chain(comp, Split(t, i, a), Split(t + 1, j + 1, b)),
+                            _chain(comp, Split(t, j, b), Split(t + 1, i, a)),
+                            ("ss:right-of {} i={} j={} a={} b={}", i, j, a, b),
                         )
 
 
@@ -356,66 +372,51 @@ def _shuffles_by_source(max_sum, max_len):
 
 
 def _tautau_chains(max_sum, max_len):
-    """The tautau grouping walk, as plain matrix tuples, in instance order.
+    """The tautau walk: shuffle chains as plain matrix tuples, in instance order.
 
     A chain is a tuple of margin matrices whose shuffles are applied left
     to right from ``source``.  Two-shuffle chains from ``source`` to
-    ``target`` are grouped by their composite position images.  Each
-    instance is yielded as ``(source, target, first, other)``: ``first``
-    is the first chain of its group (the same tuple for every instance
-    of the group), and ``other`` is either a later chain of the group
-    or, once, when the group opens, ``(K3,)`` for the single shuffle
-    with the same images.  Only one chain per group is held.
+    ``target`` are grouped by their composite position images.  In each
+    instance ``left`` is the first chain of its group (the same tuple
+    for every instance of the group), and ``right`` is either a later
+    chain of the group or, once, when the group opens, ``(K3,)`` for the
+    single shuffle with the same images.  Only one chain per group is
+    held.
     """
     by_source = _shuffles_by_source(max_sum, max_len)
     for source in sorted(by_source):
         singles = {}
         for K3, target, images in by_source[source]:
             singles.setdefault((target.parts, images), (K3,))
-        firsts = {}  # (target parts, composite images) -> first chain
+        groups = {}  # (target parts, composite images) -> (first chain, info)
         for K1, mid, images1 in by_source[source]:
             positions = [v - 1 for v in images1]
             for K2, target, images2 in by_source.get(mid, ()):
                 key = (target.parts, tuple([images2[p] for p in positions]))
-                first = firsts.get(key)
-                if first is not None:
-                    yield source, target, first, (K1, K2)
+                group = groups.get(key)
+                if group is not None:
+                    first, info = group
+                    yield source, first, (K1, K2), info
                     continue
-                first = firsts[key] = (K1, K2)
+                first = (K1, K2)
+                groups[key] = first, ("tautau:equal-chains {}->{}", target)
                 step = singles.get(key)
                 if step is not None:
                     # the chain collapses to a single shuffle
-                    yield source, target, first, step
+                    info = ("tautau:chain-vs-step {}->{} K3={}", target, step[0])
+                    yield source, first, step, info
 
 
-def _shuffle_word(source, chain) -> MorphismWord:
-    return MorphismWord(source, [Shuffle(K) for K in chain])
+def _relation_instance(source, left, right, info) -> RelationInstance:
+    """One tuple of a family's walk as two words and a description."""
+    template, *fields = info
+    return RelationInstance(
+        _word(source, left), _word(source, right), template.format(source, *fields)
+    )
 
 
-def _tautau_instance(source, target, first, other, left=None) -> RelationInstance:
-    """One tuple of :func:`_tautau_chains` as two words and a description.
-
-    ``left``, if given, is the word of ``first``, already built.
-    """
-    if len(other) == 1:
-        description = f"tautau:chain-vs-step {source}->{target} K3={other[0]}"
-    else:
-        description = f"tautau:equal-chains {source}->{target}"
-    if left is None:
-        left = _shuffle_word(source, first)
-    return RelationInstance(left, _shuffle_word(source, other), description)
-
-
-def _tautau_instances(max_sum, max_len):
-    """The walk's instances as words; one word per chain group of a source."""
-    words, current = {}, None
-    for source, target, first, other in _tautau_chains(max_sum, max_len):
-        if source is not current:  # groups never span sources
-            words, current = {}, source
-        left = words.get(first)
-        if left is None:
-            left = words[first] = _shuffle_word(source, first)
-        yield _tautau_instance(source, target, first, other, left)
+def _word(source, chain) -> MorphismWord:
+    return MorphismWord(source, [_step(key)[0] for key in chain])
 
 
 def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):

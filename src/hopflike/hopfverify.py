@@ -46,14 +46,14 @@ from .compositions import (
     enumerate_compositions,
     refines,
 )
-from .contingency import ContingencyMatrix, enumerate_matrices, kappa
+from .contingency import ContingencyMatrix, enumerate_matrices
 from .category import (
     MorphismWord,
-    Shuffle,
     _check_bounds,
-    _relation_instances,
-    _tautau_chains,
-    _tautau_instance,
+    _relation_chains,
+    _relation_instance,
+    _step,
+    apply_generator,
     merge_chain,
     semantic_equal,
     split_chain,
@@ -210,59 +210,72 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
 
 
 def check_relation_family(family: str, max_sum: int, max_len: int) -> VerificationReport:
-    """Check each instance of a family as it is generated.
+    """Check every instance of a family on per-step basis tables.
 
-    dd and ss compare each instance's two words with
-    :func:`semantic_equal`; tautau compares chain values built from
-    per-shuffle tables, :func:`_check_tautau`.
+    dd, ss and tautau run one loop over the family's walk
+    (``category._relation_chains``).  Both chains of an instance are
+    valued from :class:`_StepTables` by :func:`_chain_value`; the left
+    chain's value is kept per source, since walks repeat left chains
+    (tautau compares every chain of a group with its first).  Only when
+    the values differ are the instance's words built and compared by
+    :func:`semantic_equal`, which gives the failure's witness; if it
+    finds them equal, tables and words disagree and the sweep raises.
     """
     if family == "mixed":
         return check_mixed_relations(max_sum, max_len)
-    instances = _relation_instances(family, max_sum, max_len)  # checks args
+    chains = _relation_chains(family, max_sum, max_len)  # checks args
     report = VerificationReport(
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
-    if family == "tautau":
-        _check_tautau(report, max_sum, max_len)
-        return report
-    for instance in instances:
+    tables = _StepTables(default_realization())
+    lefts, current = {}, None
+    for source, left, right, info in chains:
+        if source is not current:  # walks never return to a source
+            lefts, current = {}, source
         report.checked += 1
+        value = lefts.get(left)
+        if value is None:
+            value = lefts[left] = _chain_value(tables, left)
+        if _chain_value(tables, right) == value:
+            continue
+        instance = _relation_instance(source, left, right, info)
         equal, witness = semantic_equal(instance.left, instance.right)
-        if not equal:
-            _record_relation(report, instance, witness)
+        if equal:
+            raise RuntimeError(
+                f"step tables and realized words disagree on "
+                f"{instance.description}"
+            )
+        label, lv, rv = witness
+        report.record(
+            instance.description,
+            *map(format_tensor, (TensorElement.basis(label), lv, rv)),
+        )
     return report
 
 
-def _record_relation(report, instance, witness):
-    label, lv, rv = witness
-    report.record(
-        instance.description,
-        format_tensor(TensorElement.basis(label)),
-        format_tensor(lv),
-        format_tensor(rv),
-    )
+class _StepTables(dict):
+    """Basis tables of generator steps, each built on its first lookup.
 
-
-class _ShuffleTables(dict):
-    """Basis tables of shuffles, each built on its first lookup.
-
-    ``tables[K]`` maps every basis label of A(kappa(K).col) to the
-    coefficient dict of ``Shuffle(K)`` applied to it, as the
+    ``tables[key]`` maps every basis label of the step's codomain to the
+    coefficient dict of the generator applied to it, as the
     realization's one hook ``_action`` gives it: a linear map known by
     its values on a basis, as SageMath's
-    ``CombinatorialFreeModule.module_morphism`` defines one.  Tables
-    live as long as this dict.
+    ``CombinatorialFreeModule.module_morphism`` defines one.  Keys are
+    ``category._step`` keys: ``(generator, domain)`` for a merge or
+    split, the margin matrix K for ``Shuffle(K)``, since K's hash is
+    cached and ``Shuffle`` and ``Composition`` hash in Python.  Tables
+    live as long as this dict: one sweep.
     """
 
     def __init__(self, realization):
         super().__init__()
         self.realization = realization
 
-    def __missing__(self, K):
-        kap = kappa(K)
-        act = self.realization._action(Shuffle(K), kap.row)
-        table = self[K] = {}
-        for el in self.realization.tensor_basis(kap.col):
+    def __missing__(self, key):
+        g, domain = _step(key)
+        act = self.realization._action(g, domain)
+        table = self[key] = {}
+        for el in self.realization.tensor_basis(apply_generator(g, domain)):
             label = next(iter(el.coeffs))
             table[label] = {k: v for k, v in act({label: 1}).items() if v}
         return table
@@ -282,49 +295,17 @@ def _apply_table(step, coeffs) -> dict:
 
 
 def _chain_value(tables, chain) -> list:
-    """The composite of ``chain``'s shuffles on each basis label of its target.
+    """The composite of ``chain``'s steps on each basis label of its target.
 
-    Realization is contravariant, so the last shuffle acts first; every
+    Realization is contravariant, so the last step acts first; every
     earlier table is then applied linearly and summed exactly.  The
     values come in the target's basis order.
     """
     values = list(tables[chain[-1]].values())
-    for K in chain[-2::-1]:
-        step = tables[K]
+    for key in chain[-2::-1]:
+        step = tables[key]
         values = [_apply_table(step, coeffs) for coeffs in values]
     return values
-
-
-def _check_tautau(report, max_sum, max_len):
-    """The tautau sweep over :func:`_tautau_chains`, valued from tables.
-
-    Each shuffle is evaluated once per basis element, and each chain is
-    the composite of its shuffles' tables.  A group's first chain is
-    valued once; every later chain of the group, and the single shuffle
-    K3, is compared with that value, never with the group key.  Words
-    are built only when the values differ: :func:`semantic_equal` on
-    them then gives the failure's witness.  If it finds the words
-    equal, the two engines disagree, and the sweep raises.
-    """
-    tables = _ShuffleTables(default_realization())
-    firsts, current = {}, None
-    for source, target, first, other in _tautau_chains(max_sum, max_len):
-        if source is not current:  # groups never span sources
-            firsts, current = {}, source
-        report.checked += 1
-        value = firsts.get(first)
-        if value is None:
-            value = firsts[first] = _chain_value(tables, first)
-        if _chain_value(tables, other) == value:
-            continue
-        instance = _tautau_instance(source, target, first, other)
-        equal, witness = semantic_equal(instance.left, instance.right)
-        if equal:
-            raise RuntimeError(
-                f"shuffle tables and realized words disagree on "
-                f"{instance.description}"
-            )
-        _record_relation(report, instance, witness)
 
 
 def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:

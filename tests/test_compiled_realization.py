@@ -41,7 +41,7 @@ from hopflike.contingency import (
 )
 from hopflike.hopfverify import (
     _coarse_route_word,
-    _ShuffleTables,
+    _StepTables,
     check_bidegree12_defect,
     check_hopf_compat,
     check_mixed_relations,
@@ -292,7 +292,7 @@ def test_survival_fault_reaches_a_positive_bracket(monkeypatch):
     )
 
 
-# --- the tautau sweep's shuffle tables ----------------------------------------
+# --- the relation sweeps' step tables -----------------------------------------
 
 
 def reference_relation_report(family, max_sum, max_len):
@@ -316,27 +316,45 @@ def reference_relation_report(family, max_sum, max_len):
 
 
 @pytest.mark.parametrize(
-    "inject, max_sum, max_len, failures",
+    "family, inject, max_sum, max_len, failures",
     [
-        (None, 4, 3, 0),
-        (swap_fault, 4, 3, 0),
-        (sigma_fault, 4, 2, 6),
-        (blend_fault, 4, 2, 1),
+        pytest.param("tautau", None, 4, 3, 0, id="true"),
+        pytest.param("tautau", swap_fault, 4, 3, 0, id="swap"),
+        pytest.param("tautau", sigma_fault, 4, 2, 6, id="sigma"),
+        pytest.param("tautau", blend_fault, 4, 2, 1, id="blend"),
+        pytest.param("dd", None, 6, 4, 0, id="dd-true"),
+        pytest.param("dd", comult_fault, 6, 4, 54, id="dd-comult"),
+        pytest.param("dd", label_fault, 6, 4, 0, id="dd-label"),
+        pytest.param("ss", None, 6, 4, 0, id="ss-true"),
+        pytest.param("ss", comult_fault, 6, 4, 0, id="ss-comult"),
+        pytest.param("ss", label_fault, 6, 4, 16, id="ss-label"),
     ],
-    ids=["true", "swap", "sigma", "blend"],
 )
 def test_tautau_tables_agree_with_the_word_path(
-    monkeypatch, inject, max_sum, max_len, failures
+    monkeypatch, family, inject, max_sum, max_len, failures
 ):
+    # a merge realizes through the coproduct and a split through the
+    # product, so dd cannot see the label fault nor ss the coproduct fault
     if inject:
         inject(monkeypatch)
-    want = reference_relation_report("tautau", max_sum, max_len)
-    got = check_relation_family("tautau", max_sum, max_len)
+    want = reference_relation_report(family, max_sum, max_len)
+    got = check_relation_family(family, max_sum, max_len)
     assert got.to_json() == want.to_json()
     assert len(got.failures) == failures and got.checked > 100
 
 
-def test_tautau_builds_words_only_for_failures(monkeypatch):
+@pytest.mark.parametrize(
+    "family, inject, max_sum, max_len",
+    [
+        ("dd", comult_fault, 6, 4),
+        ("ss", label_fault, 6, 4),
+        ("tautau", sigma_fault, 4, 2),
+    ],
+    ids=["dd", "ss", "tautau"],
+)
+def test_tautau_builds_words_only_for_failures(
+    monkeypatch, family, inject, max_sum, max_len
+):
     built = []
     post_init = category.RelationInstance.__post_init__
 
@@ -345,22 +363,35 @@ def test_tautau_builds_words_only_for_failures(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(category.RelationInstance, "__post_init__", counted)
-    assert check_relation_family("tautau", 4, 3).passed and built == []
-    sigma_fault(monkeypatch)
-    report = check_relation_family("tautau", 4, 2)
+    assert check_relation_family(family, max_sum, max_len).passed and built == []
+    inject(monkeypatch)
+    report = check_relation_family(family, max_sum, max_len)
     assert built == [f.instance for f in report.failures] and built
 
 
-def test_tautau_raises_when_tables_and_words_disagree(monkeypatch):
+@pytest.mark.parametrize(
+    "family, max_sum, max_len, wrong_on",
+    [
+        ("dd", 3, 3, lambda chain: chain[0][0].i == 1),
+        ("ss", 4, 2, lambda chain: chain[0][0].i == 1),
+        ("tautau", 2, 2, lambda chain: len(chain) == 1),
+    ],
+    ids=["dd", "ss", "tautau"],
+)
+def test_tautau_raises_when_tables_and_words_disagree(
+    monkeypatch, family, max_sum, max_len, wrong_on
+):
+    # empty values on some chains: the first instance with one such side
+    # differs on the tables while its words agree
     real = hopfverify._chain_value
 
     def wrong(tables, chain):
         values = real(tables, chain)
-        return [{}] * len(values) if len(chain) == 1 else values
+        return [{}] * len(values) if wrong_on(chain) else values
 
     monkeypatch.setattr(hopfverify, "_chain_value", wrong)
-    with pytest.raises(RuntimeError, match="tautau:chain-vs-step"):
-        check_relation_family("tautau", 2, 2)
+    with pytest.raises(RuntimeError, match=f"disagree on {family}:"):
+        check_relation_family(family, max_sum, max_len)
 
 
 def shuffles_within(max_sum, max_len):
@@ -372,17 +403,24 @@ def shuffles_within(max_sum, max_len):
 
 
 def test_shuffle_tables_match_one_step_words():
+    # every step key: the shuffles within 4/4 and each key of the dd and
+    # ss walks at 6/4, merges and splits keyed by (generator, domain)
     real = default_realization()
-    tables = _ShuffleTables(real)
-    shuffles = shuffles_within(4, 4)
-    for K in shuffles:
-        kap = kappa(K)
-        realized = real.realize_word(MorphismWord(kap.row, [Shuffle(K)]))
-        basis = real.tensor_basis(kap.col)
-        assert list(tables[K]) == [next(iter(el.coeffs)) for el in basis]
+    tables = _StepTables(real)
+    keys = set(shuffles_within(4, 4))
+    for family in ("dd", "ss"):
+        for _, left, right, _ in category._relation_chains(family, 6, 4):
+            keys.update(left + right)
+    kinds = set()
+    for key in keys:
+        g, domain = category._step(key)
+        kinds.add(type(g))
+        realized = real.realize_word(MorphismWord(domain, [g]))
+        basis = real.tensor_basis(apply_generator(g, domain))
+        assert list(tables[key]) == [next(iter(el.coeffs)) for el in basis]
         for el in basis:
-            assert tables[K][next(iter(el.coeffs))] == realized(el).coeffs, K
-    assert len(shuffles) > 100
+            assert tables[key][next(iter(el.coeffs))] == realized(el).coeffs, key
+    assert kinds == {Merge, Split, Shuffle} and len(keys) > 300
 
 
 def slots_from_sigma(K):
@@ -408,7 +446,7 @@ def shuffles_off_sigma(max_sum, max_len):
     shows which slot it came from.  Slots of degree 1 all carry h[1]: a
     swap between them cannot show, and they are not compared.
     """
-    tables = _ShuffleTables(default_realization())
+    tables = _StepTables(default_realization())
     flagged = []
     for K in shuffles_within(max_sum, max_len):
         expected = slots_from_sigma(K)
