@@ -192,24 +192,24 @@ def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
 
 @lru_cache(maxsize=None)
 def _count(rows, cols):
-    # cols is sorted; the count only depends on the multiset of capacities.
+    # Keyed by sorted margins (rows largest first, cols ascending): the
+    # count depends only on both multisets, and rows[1:] stays sorted.
     # The sums agree, so once the rows run out the columns are used up.
     if not rows:
         return 1
+    return _spread(rows, cols, 0, rows[0], ())
+
+
+def _spread(rows, cols, j, rowrem, acc):
+    # rows[0] over cols[j:]; acc holds what cols[:j] keep.  Not a closure:
+    # a recursive closure is a reference cycle, garbage on every call.
+    if j == len(cols) - 1:
+        if rowrem > cols[j]:
+            return 0
+        return _count(rows[1:], tuple(sorted(acc + (cols[j] - rowrem,))))
     total = 0
-    s = len(cols)
-
-    def distribute(j, rowrem, acc):
-        nonlocal total
-        if j == s - 1:
-            if rowrem <= cols[j]:
-                rest = tuple(sorted(acc + (cols[j] - rowrem,)))
-                total += _count(rows[1:], rest)
-            return
-        for v in range(min(rowrem, cols[j]) + 1):
-            distribute(j + 1, rowrem - v, acc + (cols[j] - v,))
-
-    distribute(0, rows[0], ())
+    for v in range(min(rowrem, cols[j]) + 1):
+        total += _spread(rows, cols, j + 1, rowrem - v, acc + (cols[j] - v,))
     return total
 
 
@@ -217,7 +217,9 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
     """Number of matrices with the given margins.
 
     Same count as ``len(enumerate_matrices(alpha, beta, mode))`` but via
-    a memoized recursion that never materializes the matrices.
+    a memoized recursion that never materializes the matrices.  Reordering
+    rows or columns does not change the count, so both margins are sorted
+    first: every reordering of a pair shares one memo entry.
     """
     shifted = _nonnegative_margins(alpha, beta, mode)
     if shifted is None:
@@ -225,7 +227,7 @@ def count_matrices(alpha, beta, mode: str = "nonnegative") -> int:
     a, b, _ = shifted
     if not a or not b:
         return 1  # no cells; equal sums force n = 0
-    return _count(a, tuple(sorted(b)))
+    return _count(tuple(sorted(a, reverse=True)), tuple(sorted(b)))
 
 
 def kappa(K: ContingencyMatrix) -> KappaResult:

@@ -257,22 +257,24 @@ def _horizontal_strips(shape: tuple, size: int) -> list:
     row i - 1 of ``shape`` (the first row without limit), and one new
     row may start below the last.
     """
-    rows = shape + (0,)
     out = []
-
-    def rec(i, left, prefix):
-        if i == len(rows):
-            if left == 0:
-                out.append(tuple(v for v in prefix if v))
-            return
-        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
-        for add in range(room, -1, -1):
-            prefix.append(rows[i] + add)
-            rec(i + 1, left - add, prefix)
-            prefix.pop()
-
-    rec(0, size, [])
+    _grow_rows(shape + (0,), 0, size, [], out)
     return out
+
+
+def _grow_rows(rows, i, left, prefix, out):
+    # Module-level rather than a closure: a recursive closure is a
+    # reference cycle, left for the cyclic collector on every call.
+    if i == len(rows):
+        if left == 0:
+            # only the new last row can be empty
+            out.append(tuple(prefix if prefix[-1] else prefix[:-1]))
+        return
+    room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+    for add in range(room, -1, -1):
+        prefix.append(rows[i] + add)
+        _grow_rows(rows, i + 1, left - add, prefix, out)
+        prefix.pop()
 
 
 @lru_cache(maxsize=None)
@@ -280,26 +282,27 @@ def _kostka(degree: int) -> tuple:
     """Kostka numbers of one degree: row lam, column mu holds K(lam, mu).
 
     K(lam, mu) counts semistandard tableaux of shape lam and content mu,
-    built by adding one horizontal strip per part of mu.  Rows and
-    columns follow ``partitions_of`` order, which refines dominance, so
-    K is upper unitriangular; anything else raises ``UsageError``.
+    grown by one horizontal strip per part of mu in order.  mu minus its
+    last part r is a partition, so column mu is that column of
+    ``_kostka(degree - r)`` plus one strip of r.  Rows and columns follow
+    ``partitions_of`` order, which refines dominance, so K is upper
+    unitriangular; anything else raises ``UsageError``.
     """
     parts = partitions_of(degree)
     index = {lam: i for i, lam in enumerate(parts)}
-    columns = []
-    for mu in parts:
-        shapes = {(): 1}
-        for part in mu:
-            grown = {}
-            for shape, c in shapes.items():
-                for nu in _horizontal_strips(shape, part):
-                    grown[nu] = grown.get(nu, 0) + c
-            shapes = grown
-        column = [0] * len(parts)
-        for lam, c in shapes.items():
-            column[index[lam]] = c
-        columns.append(column)
-    table = tuple(zip(*columns))
+    columns = {} if degree else {(): [1]}  # degree 0: the empty shape
+    for last in range(1, degree + 1):
+        below = partitions_of(degree - last)
+        for head, column in zip(below, zip(*_kostka(degree - last))):
+            if head and head[-1] < last:
+                continue
+            grown = [0] * len(parts)
+            for shape, c in zip(below, column):
+                if c:
+                    for nu in _horizontal_strips(shape, last):
+                        grown[index[nu]] += c
+            columns[head + (last,)] = grown
+    table = tuple(zip(*(columns[mu] for mu in parts)))
     for i, row in enumerate(table):
         if row[i] != 1 or any(row[:i]):
             raise UsageError(
@@ -328,10 +331,23 @@ def _kostka_inverse(degree: int) -> tuple:
     return tuple(rows)
 
 
+def _gram(vectors) -> list:
+    """Symmetric rows of dot products, one product per pair i <= j.
+
+    A dot product stops at the shorter vector, so each vector may be cut
+    after the last entry that can be nonzero."""
+    k = len(vectors)
+    rows = [[0] * k for _ in range(k)]
+    for i, a in enumerate(vectors):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = sum(map(operator.mul, a, vectors[j]))
+    return rows
+
+
 class TransitionCache:
     """Per-degree h -> m transition matrices, held in memory.
 
-    The entry at (lam, mu) is the number of non-negative integer
+    Entry mu of row lam is the number of non-negative integer
     matrices with row margins lam and column margins mu, computed as
     (K^T K)(lam, mu) from the Kostka table (RSK).
     """
@@ -340,20 +356,19 @@ class TransitionCache:
         self._degrees = {}
 
     def degree_matrix(self, degree: int) -> dict:
-        """Mapping (lam, mu) -> margin count, for all partition pairs."""
+        """Mapping lam -> (mu -> margin count): K^T K, one product per pair."""
         matrix = self._degrees.get(degree)
         if matrix is None:
             parts = partitions_of(degree)
-            columns = tuple(zip(*_kostka(degree)))
+            # column i of K is zero below row i
+            rows = _gram([c[: i + 1] for i, c in enumerate(zip(*_kostka(degree)))])
             matrix = self._degrees.setdefault(degree, {
-                (lam, mu): sum(map(operator.mul, columns[i], columns[j]))
-                for i, lam in enumerate(parts)
-                for j, mu in enumerate(parts)
+                lam: dict(zip(parts, row)) for lam, row in zip(parts, rows)
             })
         return matrix
 
     def stats(self) -> dict:
-        return {"entries": sum(len(v) for v in self._degrees.values())}
+        return {"entries": sum(len(m) ** 2 for m in self._degrees.values())}
 
 
 _default_cache = TransitionCache()
@@ -370,8 +385,7 @@ def h_to_m(x: SymElement) -> SymElement:
     matrix = transition_cache().degree_matrix(x.degree)
     coeffs = {}
     for lam, c in x.coeffs.items():
-        for mu in partitions_of(x.degree):
-            n = matrix[(lam, mu)]
+        for mu, n in matrix[lam].items():
             if n:
                 coeffs[mu] = coeffs.get(mu, 0) + c * n
     return SymElement(x.degree, "m", coeffs)
@@ -381,12 +395,11 @@ def h_to_m(x: SymElement) -> SymElement:
 def _inverse_transition(degree: int) -> tuple:
     """Inverse of the (symmetric) h->m matrix, as integer row tuples.
 
-    The h->m matrix is K^T K, so its inverse is K^-1 K^-T.
+    The h->m matrix is K^T K, so its inverse is the Gram matrix K^-1 K^-T.
     """
-    inverse = _kostka_inverse(degree)
-    return tuple(
-        tuple(sum(map(operator.mul, a, b)) for b in inverse) for a in inverse
-    )
+    # row i of K^-1 is zero before column i: read it from the end
+    tails = [row[i:][::-1] for i, row in enumerate(_kostka_inverse(degree))]
+    return tuple(map(tuple, _gram(tails)))
 
 
 def m_to_h(x: SymElement) -> SymElement:
@@ -394,17 +407,9 @@ def m_to_h(x: SymElement) -> SymElement:
     if x.basis != "m":
         raise BasisMismatchError("m_to_h needs the m basis")
     parts = partitions_of(x.degree)
-    index = {lam: i for i, lam in enumerate(parts)}
-    inverse = _inverse_transition(x.degree)
-    vec = [0] * len(parts)
-    for mu, c in x.coeffs.items():
-        vec[index[mu]] = c
-    coeffs = {}
-    for i, lam in enumerate(parts):
-        total = sum(inverse[i][j] * vec[j] for j in range(len(parts)))
-        if total:
-            coeffs[lam] = total
-    return SymElement(x.degree, "h", coeffs)
+    vec = [x.coeffs.get(mu, 0) for mu in parts]
+    totals = [sum(map(operator.mul, row, vec)) for row in _inverse_transition(x.degree)]
+    return SymElement(x.degree, "h", {lam: t for lam, t in zip(parts, totals) if t})
 
 
 def schur(lam) -> SymElement:
@@ -459,8 +464,9 @@ def hall_inner(x: SymElement, y: SymElement) -> int:
     matrix = transition_cache().degree_matrix(x.degree)
     total = 0
     for lam, c in xh.coeffs.items():
+        row = matrix[lam]
         for mu, d in yh.coeffs.items():
-            total += c * d * matrix[(lam, mu)]
+            total += c * d * row[mu]
     return total
 
 

@@ -5,6 +5,7 @@ import pytest
 from hopflike.compositions import Composition, enumerate_compositions
 from hopflike.contingency import (
     ContingencyMatrix,
+    _count,
     count_matrices,
     enumerate_matrices,
     kappa,
@@ -85,6 +86,30 @@ def test_count_agrees_with_enumeration():
                     assert count_matrices(alpha, beta, mode) == len(
                         enumerate_matrices(alpha, beta, mode)
                     )
+
+
+def test_count_does_not_depend_on_order():
+    for n in range(6):
+        comps = [c.parts for c in enumerate_compositions(n)]
+        for alpha in comps:
+            for beta in comps:
+                for mode in ("nonnegative", "strictly-positive"):
+                    expected = len(enumerate_matrices(alpha, beta, mode))
+                    assert count_matrices(beta, alpha, mode) == expected
+                    for rows in set(itertools.permutations(alpha)):
+                        for cols in set(itertools.permutations(beta)):
+                            assert count_matrices(rows, cols, mode) == expected
+
+
+def test_count_memo_is_keyed_by_sorted_margins():
+    _count.cache_clear()
+    assert count_matrices((1, 2), (3,)) == 1
+    first = _count.cache_info()
+    assert first.hits == 0
+    # the reordered rows reach the same top-level entry: one hit, no miss
+    assert count_matrices((2, 1), (3,)) == 1
+    second = _count.cache_info()
+    assert (second.misses, second.hits) == (first.misses, 1)
 
 
 def test_unknown_mode_rejected_by_enumeration_and_count():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 from hopflike.compositions import Composition
 from hopflike.category import Merge, MorphismWord, Shuffle, Split
-from hopflike import symfunc
+from hopflike import contingency, symfunc
 from hopflike.contingency import ContingencyMatrix, count_matrices
 from hopflike.errors import (
     BasisMismatchError,
@@ -568,9 +569,37 @@ def rsk_mismatches(max_degree):
         parts = partitions_of(degree)
         for lam in parts:
             for mu in parts:
-                if matrix[(lam, mu)] != count_matrices(lam, mu):
+                if matrix[lam][mu] != count_matrices(lam, mu):
                     bad.append((lam, mu))
     return bad
+
+
+def reference_kostka(n):
+    """Kostka table with every column grown from the empty shape, one
+    horizontal strip per part of the content."""
+    parts = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    columns = []
+    for mu in parts:
+        shapes = {(): 1}
+        for part in mu:
+            grown = {}
+            for shape, c in shapes.items():
+                for nu in symfunc._horizontal_strips(shape, part):
+                    grown[nu] = grown.get(nu, 0) + c
+            shapes = grown
+        column = [0] * len(parts)
+        for lam, c in shapes.items():
+            column[index[lam]] = c
+        columns.append(column)
+    return tuple(zip(*columns))
+
+
+def dense_product(a, b):
+    """a times b for matrices given as row tuples, every entry summed."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
 
 
 @pytest.fixture
@@ -591,7 +620,26 @@ def fresh_tables(monkeypatch):
 def test_transition_matrix_is_rsk_count():
     # sum_nu K(nu, lam) K(nu, mu) = count_matrices(lam, mu) (Knuth 1970):
     # tableau strips on one side, contingency enumeration on the other
-    assert rsk_mismatches(8) == []
+    assert rsk_mismatches(10) == []
+
+
+def test_tables_match_dense_references(fresh_tables):
+    # built from the degrees below and from upper triangles, the tables
+    # must equal the strip-per-part build and the full dense products
+    for n in range(11):
+        table = _kostka(n)
+        assert table == reference_kostka(n), n
+        inverse = symfunc._kostka_inverse(n)
+        size = range(len(table))
+        identity = tuple(tuple(int(i == j) for j in size) for i in size)
+        assert dense_product(inverse, table) == identity, n
+        assert _inverse_transition(n) == dense_product(inverse, tuple(zip(*inverse)))
+        counts = dense_product(tuple(zip(*table)), table)
+        parts = partitions_of(n)
+        assert transition_cache().degree_matrix(n) == {
+            lam: {mu: counts[i][j] for j, mu in enumerate(parts)}
+            for i, lam in enumerate(parts)
+        }, n
 
 
 def test_kostka_standard_column_is_hook_length():
@@ -650,6 +698,25 @@ def test_non_unit_diagonal_raises(fresh_tables, monkeypatch):
     monkeypatch.setattr(symfunc, "_horizontal_strips", repeat_row)
     with pytest.raises(UsageError, match="unitriangular"):
         _inverse_transition(3)
+
+
+def test_cold_tables_leave_no_cyclic_garbage(fresh_tables):
+    # A recursive closure is a reference cycle, so the strip enumeration
+    # and the count recursion left one per call for the cyclic collector.
+    contingency._count.cache_clear()
+    partitions_of(8)  # its builder is not on the hot path
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(9):
+            for lam in partitions_of(n):
+                assert hall_inner(schur(lam), H(*lam)) == 1
+                assert m_to_h(h_to_m(H(*lam))) == H(*lam)
+                count_matrices(lam, lam[::-1])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 # --- formatting ------------------------------------------------------------
