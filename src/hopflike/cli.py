@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from itertools import islice
 
 from .compositions import _count_compositions, enumerate_compositions
@@ -29,6 +30,7 @@ from . import hopfverify, simplicial
 MAX_OUTPUT = 2**18
 
 
+@cache  # built once: a parser is about 480 objects in reference cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopflike",

@@ -24,12 +24,11 @@ from .errors import HopflikeError, SumMismatchError
 class ContingencyMatrix:
     """Immutable grid of non-negative integers.
 
-    ``_kappa`` and ``_slot_sources`` memoize :func:`kappa` and
-    :func:`slot_sources` for this instance, and ``_hash`` its hash;
-    equality and hashing ignore them.
+    ``_kappa`` memoizes :func:`kappa` for this instance, and ``_hash``
+    its hash; equality and hashing ignore them.
     """
 
-    __slots__ = ("entries", "nrows", "ncols", "_kappa", "_slot_sources", "_hash")
+    __slots__ = ("entries", "nrows", "ncols", "_kappa", "_hash")
 
     def __init__(self, entries, ncols=None):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
@@ -47,7 +46,6 @@ class ContingencyMatrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_kappa", None)
-        object.__setattr__(self, "_slot_sources", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -65,7 +63,6 @@ class ContingencyMatrix:
         object.__setattr__(K, "nrows", len(rows))
         object.__setattr__(K, "ncols", ncols)
         object.__setattr__(K, "_kappa", None)
-        object.__setattr__(K, "_slot_sources", None)
         object.__setattr__(K, "_hash", None)
         return K
 
@@ -162,20 +159,23 @@ def _matrices(alpha, beta, mode: str):
         # no cells; equal sums force n = 0
         yield ContingencyMatrix._trusted(((),) * len(a), len(b))
         return
-
-    def fill(i, colrem):
-        if i == len(a) - 1:
-            yield (colrem,)
-            return
-        for row in _rows(a[i], colrem):
-            left = tuple(c - v for c, v in zip(colrem, row))
-            for rest in fill(i + 1, left):
-                yield (row, *rest)
-
-    for rows in fill(0, b):
+    for rows in _fill(a, 0, b):
         if lift:
             rows = tuple(tuple(v + lift for v in row) for row in rows)
         yield ContingencyMatrix._trusted(rows, len(b))
+
+
+def _fill(a, i, colrem):
+    # Rows i.. of a matrix with row margins a[i:] and what each column has
+    # left.  Not a closure: a recursive closure is a reference cycle,
+    # garbage on every call.
+    if i == len(a) - 1:
+        yield (colrem,)
+        return
+    for row in _rows(a[i], colrem):
+        left = tuple(c - v for c, v in zip(colrem, row))
+        for rest in _fill(a, i + 1, left):
+            yield (row, *rest)
 
 
 def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
@@ -269,24 +269,20 @@ def slot_sources(K: ContingencyMatrix) -> tuple:
     refinements: slot p of kappa-row is cell ``rm[p]``, which sits at
     position ``slot_sources(K)[p]`` in kappa-col.
     """
-    if K._slot_sources is None:
-        rm = [
-            (i, j)
-            for i in range(K.nrows)
-            for j in range(K.ncols)
-            if K.entries[i][j] > 0
-        ]
-        cm_index = {}
-        idx = 0
-        for j in range(K.ncols):
-            for i in range(K.nrows):
-                if K.entries[i][j] > 0:
-                    cm_index[i, j] = idx
-                    idx += 1
-        object.__setattr__(
-            K, "_slot_sources", tuple(cm_index[cell] for cell in rm)
-        )
-    return K._slot_sources
+    rm = [
+        (i, j)
+        for i in range(K.nrows)
+        for j in range(K.ncols)
+        if K.entries[i][j] > 0
+    ]
+    cm_index = {}
+    idx = 0
+    for j in range(K.ncols):
+        for i in range(K.nrows):
+            if K.entries[i][j] > 0:
+                cm_index[i, j] = idx
+                idx += 1
+    return tuple(cm_index[cell] for cell in rm)
 
 
 def transpose(K: ContingencyMatrix) -> ContingencyMatrix:

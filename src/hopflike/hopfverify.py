@@ -731,49 +731,32 @@ def check_bidegree12_cases(max_total: int) -> VerificationReport:
 # the exploratory mixed-bidegree computation
 
 
-def _strip_zero_slots(shape, label):
-    keep = [k for k, d in enumerate(shape) if d > 0]
-    return (
-        tuple(shape[k] for k in keep),
-        tuple(label[k] for k in keep),
-    )
-
-
-def _pair_key(lshape, rshape) -> str:
-    return f"{Composition(lshape)}|{Composition(rshape)}"
-
-
 def _padded_products(x, y):
-    """Slotwise products of two (shape, label) tensors, as (shape, label).
+    """Slotwise products of two tensor labels.
 
-    The shorter tensor is padded with unit slots to the longer length in
-    every order-preserving way, one product per padding; tensors of
+    The shorter label is padded with unit slots to the longer length in
+    every order-preserving way, one product per padding; labels of
     equal length multiply slotwise once.
     """
-    (short_shape, short_label), (shape, label) = sorted(
-        (x, y), key=lambda t: len(t[0])
-    )
-    for positions in combinations(range(len(shape)), len(short_shape)):
-        out_shape, out_label = list(shape), list(label)
-        for pos, d, lam in zip(positions, short_shape, short_label):
-            out_shape[pos] += d
-            out_label[pos] = _merge_labels(out_label[pos], lam)
-        yield tuple(out_shape), tuple(out_label)
+    short, label = sorted((x, y), key=len)
+    for positions in combinations(range(len(label)), len(short)):
+        out = list(label)
+        for pos, lam in zip(positions, short):
+            out[pos] = _merge_labels(out[pos], lam)
+        yield tuple(out)
 
 
-def _halves(shape, label):
+def _halves(label):
     """Every one-slot comultiplication, cut between the two new slots.
 
-    Yields ``(left, right, coeff)`` with each half a (shape, label) pair
-    whose zero slots are dropped.
+    Yields ``(left, right, coeff)`` with each half a label whose empty
+    (degree-zero) slots are dropped.
     """
-    for slot, d in enumerate(shape):
-        for u, group in enumerate(comult_splittings(label[slot])):
+    for slot, lam in enumerate(label):
+        for group in comult_splittings(lam):
             for mu, nu, c in group:
-                left = _strip_zero_slots(shape[:slot] + (u,), label[:slot] + (mu,))
-                right = _strip_zero_slots(
-                    (d - u,) + shape[slot + 1:], (nu,) + label[slot + 1:]
-                )
+                left = tuple(p for p in label[:slot] + (mu,) if p)
+                right = tuple(p for p in (nu,) + label[slot + 1:] if p)
                 yield left, right, c
 
 
@@ -791,52 +774,51 @@ def explore_mixed_bidegree(a: int, beta) -> dict:
     beta = beta if isinstance(beta, Composition) else Composition(beta)
     if beta.length != 2:
         raise UsageError("beta must have exactly two parts")
-    x = ((a,), ((a,) if a else (),))
-    y = (beta.parts, tuple((b,) for b in beta.parts))
+    # A(0) is one empty slot: its halves keep it, its products drop it
+    x = ((a,) if a else (),)
+    bare_x = x if a else ()
+    y = tuple((b,) for b in beta.parts)
 
     def add(pairs, left, right, coeff):
-        bucket = pairs.setdefault((left[0], right[0]), {})
-        lab = left[1] + right[1]
+        key = f"{Composition(map(sum, left))}|{Composition(map(sum, right))}"
+        bucket = pairs.setdefault(key, {})
+        lab = left + right
         bucket[lab] = bucket.get(lab, 0) + coeff
 
     upper = {}
-    for product in _padded_products(_strip_zero_slots(*x), y):
-        for left, right, c in _halves(*product):
+    for product in _padded_products(bare_x, y):
+        for left, right, c in _halves(product):
             add(upper, left, right, c)
 
     lower = {}
-    for xl, xr, xc in _halves(*x):
-        for yl, yr, yc in _halves(*y):
+    for xl, xr, xc in _halves(x):
+        for yl, yr, yc in _halves(y):
             for left in _padded_products(xl, yl):
                 for right in _padded_products(xr, yr):
                     add(lower, left, right, xc * yc)
 
+    difference = {}
+    for key in upper.keys() | lower.keys():
+        coeffs = difference[key] = dict(upper.get(key, {}))
+        for lab, c in lower.get(key, {}).items():
+            coeffs[lab] = coeffs.get(lab, 0) - c
+
     def render(pairs):
         out = {}
-        for (lshape, rshape), coeffs in pairs.items():
-            el = TensorElement(lshape + rshape, coeffs)
+        for key, coeffs in sorted(pairs.items()):
+            el = TensorElement(tuple(map(sum, next(iter(coeffs)))), coeffs)
             if not el.is_zero:
-                out[_pair_key(lshape, rshape)] = format_tensor(el)
-        return dict(sorted(out.items()))
-
-    difference = {}
-    for key in set(upper) | set(lower):
-        shape = key[0] + key[1]
-        diff = TensorElement(shape, upper.get(key, {})) - TensorElement(
-            shape, lower.get(key, {})
-        )
-        if not diff.is_zero:
-            difference[_pair_key(*key)] = format_tensor(diff)
+                out[key] = format_tensor(el)
+        return out
 
     return {
         "suite": "explore-mixed",
         "a": a,
         "beta": str(beta),
         "element": " (x) ".join(
-            format_tensor(TensorElement(shape, {label: 1}))
-            for shape, label in (_strip_zero_slots(*x), y)
+            format_tensor(TensorElement.basis(label)) for label in (bare_x, y)
         ),
         "upper": render(upper),
         "lower": render(lower),
-        "difference": dict(sorted(difference.items())),
+        "difference": render(difference),
     }

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import subprocess
@@ -344,6 +345,29 @@ def test_explore_mixed_json(capsys):
     payload = json.loads(out)
     assert payload["suite"] == "explore-mixed"
     assert "upper" in payload and "lower" in payload
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    # A parser is a web of reference cycles, so building one per call left
+    # hundreds of objects per call for the cyclic collector.
+    argvs = [
+        ["compositions", "--n", "3"],
+        ["verify", "square", "--alpha", "(1,1)", "--beta", "(1,1)"],
+        ["explore", "mixed", "--a", "3", "--beta", "(1,1)"],
+    ]
+    for argv in argvs:
+        main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for argv in argvs:
+                assert main(argv) == 0
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert found == 0
 
 
 def test_every_subcommand_has_help():
