@@ -32,6 +32,13 @@ so fields never carry.  Codes are decoded to ``TensorElement`` only in
 return values and to format a failure.  The width cannot be checked by
 the sweeps themselves: too narrow a field would merge labels on both
 sides alike, so ``tests/test_symfunc.py`` pins it.
+
+Both sweeps visit an input together with its mirror image and value
+what the two share once: the shuffled product of (x, y) and (y, x) in
+the Hopf sweep, and in the defect sweep the (1,2) expansion of a label
+and of its reverse, each the other's (2,1) bracket.  Every input is
+still compared on its own, and failures are buffered with their
+input-order key and recorded in input order.
 """
 
 from __future__ import annotations
@@ -84,17 +91,27 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
     comult(x*y) must equal the sum over u+v = j of
     (x_u * y_v) (x) (x_rest * y_rest).  Labels are pair codes of
     ``_CodedTables``, so the product of two splittings is one add.
+
+    Codes add and coefficients multiply commutatively, so the sum is
+    built once for (x, y) and (y, x) and compared with each order's own
+    comult(x*y).
     """
     if max_degree < 1:
         raise UsageError("max_degree must be >= 1")
     report = VerificationReport("hopf-compat", {"max_degree": max_degree})
     tables = _CodedTables(max_degree)
+    failures = []  # (input-order key, failure fields)
     for a in range(max_degree + 1):
-        for b in range(max_degree - a + 1):
-            for lam in partitions_of(a):
-                for mu in partitions_of(b):
-                    report.checked += 1
-                    whole = tables[_merge_labels(lam, mu)]
+        for b in range(a, max_degree - a + 1):
+            for i, lam in enumerate(partitions_of(a)):
+                for k, mu in enumerate(partitions_of(b)):
+                    if a == b and k < i:
+                        continue  # the pair was visited as (mu, lam)
+                    inputs = [((a, b), (i, k), lam, mu)]
+                    if a != b or i != k:
+                        inputs.append(((b, a), (k, i), mu, lam))
+                    report.checked += len(inputs)
+                    wholes = [tables[_merge_labels(x, y)] for _, _, x, y in inputs]
                     xs, ys = tables[lam], tables[mu]
                     for j in range(a + b + 1):
                         right = {}
@@ -103,17 +120,21 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
                             group = ys[j - u].items()
                             for k1, c1 in xs[u].items():
                                 for k2, c2 in group:
-                                    k = k1 + k2
-                                    right[k] = get(k, 0) + c1 * c2
-                        # whole[j] has no zero coefficient: compare raw first
-                        if whole[j] != right and whole[j] != _nonzero(right):
+                                    k12 = k1 + k2
+                                    right[k12] = get(k12, 0) + c1 * c2
+                        for (degrees, index, x, y), whole in zip(inputs, wholes):
+                            # whole[j] has no zero coefficient: compare raw first
+                            if whole[j] == right or whole[j] == _nonzero(right):
+                                continue
                             shape = (j, a + b - j)
-                            report.record(
-                                f"degrees a={a} b={b} component j={j}",
-                                f"h{list(lam)} (x) h{list(mu)}",
+                            failures.append(((degrees, index, j), (
+                                "degrees a={} b={} component j={}".format(*degrees, j),
+                                f"h{list(x)} (x) h{list(y)}",
                                 format_tensor(tables.tensor(shape, whole[j])),
                                 format_tensor(tables.tensor(shape, right)),
-                            )
+                            )))
+    for _, fields in sorted(failures):
+        report.record(*fields)
     return report
 
 
@@ -563,16 +584,6 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
     return _nonzero(out)
 
 
-def _coded_six_term_21(tables, shape, coeffs) -> dict:
-    """The (1,2) expansion of the reversed labels, each half-pair swapped."""
-    swap = tables.swap
-    reversed_coeffs = {label[::-1]: c for label, c in coeffs.items()}
-    return {
-        swap(k): c
-        for k, c in _coded_six_term_12(tables, shape[::-1], reversed_coeffs).items()
-    }
-
-
 def _require_positive(x: TensorElement, name: str):
     _require_triple(x)
     if 0 in x.shape:
@@ -599,11 +610,13 @@ def six_term_21(x: TensorElement) -> dict:
     """Mirror-image expansion for the pair-then-single bracketing.
 
     Obtained by reversing the slots, applying the (1,2) expansion and
-    mirroring the output pair.
+    swapping the halves of every output pair.
     """
     _require_positive(x, "six_term_21")
     tables = _CodedTables(sum(x.shape))
-    return tables.graded(_coded_six_term_21(tables, x.shape, x.coeffs))
+    reversed_coeffs = {label[::-1]: c for label, c in x.coeffs.items()}
+    mirrored = _coded_six_term_12(tables, x.shape[::-1], reversed_coeffs)
+    return tables.graded({tables.swap(k): c for k, c in mirrored.items()})
 
 
 def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
@@ -673,40 +686,65 @@ def check_bidegree12(max_total: int) -> list:
 def check_bidegree12_defect(max_total: int) -> VerificationReport:
     """Hopf defect against the six-term expansion, all tridegrees.
 
-    Compares the defect with the expansion (and its mirrored form) on
+    Compares the defect with the expansion under both bracketings on
     every h-basis input with a + b + c <= max_total, and checks that the
-    defect vanishes when some degree is zero.  All three are built as
-    pair codes of one ``_CodedTables``, which lives for this call only.
+    defect vanishes when some degree is zero.  All are built as pair
+    codes of one ``_CodedTables``, which lives for this call only.
+
+    A label x and its reverse, of tridegree (c,b,a), are visited
+    together: each one's (1,2) expansion, halves swapped, is the other's
+    (2,1) bracket, and a palindrome's own.  Every label still gets its
+    own defect.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
     tables = _CodedTables(max_total)
+    swap = tables.swap
+    failures = []  # (input-order key, failure fields)
     for a in range(max_total + 1):
         for b in range(max_total - a + 1):
-            for c in range(max_total - a - b + 1):
+            for c in range(a, max_total - a - b + 1):
                 shape = (a, b, c)
                 positive = min(shape) > 0
-                for label in product(*map(partitions_of, shape)):
-                    report.checked += 1
-                    coeffs = {label: 1}
-                    args = (tables, shape, coeffs)
-                    defect = _coded_defect(*args)
-                    if positive:
-                        expected = (
-                            ("bracket (1,2)", _coded_six_term_12(*args)),
-                            ("bracket (2,1)", _coded_six_term_21(*args)),
-                        )
-                    else:
-                        expected = (("zero branch", {}),)
-                    for case, expansion in expected:
-                        if defect != expansion:
-                            report.record(
-                                f"tridegree ({a},{b},{c}) {case}",
-                                format_tensor(TensorElement._trusted(shape, coeffs)),
-                                format_graded(tables.graded(defect)),
-                                format_graded(tables.graded(expansion)),
+                # each slot's label with its index in partitions_of: the
+                # indices order failures as the inputs come
+                for x in product(*(enumerate(partitions_of(d)) for d in shape)):
+                    if a == c and x[0] < x[2]:
+                        continue  # the pair was visited from its mirror
+                    pair = [(shape, x), (shape[::-1], x[::-1])]
+                    if a == c and x[0] == x[2]:
+                        del pair[1]  # a palindrome is its own mirror
+                    inputs = []
+                    for degrees, slots in pair:
+                        index, label = zip(*slots)
+                        args = (tables, degrees, {label: 1})
+                        inputs.append((
+                            degrees, index, label, _coded_defect(*args),
+                            _coded_six_term_12(*args) if positive else None,
+                        ))
+                    report.checked += len(inputs)
+                    for n, (degrees, index, label, defect, own) in enumerate(inputs):
+                        if positive:
+                            # the (2,1) bracket swaps the halves of the other
+                            # input's (1,2) expansion, or of a palindrome's own
+                            other = inputs[-1 - n][4]
+                            swapped = {swap(k): v for k, v in other.items()}
+                            expected = (
+                                ("bracket (1,2)", own), ("bracket (2,1)", swapped)
                             )
+                        else:
+                            expected = (("zero branch", {}),)
+                        for case, (name, value) in enumerate(expected):
+                            if defect != value:
+                                failures.append(((degrees, index, case), (
+                                    "tridegree ({},{},{}) {}".format(*degrees, name),
+                                    format_tensor(TensorElement.basis(label)),
+                                    format_graded(tables.graded(defect)),
+                                    format_graded(tables.graded(value)),
+                                )))
+    for _, fields in sorted(failures):
+        report.record(*fields)
     return report
 
 

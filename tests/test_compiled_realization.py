@@ -13,7 +13,7 @@ the realized tower words of :func:`tower_word`.
 import types
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -53,7 +53,9 @@ from hopflike.reports import VerificationReport
 from hopflike.symfunc import (
     TensorElement,
     default_realization,
+    format_graded,
     format_tensor,
+    partitions_of,
     tensor_comult_component,
     tensor_mult_slots,
     tensor_permute,
@@ -290,6 +292,175 @@ def test_survival_fault_reaches_a_positive_bracket(monkeypatch):
     assert brackets and all(
         min(map(int, t.strip("()").split(","))) > 0 for t in brackets
     )
+
+
+# --- the coalgebra sweeps value mirror-image inputs together -------------------
+
+
+def reference_hopf_report(max_degree):
+    """``check_hopf_compat``'s report with one visit per ordered input:
+    (lam, mu) and (mu, lam) each build their own shuffled product."""
+    report = VerificationReport("hopf-compat", {"max_degree": max_degree})
+    tables = symfunc._CodedTables(max_degree)
+    for a in range(max_degree + 1):
+        for b in range(max_degree - a + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    report.checked += 1
+                    whole = tables[hopfverify._merge_labels(lam, mu)]
+                    xs, ys = tables[lam], tables[mu]
+                    for j in range(a + b + 1):
+                        right = {}
+                        for u in range(max(0, j - b), min(a, j) + 1):
+                            for k1, c1 in xs[u].items():
+                                for k2, c2 in ys[j - u].items():
+                                    right[k1 + k2] = right.get(k1 + k2, 0) + c1 * c2
+                        if whole[j] != {k: v for k, v in right.items() if v}:
+                            shape = (j, a + b - j)
+                            report.record(
+                                f"degrees a={a} b={b} component j={j}",
+                                f"h{list(lam)} (x) h{list(mu)}",
+                                format_tensor(tables.tensor(shape, whole[j])),
+                                format_tensor(tables.tensor(shape, right)),
+                            )
+    return report
+
+
+def reference_bidegree12_report(max_total):
+    """``check_bidegree12_defect``'s report with one visit per input: each
+    label's (2,1) bracket is the swapped (1,2) expansion of its reverse,
+    computed again for that label alone."""
+    report = VerificationReport("bidegree12-defect", {"max_total": max_total})
+    tables = symfunc._CodedTables(max_total)
+    for a in range(max_total + 1):
+        for b in range(max_total - a + 1):
+            for c in range(max_total - a - b + 1):
+                shape = (a, b, c)
+                for label in product(*map(partitions_of, shape)):
+                    report.checked += 1
+                    coeffs = {label: 1}
+                    defect = hopfverify._coded_defect(tables, shape, coeffs)
+                    if min(shape) > 0:
+                        mirrored = hopfverify._coded_six_term_12(
+                            tables, shape[::-1], {label[::-1]: 1}
+                        )
+                        expected = (
+                            ("bracket (1,2)",
+                             hopfverify._coded_six_term_12(tables, shape, coeffs)),
+                            ("bracket (2,1)",
+                             {tables.swap(k): v for k, v in mirrored.items()}),
+                        )
+                    else:
+                        expected = (("zero branch", {}),)
+                    for case, expansion in expected:
+                        if defect != expansion:
+                            report.record(
+                                f"tridegree ({a},{b},{c}) {case}",
+                                format_tensor(TensorElement._trusted(shape, coeffs)),
+                                format_graded(tables.graded(defect)),
+                                format_graded(tables.graded(expansion)),
+                            )
+    return report
+
+
+def six_term_fault(monkeypatch):
+    """Add one to every coefficient of the (1,2) expansion on tridegrees
+    with a > c, so only the (2,1) bracket of their mirrors reads it."""
+    real = hopfverify._coded_six_term_12
+
+    def faulty(tables, shape, coeffs):
+        out = real(tables, shape, coeffs)
+        return {k: v + 1 for k, v in out.items()} if shape[0] > shape[2] else out
+
+    monkeypatch.setattr(hopfverify, "_coded_six_term_12", faulty)
+
+
+def h21_fault(monkeypatch):
+    """Add one to the h[1] (x) h[1,1] coefficient of the coproduct of h[2,1]."""
+    real = symfunc._comult_table
+
+    def corrupted(lam):
+        table = real(lam)
+        if lam != (2, 1):
+            return table
+        return tuple(
+            tuple(
+                (mu, nu, c + 1 if u == 1 and (mu, nu) == ((1,), (1, 1)) else c)
+                for mu, nu, c in group
+            )
+            for u, group in enumerate(table)
+        )
+
+    monkeypatch.setattr(symfunc, "_comult_table", corrupted)
+
+
+def merge_order_fault(monkeypatch):
+    """Multiply h[2] by h[1], in that order only, into h[1,1,1]."""
+    real = hopfverify._merge_labels
+
+    def faulty(lam, mu):
+        return (1, 1, 1) if (lam, mu) == ((2,), (1,)) else real(lam, mu)
+
+    monkeypatch.setattr(hopfverify, "_merge_labels", faulty)
+
+
+@pytest.mark.parametrize(
+    "inject, hopf_failures, bidegree_failures",
+    [
+        pytest.param(None, 0, 0, id="true"),
+        pytest.param(comult_fault, 87, 63, id="comult"),
+        pytest.param(survival_fault, 0, 174, id="survival"),
+        pytest.param(six_term_fault, 0, 64, id="six-term"),
+        pytest.param(h21_fault, 38, 59, id="h21"),
+        # (h[2], h[1]) and (h[1], h[2]) share a product but not a whole
+        pytest.param(merge_order_fault, 4, 2, id="merge-order"),
+    ],
+)
+def test_paired_coalgebra_sweeps_match_unpaired_reports(
+    monkeypatch, inject, hopf_failures, bidegree_failures
+):
+    if inject:
+        inject(monkeypatch)
+    for sweep, reference, failures in [
+        (check_hopf_compat, reference_hopf_report, hopf_failures),
+        (check_bidegree12_defect, reference_bidegree12_report, bidegree_failures),
+    ]:
+        got, want = sweep(6), reference(6)
+        assert got.checked == want.checked
+        assert got.failures == want.failures and len(got.failures) == failures
+
+
+def test_six_term_fault_shows_in_the_mirrored_bracket_alone(monkeypatch):
+    # only inputs with a > c get a wrong expansion: it fails their own
+    # (1,2) bracket and the (2,1) bracket of their mirrors, whose (1,2)
+    # brackets pass
+    six_term_fault(monkeypatch)
+    failures = check_bidegree12_defect(6).failures
+    assert failures[0].instance == "tridegree (1,1,2) bracket (2,1)"
+    for f in failures:
+        a, _, c = map(int, f.instance.split()[1].strip("()").split(","))
+        assert f.instance.endswith("bracket (1,2)" if a > c else "bracket (2,1)")
+
+
+def test_bidegree_sweep_values_each_label_once(monkeypatch):
+    calls = dict.fromkeys(["_coded_defect", "_coded_six_term_12"], 0)
+    for name in calls:
+        real = getattr(hopfverify, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hopfverify, name, counted)
+    report = check_bidegree12_defect(6)
+    positive = sum(
+        len(partitions_of(a)) * len(partitions_of(b)) * len(partitions_of(c))
+        for a, b, c in product(range(1, 7), repeat=3)
+        if a + b + c <= 6
+    )
+    assert report.passed and report.checked == 415
+    assert calls == {"_coded_defect": 415, "_coded_six_term_12": positive}
+    assert not hasattr(hopfverify, "_coded_six_term_21")
 
 
 # --- the relation sweeps' step tables -----------------------------------------
