@@ -33,18 +33,22 @@ return values and to format a failure.  The width cannot be checked by
 the sweeps themselves: too narrow a field would merge labels on both
 sides alike, so ``tests/test_symfunc.py`` pins it.
 
-Both sweeps visit an input together with its mirror image and value
-what the two share once: the shuffled product of (x, y) and (y, x) in
-the Hopf sweep, and in the defect sweep the (1,2) expansion of a label
-and of its reverse, each the other's (2,1) bracket.  Every input is
-still compared on its own, and failures are buffered with their
-input-order key and recorded in input order.
+Both sweeps value once what several inputs share.  The Hopf sweep
+builds the shuffled product of (x, y) and (y, x) once.  The defect sweep
+visits each multiset of three slot labels once.  Its arrangements share
+one product of the slots' comultiplications, because codes add and the
+survival rule is symmetric; an arrangement whose surviving triples are
+not the representative's reordered builds its own.  Each arrangement's
+(1,2) expansion, halves swapped, is its reverse's (2,1) bracket.  Every
+input still gets its own merged-label subtraction and its own
+comparisons, and failures are buffered with their input-order key and
+recorded in input order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 
 from .compositions import (
     Composition,
@@ -497,29 +501,58 @@ def modified_mult_12(x: TensorElement) -> SymElement:
     return SymElement(sum(x.shape), "h", coeffs)
 
 
+def _coded_product(tables, shape, label) -> dict:
+    """The first composite of the defect on one label, as pair codes.
+
+    Sums t1[u1] * t2[u2] * t3[u3] over ``_surviving_triples(shape)``,
+    t_i being slot i's coded table: a surviving product merges all three
+    labels, as in ``_modified_product_label``, and merging adds codes.
+    Zero coefficients are kept.
+    """
+    out = {}
+    get = out.get
+    t1, t2, t3 = (tables[lam] for lam in label)
+    for u1, u2, u3 in _surviving_triples(shape):
+        g2, g3 = t2[u2].items(), t3[u3].items()
+        for k1, c1 in t1[u1].items():
+            for k2, c2 in g2:
+                k12, c12 = k1 + k2, c1 * c2
+                for k3, c3 in g3:
+                    k = k12 + k3
+                    out[k] = get(k, 0) + c12 * c3
+    return out
+
+
+def _label_defect(tables, shape, label, composite) -> dict:
+    """The defect of one label from its first composite, the
+    :func:`_coded_product` ``composite``, which is left as it is: minus
+    comult of the modified product, without zero coefficients.  When the
+    two are equal, as on every zero tridegree of a correct table, one
+    dict comparison settles it."""
+    merged = _modified_product_label(label, shape)
+    if merged is None:
+        return _nonzero(composite)
+    whole = {}
+    for group in tables[merged]:
+        whole.update(group)  # groups are disjoint: a code holds its bidegree
+    if whole == composite:
+        return {}
+    out = dict(composite)
+    get = out.get
+    for k, d in whole.items():
+        out[k] = get(k, 0) - d
+    return _nonzero(out)
+
+
 def _coded_defect(tables, shape, coeffs) -> dict:
     """:func:`hopf_defect_12` of {label triple: coeff} on ``shape``, as
     pair codes without zero coefficients."""
     out = {}
     get = out.get
-    triples = _surviving_triples(shape)
     for label, co in coeffs.items():
-        t1, t2, t3 = (tables[lam] for lam in label)
-        for u1, u2, u3 in triples:
-            # a surviving product merges all three labels, as in
-            # _modified_product_label: merging adds codes
-            g2, g3 = t2[u2].items(), t3[u3].items()
-            for k1, c1 in t1[u1].items():
-                for k2, c2 in g2:
-                    k12, c12 = k1 + k2, co * c1 * c2
-                    for k3, c3 in g3:
-                        k = k12 + k3
-                        out[k] = get(k, 0) + c12 * c3
-        merged = _modified_product_label(label, shape)
-        if merged is not None:
-            for group in tables[merged]:
-                for k, d in group.items():
-                    out[k] = get(k, 0) - co * d
+        composite = _coded_product(tables, shape, label)
+        for k, c in _label_defect(tables, shape, label, composite).items():
+            out[k] = get(k, 0) + co * c
     return _nonzero(out)
 
 
@@ -537,6 +570,11 @@ def hopf_defect_12(x: TensorElement) -> dict:
     product's own degree rule, not from the six patterns, so the defect
     stays independent of ``six_term_12`` and ``check_six_cases``, which
     it is checked against.  On a zero tridegree every triple survives.
+
+    Each label's expansion is :func:`_coded_product` and its subtraction
+    :func:`_label_defect`.  ``check_bidegree12_defect`` calls the same
+    two, sharing a product among the arrangements of one label multiset
+    when their survivors agree, and subtracting for every label.
     """
     _require_triple(x)
     tables = _CodedTables(sum(x.shape))
@@ -691,58 +729,77 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
     defect vanishes when some degree is zero.  All are built as pair
     codes of one ``_CodedTables``, which lives for this call only.
 
-    A label x and its reverse, of tridegree (c,b,a), are visited
-    together: each one's (1,2) expansion, halves swapped, is the other's
-    (2,1) bracket, and a palindrome's own.  Every label still gets its
-    own defect.
+    Inputs are visited by multiset of their three slot labels.  Codes
+    add and the survival rule is symmetric, so every arrangement of a
+    multiset has the same :func:`_coded_product`, and it is built once.
+    An arrangement shares it only when its ``_surviving_triples`` are
+    the representative's with their slots reordered, checked once per
+    (shape, order) in this call; otherwise it builds its own.  Every
+    arrangement still gets its own merged-label subtraction and its own
+    comparisons.  Its (2,1) bracket is the (1,2) expansion of its
+    reverse, another arrangement of the same multiset, with halves
+    swapped.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
     tables = _CodedTables(max_total)
     swap = tables.swap
+    # (degree, index in partitions_of, label), by degree: the indices
+    # order failures as the inputs come
+    slots = [
+        (d, i, lam)
+        for d in range(max_total + 1)
+        for i, lam in enumerate(partitions_of(d))
+    ]
+    shares = {}  # (representative shape, order): may it share the product
     failures = []  # (input-order key, failure fields)
-    for a in range(max_total + 1):
-        for b in range(max_total - a + 1):
-            for c in range(a, max_total - a - b + 1):
-                shape = (a, b, c)
-                positive = min(shape) > 0
-                # each slot's label with its index in partitions_of: the
-                # indices order failures as the inputs come
-                for x in product(*(enumerate(partitions_of(d)) for d in shape)):
-                    if a == c and x[0] < x[2]:
-                        continue  # the pair was visited from its mirror
-                    pair = [(shape, x), (shape[::-1], x[::-1])]
-                    if a == c and x[0] == x[2]:
-                        del pair[1]  # a palindrome is its own mirror
-                    inputs = []
-                    for degrees, slots in pair:
-                        index, label = zip(*slots)
-                        args = (tables, degrees, {label: 1})
-                        inputs.append((
-                            degrees, index, label, _coded_defect(*args),
-                            _coded_six_term_12(*args) if positive else None,
-                        ))
-                    report.checked += len(inputs)
-                    for n, (degrees, index, label, defect, own) in enumerate(inputs):
-                        if positive:
-                            # the (2,1) bracket swaps the halves of the other
-                            # input's (1,2) expansion, or of a palindrome's own
-                            other = inputs[-1 - n][4]
-                            swapped = {swap(k): v for k, v in other.items()}
-                            expected = (
-                                ("bracket (1,2)", own), ("bracket (2,1)", swapped)
-                            )
-                        else:
-                            expected = (("zero branch", {}),)
-                        for case, (name, value) in enumerate(expected):
-                            if defect != value:
-                                failures.append(((degrees, index, case), (
-                                    "tridegree ({},{},{}) {}".format(*degrees, name),
-                                    format_tensor(TensorElement.basis(label)),
-                                    format_graded(tables.graded(defect)),
-                                    format_graded(tables.graded(value)),
-                                )))
+    for n1, x in enumerate(slots):
+        for n2, y in enumerate(islice(slots, n1, None), n1):
+            for z in islice(slots, n2, None):
+                if x[0] + y[0] + z[0] > max_total:
+                    break
+                rep = (x, y, z)
+                inputs = {}  # each arrangement: its order of rep's slots, unzipped
+                for order in permutations(range(3)):
+                    arranged = tuple(rep[p] for p in order)
+                    inputs.setdefault(arranged, (order, *zip(*arranged)))
+                report.checked += len(inputs)
+                rep_shape, _, rep_label = zip(*rep)
+                shared = _coded_product(tables, rep_shape, rep_label)
+                positive = min(rep_shape) > 0
+                expansions = {
+                    arranged: _coded_six_term_12(tables, degrees, {label: 1})
+                    for arranged, (_, degrees, _, label) in inputs.items()
+                    if positive
+                }
+                for arranged, (order, degrees, index, label) in inputs.items():
+                    key = (rep_shape, order)
+                    if key not in shares:
+                        shares[key] = set(_surviving_triples(degrees)) == {
+                            tuple(u[p] for p in order)
+                            for u in _surviving_triples(rep_shape)
+                        }
+                    composite = shared if shares[key] else _coded_product(
+                        tables, degrees, label
+                    )
+                    defect = _label_defect(tables, degrees, label, composite)
+                    if positive:
+                        mirrored = expansions[arranged[::-1]]
+                        expected = (
+                            ("bracket (1,2)", expansions[arranged]),
+                            ("bracket (2,1)", {swap(k): v for k, v in mirrored.items()}),
+                        )
+                    else:
+                        expected = (("zero branch", {}),)
+                    for case, (name, value) in enumerate(expected):
+                        if defect != value:
+                            failures.append(((degrees, index, case), (
+                                "tridegree ({},{},{}) {}".format(*degrees, name),
+                                format_tensor(TensorElement.basis(label)),
+                                format_graded(tables.graded(defect)),
+                                format_graded(tables.graded(value)),
+                            )))
     for _, fields in sorted(failures):
         report.record(*fields)
     return report

@@ -181,16 +181,27 @@ def label_fault(monkeypatch):
     monkeypatch.setattr(symfunc, "_merge_labels", faulty)
 
 
-def survival_fault(monkeypatch):
-    """Let a triple product whose three degrees are all 1 survive."""
+def also_survives(monkeypatch, extra):
+    """Let the triple product of slot degrees ``extra`` survive too."""
     real = hopfverify._survives
     monkeypatch.setattr(
-        hopfverify, "_survives", lambda degrees: real(degrees) or degrees == (1, 1, 1)
+        hopfverify, "_survives", lambda degrees: real(degrees) or degrees == extra
     )
     # The survivor memo is process-wide: the fault gets a fresh one, so a
     # sweep run before cannot hide it and it does not outlive the test.
     fresh = lru_cache(maxsize=None)(hopfverify._surviving_triples.__wrapped__)
     monkeypatch.setattr(hopfverify, "_surviving_triples", fresh)
+
+
+def survival_fault(monkeypatch):
+    """Let a triple product whose three degrees are all 1 survive."""
+    also_survives(monkeypatch, (1, 1, 1))
+
+
+def asymmetric_survival_fault(monkeypatch):
+    """Let the triple product of degrees (1,2,1), in that slot order only,
+    survive: arrangements of one label multiset then differ in survivors."""
+    also_survives(monkeypatch, (1, 2, 1))
 
 
 def sigma_fault(monkeypatch):
@@ -262,6 +273,7 @@ FAULT_CASES = [
     ("hopf-3", comult_fault, "degrees a=1 b=2 component j=1"),
     ("bidegree12-4", comult_fault, "tridegree (0,1,2) zero branch"),
     ("bidegree12-4", survival_fault, "tridegree (1,1,1) bracket (1,2)"),
+    ("bidegree12-4", asymmetric_survival_fault, "tridegree (1,2,1) bracket (1,2)"),
 ]
 
 
@@ -414,6 +426,9 @@ def merge_order_fault(monkeypatch):
         pytest.param(h21_fault, 38, 59, id="h21"),
         # (h[2], h[1]) and (h[1], h[2]) share a product but not a whole
         pytest.param(merge_order_fault, 4, 2, id="merge-order"),
+        # (1,2,1) has survivors that (1,1,2) and (2,1,1) lack, so its
+        # labels cannot share a product with their rearrangements
+        pytest.param(asymmetric_survival_fault, 0, 100, id="asymmetric-survival"),
     ],
 )
 def test_paired_coalgebra_sweeps_match_unpaired_reports(
@@ -443,7 +458,9 @@ def test_six_term_fault_shows_in_the_mirrored_bracket_alone(monkeypatch):
 
 
 def test_bidegree_sweep_values_each_label_once(monkeypatch):
-    calls = dict.fromkeys(["_coded_defect", "_coded_six_term_12"], 0)
+    # one product per multiset of slot labels, one expansion per positive
+    # label, and every label checked
+    calls = dict.fromkeys(["_coded_product", "_coded_six_term_12"], 0)
     for name in calls:
         real = getattr(hopfverify, name)
 
@@ -453,13 +470,18 @@ def test_bidegree_sweep_values_each_label_once(monkeypatch):
 
         monkeypatch.setattr(hopfverify, name, counted)
     report = check_bidegree12_defect(6)
+    labels = [lam for d in range(7) for lam in partitions_of(d)]
+    multisets = {
+        tuple(sorted(x)) for x in product(labels, repeat=3) if sum(map(sum, x)) <= 6
+    }
     positive = sum(
         len(partitions_of(a)) * len(partitions_of(b)) * len(partitions_of(c))
         for a, b, c in product(range(1, 7), repeat=3)
         if a + b + c <= 6
     )
     assert report.passed and report.checked == 415
-    assert calls == {"_coded_defect": 415, "_coded_six_term_12": positive}
+    assert len(multisets) == 97 and positive == 87
+    assert calls == {"_coded_product": len(multisets), "_coded_six_term_12": positive}
     assert not hasattr(hopfverify, "_coded_six_term_21")
 
 
