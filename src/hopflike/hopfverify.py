@@ -20,29 +20,8 @@ covers them, which makes the expansion equal the defect exactly.
 
 The two coalgebra sweeps, Hopf compatibility and the bidegree-(1,2)
 defect, work on additive integer codes of h-basis labels
-(``symfunc._CodedTables``).  A partition lambda gets the code
-sum over p of m_p(lambda) * 2**(W * (p - 1)), m_p(lambda) being the
-number of parts equal to p, and a pair (mu, nu) gets
-code(mu) + code(nu) * 2**H.  Merging labels is then one integer add,
-and a sweep compares plain {code: coeff} dicts.  The width is
-W = d.bit_length() and H = W * d, where d is the sweep's degree bound,
-or the element's total degree when a public function is called
-directly: no multiplicity of a label of degree at most d reaches 2**W,
-so fields never carry.  Codes are decoded to ``TensorElement`` only in
-return values and to format a failure.  The width cannot be checked by
-the sweeps themselves: too narrow a field would merge labels on both
-sides alike, so ``tests/test_symfunc.py`` pins it.
-
-Both sweeps value once what several inputs share.  The Hopf sweep
-builds the shuffled product of (x, y) and (y, x) once.  The defect sweep
-visits each multiset of three slot labels once.  Its arrangements share
-one product of the slots' comultiplications, because codes add and the
-survival rule is symmetric; an arrangement whose surviving triples are
-not the representative's reordered builds its own.  Each arrangement's
-(1,2) expansion, halves swapped, is its reverse's (2,1) bracket.  Every
-input still gets its own merged-label subtraction and its own
-comparisons, and failures are buffered with their input-order key and
-recorded in input order.
+(``symfunc._CodedTables``) and value once what several inputs share;
+README.md describes both.
 """
 
 from __future__ import annotations
@@ -471,6 +450,9 @@ def _modified_product_label(labels, degrees):
     return _merge_labels(l1, l2 + l3)
 
 
+_TRIPLES = {}  # one tuple per left-degree triple, shared by all shapes
+
+
 @lru_cache(maxsize=None)
 def _surviving_triples(shape) -> tuple:
     """Left-degree triples u of a tridegree whose two halves both survive.
@@ -480,7 +462,7 @@ def _surviving_triples(shape) -> tuple:
     """
     a, b, c = shape
     return tuple(
-        u
+        _TRIPLES.setdefault(u, u)
         for u in product(range(a + 1), range(b + 1), range(c + 1))
         if _survives(u) and _survives((a - u[0], b - u[1], c - u[2]))
     )
@@ -524,17 +506,12 @@ def _coded_product(tables, shape, label) -> dict:
 
 
 def _label_defect(tables, shape, label, composite) -> dict:
-    """The defect of one label from its first composite, the
-    :func:`_coded_product` ``composite``, which is left as it is: minus
-    comult of the modified product, without zero coefficients.  When the
-    two are equal, as on every zero tridegree of a correct table, one
-    dict comparison settles it."""
+    """``composite`` (:func:`_coded_product`, left as it is) minus comult
+    of the modified product, without zero coefficients."""
     merged = _modified_product_label(label, shape)
     if merged is None:
         return _nonzero(composite)
-    whole = {}
-    for group in tables[merged]:
-        whole.update(group)  # groups are disjoint: a code holds its bidegree
+    whole = tables.whole(merged)
     if whole == composite:
         return {}
     out = dict(composite)
@@ -572,9 +549,7 @@ def hopf_defect_12(x: TensorElement) -> dict:
     it is checked against.  On a zero tridegree every triple survives.
 
     Each label's expansion is :func:`_coded_product` and its subtraction
-    :func:`_label_defect`.  ``check_bidegree12_defect`` calls the same
-    two, sharing a product among the arrangements of one label multiset
-    when their survivors agree, and subtracting for every label.
+    :func:`_label_defect`, as in ``check_bidegree12_defect``.
     """
     _require_triple(x)
     tables = _CodedTables(sum(x.shape))
@@ -584,18 +559,17 @@ def hopf_defect_12(x: TensorElement) -> dict:
 def _coded_six_term_12(tables, shape, coeffs) -> dict:
     """The six-map expansion of {label triple: coeff}, as pair codes.
 
-    Each map comultiplies one slot and multiplies the other two labels
-    into the halves, so a term's code is the splitting's code plus the
-    code of the pair those two labels make.  Zero coefficients are
-    dropped.
+    A term's code is a splitting's code plus the pair code of the other
+    two labels.  Zero coefficients are kept.
     """
     a = shape[0]
-    pair, swap = tables.pair_code, tables.swap
+    code, shift, swap = tables.code, tables.shift, tables.swap
     out = {}
     get = out.get
     for (lx, ly, lz), co in coeffs.items():
+        cx, cy, cz = code(lx), code(ly), code(lz)
         # (1): x z1 (x) y z2 and (2): y z1 (x) x z2, full range
-        o1, o2 = pair(lx, ly), pair(ly, lx)
+        o1, o2 = cx + (cy << shift), cy + (cx << shift)
         for group in tables[lz]:
             for k, c in group.items():
                 c *= co
@@ -603,7 +577,7 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
                 out[k + o2] = get(k + o2, 0) + c
         # (3): x y1 (x) z y2; v=0 corner already in (1)
         # (4): z y2 (x) y1 x, (3) swapped; the |y1|=0 corner already in (2)
-        o3 = pair(lx, lz)
+        o3 = cx + (cz << shift)
         for group in tables[ly][1:]:
             for k, c in group.items():
                 c *= co
@@ -613,13 +587,13 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
                 out[k] = get(k, 0) + c
         # (5): x1 y (x) x2 z; u=0 corner in (2), u=a corner in (3)
         # (6): x1 z (x) x2 y; u=0 corner in (4), u=a corner in (1)
-        o5, o6 = pair(ly, lz), pair(lz, ly)
+        o5, o6 = cy + (cz << shift), cz + (cy << shift)
         for group in tables[lx][1:a]:
             for k, c in group.items():
                 c *= co
                 out[k + o5] = get(k + o5, 0) + c
                 out[k + o6] = get(k + o6, 0) + c
-    return _nonzero(out)
+    return out
 
 
 def _require_positive(x: TensorElement, name: str):
@@ -654,7 +628,7 @@ def six_term_21(x: TensorElement) -> dict:
     tables = _CodedTables(sum(x.shape))
     reversed_coeffs = {label[::-1]: c for label, c in x.coeffs.items()}
     mirrored = _coded_six_term_12(tables, x.shape[::-1], reversed_coeffs)
-    return tables.graded({tables.swap(k): c for k, c in mirrored.items()})
+    return tables.graded(tables.swapped(mirrored))
 
 
 def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
@@ -726,25 +700,17 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
 
     Compares the defect with the expansion under both bracketings on
     every h-basis input with a + b + c <= max_total, and checks that the
-    defect vanishes when some degree is zero.  All are built as pair
-    codes of one ``_CodedTables``, which lives for this call only.
+    defect vanishes when some degree is zero.
 
-    Inputs are visited by multiset of their three slot labels.  Codes
-    add and the survival rule is symmetric, so every arrangement of a
-    multiset has the same :func:`_coded_product`, and it is built once.
-    An arrangement shares it only when its ``_surviving_triples`` are
-    the representative's with their slots reordered, checked once per
-    (shape, order) in this call; otherwise it builds its own.  Every
-    arrangement still gets its own merged-label subtraction and its own
-    comparisons.  Its (2,1) bracket is the (1,2) expansion of its
-    reverse, another arrangement of the same multiset, with halves
-    swapped.
+    Inputs are visited by multiset of their three slot labels, whose
+    arrangements share one :func:`_coded_product` when their
+    ``_surviving_triples`` are the representative's reordered.  An
+    arrangement's (2,1) bracket is its reverse's (1,2) expansion, swapped.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
     tables = _CodedTables(max_total)
-    swap = tables.swap
     # (degree, index in partitions_of, label), by degree: the indices
     # order failures as the inputs come
     slots = [
@@ -788,12 +754,13 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
                         mirrored = expansions[arranged[::-1]]
                         expected = (
                             ("bracket (1,2)", expansions[arranged]),
-                            ("bracket (2,1)", {swap(k): v for k, v in mirrored.items()}),
+                            ("bracket (2,1)", tables.swapped(mirrored)),
                         )
                     else:
                         expected = (("zero branch", {}),)
                     for case, (name, value) in enumerate(expected):
-                        if defect != value:
+                        # the expansions keep zeros: compare raw first
+                        if defect != value and defect != _nonzero(value):
                             failures.append(((degrees, index, case), (
                                 "tridegree ({},{},{}) {}".format(*degrees, name),
                                 format_tensor(TensorElement.basis(label)),

@@ -84,13 +84,17 @@ def sort_parts(parts) -> tuple:
     return tuple(sorted((p for p in parts if p > 0), reverse=True))
 
 
+_LABELS = {}  # one tuple per merged label, shared by all pairs giving it
+
+
 @lru_cache(maxsize=None)
 def _merge_labels(lam, mu):
     """The h-basis product label of h_lam h_mu: the parts of both, re-sorted.
 
     Memoized: the sweeps merge few distinct label pairs very many times.
     """
-    return tuple(sorted(lam + mu, reverse=True))
+    merged = tuple(sorted(lam + mu, reverse=True))
+    return _LABELS.setdefault(merged, merged)
 
 
 @lru_cache(maxsize=None)
@@ -691,9 +695,9 @@ class _CodedTables(dict):
     code.  A product of pair tensors is then a sum of codes.
 
     ``tables[lam]`` is ``_comult_table(lam)`` group by group, each group a
-    dict {pair code: coeff} without zero coefficients.  The table is read
-    from the module attribute on each miss, and the memo lives as long as
-    this dict: one sweep.
+    dict {pair code: coeff} without zero coefficients, read from the
+    module attribute on each miss.  ``code(lam)`` and ``whole(lam)`` are
+    memos too.  All three live as long as this dict: one sweep.
     """
 
     def __init__(self, degree: int):
@@ -701,6 +705,8 @@ class _CodedTables(dict):
         self.width = degree.bit_length()
         self.shift = self.width * degree
         self.mask = (1 << self.shift) - 1
+        self._codes = {}
+        self._wholes = {}
 
     def __missing__(self, lam):
         pair = self.pair_code
@@ -710,13 +716,35 @@ class _CodedTables(dict):
         )
         return table
 
+    def code(self, lam) -> int:
+        """``_label_code(lam)`` at this width."""
+        try:
+            return self._codes[lam]
+        except KeyError:
+            code = self._codes[lam] = _label_code(lam, self.width)
+            return code
+
     def pair_code(self, mu, nu) -> int:
-        width = self.width
-        return _label_code(mu, width) + (_label_code(nu, width) << self.shift)
+        return self.code(mu) + (self.code(nu) << self.shift)
+
+    def whole(self, lam) -> dict:
+        """The union of ``self[lam]``'s groups, which are disjoint."""
+        try:
+            return self._wholes[lam]
+        except KeyError:
+            whole = self._wholes[lam] = {}
+            for group in self[lam]:
+                whole.update(group)
+            return whole
 
     def swap(self, code: int) -> int:
         """The code of (nu, mu) from that of (mu, nu)."""
         return (code >> self.shift) + ((code & self.mask) << self.shift)
+
+    def swapped(self, coeffs: dict) -> dict:
+        """``coeffs`` with every code swapped."""
+        shift, mask = self.shift, self.mask
+        return {(k >> shift) + ((k & mask) << shift): c for k, c in coeffs.items()}
 
     def tensor(self, shape, coeffs: dict) -> TensorElement:
         """{pair code: coeff} as a two-slot element of ``shape``."""

@@ -291,6 +291,20 @@ def test_injected_fault_is_reported(monkeypatch, sweep, inject, instance):
     assert failures and failures[0].instance == instance
 
 
+def test_surviving_triples_share_one_tuple_per_triple():
+    # the box filter, with each equal triple held once across all shapes
+    held = {}
+    for shape in product(range(6), repeat=3):
+        got = hopfverify._surviving_triples(shape)
+        a, b, c = shape
+        assert got == tuple(
+            u for u in product(range(a + 1), range(b + 1), range(c + 1))
+            if 0 in u and 0 in (a - u[0], b - u[1], c - u[2])
+        ), shape
+        for u in got:
+            assert held.setdefault(u, u) is u, (shape, u)
+
+
 def test_survival_fault_reaches_a_positive_bracket(monkeypatch):
     # every tridegree with a zero keeps all its triples, so only a positive
     # one can show a wrong degree rule

@@ -1,6 +1,6 @@
 import json
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from pathlib import Path
 
 import pytest
@@ -356,6 +356,29 @@ def test_six_term_linear():
         right[key] = right.get(key, TensorElement.zero(key)) + 2 * el
     right = {k: v for k, v in right.items() if not v.is_zero}
     assert left == right
+
+
+def test_six_term_linear_on_label_differences():
+    # the coded expansion keeps zero coefficients, so cancelling terms of
+    # b1 - b2 must still leave the public dicts free of zeros
+    tridegrees = [
+        (a, b, c)
+        for a in range(1, 4) for b in range(1, 4) for c in range(1, 4)
+        if a + b + c <= 5
+    ]
+    for shape in tridegrees:
+        labels = list(product(*map(symfunc.partitions_of, shape)))
+        for l1, l2 in combinations(labels, 2):
+            b1, b2 = h_tensor(*l1), h_tensor(*l2)
+            for expand in (six_term_12, six_term_21):
+                got = expand(b1 - b2)
+                for el in got.values():
+                    assert el.coeffs and all(el.coeffs.values()), (shape, l1, l2)
+                want = dict(expand(b1))
+                for key, el in expand(b2).items():
+                    want[key] = want.get(key, TensorElement.zero(key)) - el
+                want = {k: v for k, v in want.items() if not v.is_zero}
+                assert got == want, (expand.__name__, l1, l2)
 
 
 def test_six_cases_pattern():

@@ -203,6 +203,47 @@ def test_pair_codes_add_like_merged_labels():
                 assert _decode_pair(k1 + k2, tables.width, tables.shift) == merged
 
 
+def test_merged_labels_share_one_tuple_per_label():
+    held = {}
+    labels = [lam for n in range(7) for lam in partitions_of(n)]
+    for lam, mu in itertools.product(labels, repeat=2):
+        merged = symfunc._merge_labels(lam, mu)
+        assert merged == tuple(sorted(lam + mu, reverse=True)), (lam, mu)
+        assert held.setdefault(merged, merged) is merged, (lam, mu)
+
+
+def test_label_code_memos_keep_their_own_width():
+    # one process, two widths: a memo must never serve the other width
+    narrow, wide = _CodedTables(7), _CodedTables(8)
+    labels = [lam for n in range(8) for lam in partitions_of(n)]
+    for tables, width in [(narrow, 3), (wide, 4), (narrow, 3)]:
+        for lam in labels:
+            assert tables.code(lam) == _label_code(lam, width), (width, lam)
+
+
+def test_whole_is_the_union_of_the_groups():
+    tables = _CodedTables(8)
+    for n in range(9):
+        for lam in partitions_of(n):
+            whole = tables.whole(lam)
+            union = {k: c for group in tables[lam] for k, c in group.items()}
+            assert whole == union, lam
+            assert len(whole) == sum(map(len, tables[lam])), lam
+            assert tables.whole(lam) is whole
+
+
+def test_swapped_swaps_every_code():
+    tables = _CodedTables(8)
+    coeffs = {
+        tables.pair_code(mu, nu): len(mu) - 2 * len(nu)
+        for n in range(9)
+        for u in range(n + 1)
+        for mu in partitions_of(u)
+        for nu in partitions_of(n - u)
+    }
+    assert tables.swapped(coeffs) == {tables.swap(k): c for k, c in coeffs.items()}
+
+
 def test_coded_tables_decode_to_the_comult_table():
     tables = _CodedTables(8)
     for n in range(9):
