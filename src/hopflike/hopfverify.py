@@ -134,7 +134,7 @@ def _coarse_route_word(alpha, beta, gamma) -> MorphismWord:
     return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
 
 
-def _route_comparison(alpha, beta, gamma):
+def _route_comparison(alpha, beta, gamma, expansions: dict):
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
     The route is realized once, and evaluated once per basis element:
@@ -143,7 +143,8 @@ def _route_comparison(alpha, beta, gamma):
     ``(element, towers_sum, route)`` for each basis element of A(alpha)
     on which the group's summed towers differ from the route.  The
     towers are evaluated as one map, ``PshRealization._summed_towers``,
-    which builds no word and whose row memo lives only for one group.
+    which builds no word and memoizes row expansions in ``expansions``:
+    one dict per sweep, shared by all of the sweep's groups.
     """
     real = default_realization()
     route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
@@ -151,7 +152,7 @@ def _route_comparison(alpha, beta, gamma):
     routes = [None] * len(basis)
 
     def mismatches(matrices):
-        towers = real._summed_towers(alpha.parts, beta.parts, matrices)
+        towers = real._summed_towers(alpha.parts, beta.parts, matrices, expansions)
         for i, el in enumerate(basis):
             total = towers(el)
             if routes[i] is None:
@@ -189,7 +190,7 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
     )
     gamma = Composition([alpha.sum]) if alpha.sum else Composition()
     matrices = enumerate_matrices(alpha, beta)
-    mismatches = _route_comparison(alpha, beta, gamma)
+    mismatches = _route_comparison(alpha, beta, gamma, {})
     if reading == "summed":
         report.checked += len(default_realization().tensor_basis(alpha))
         instance = (
@@ -331,6 +332,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
         for n in range(1, max_sum + 1)
         for c in enumerate_compositions(n, max_len)
     ]
+    expansions = {}
     for alpha in comps:
         for beta in comps:
             if beta.sum != alpha.sum:
@@ -342,7 +344,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
                     report,
                     f"mixed alpha={alpha} beta={beta} gamma={gamma} "
                     f"#K={len(group)}",
-                    _route_comparison(alpha, beta, gamma)(group),
+                    _route_comparison(alpha, beta, gamma, expansions)(group),
                 )
     return report
 
@@ -356,13 +358,14 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     totals.  Every group comes from :func:`_factoring_matrices`.
     """
     report = VerificationReport("worked-examples", {"max_n": max_n})
+    expansions = {}
 
     def run_case(alpha, beta, gamma, tag):
         report.checked += 1
         _record_first(
             report,
             f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
-            _route_comparison(alpha, beta, gamma)(
+            _route_comparison(alpha, beta, gamma, expansions)(
                 _factoring_matrices(alpha, beta, gamma)
             ),
         )

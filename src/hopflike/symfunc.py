@@ -838,7 +838,9 @@ class PshRealization:
         return RealizedMap(domain_shape, codomain_shape, fn)
 
     @staticmethod
-    def _summed_towers(domain_shape, codomain_shape, matrices) -> RealizedMap:
+    def _summed_towers(
+        domain_shape, codomain_shape, matrices, expansions: dict
+    ) -> RealizedMap:
         """The towers of ``matrices`` summed, as one map A(domain) -> A(codomain).
 
         Each matrix must have row margins ``domain_shape`` and column
@@ -847,38 +849,35 @@ class PshRealization:
         first as the merge chain does; moves the pieces from row order
         to column order by ``slot_sources(transpose(K))``; and
         multiplies each column's run, rightmost pair first, as the split
-        chain does.  No word is built.  Row expansions are memoized by
-        (slot label, row) for the life of the map only.
+        chain does.  No word is built.  Row expansions are memoized in
+        ``expansions`` by (slot label, row); a sweep passes one dict to
+        all its groups, so the memo lives for one sweep.
         """
         towers = []
         for K in matrices:
-            sources = slot_sources(transpose(K))
+            KT = transpose(K)
+            sources = slot_sources(KT)
             runs, pos = [], 0
-            for j in range(K.ncols):
-                count = sum(1 for row in K.entries if row[j])
-                runs.append(sources[pos:pos + count])
-                pos += count
+            for col in KT.entries:
+                run = sources[pos:pos + len(col) - col.count(0)]
+                runs.append((run[-1], run[-2::-1]))
+                pos += len(run)
             rows = tuple(tuple(v for v in row if v) for row in K.entries)
             towers.append((rows, runs))
-        memo = {}
 
         def expansion(lam, row):
-            items = memo.get((lam, row))
+            items = expansions.get((lam, row))
             if items is None:
                 coeffs = {(lam,): 1}
                 for k in range(len(row) - 1, 0, -1):
                     coeffs = _comult_action(0, sum(row[:k]))(coeffs)
-                items = memo[lam, row] = tuple(coeffs.items())
+                items = expansions[lam, row] = tuple(coeffs.items())
             return items
 
-        def column(pieces, run):
-            label = pieces[run[-1]]
-            for s in reversed(run[:-1]):
-                label = _merge_labels(pieces[s], label)
-            return label
-
         def fn(el):
+            merge = _merge_labels
             total = {}
+            get = total.get
             for label, c in el.coeffs.items():
                 for rows, runs in towers:
                     factors = [expansion(lam, row) for lam, row in zip(label, rows)]
@@ -887,8 +886,14 @@ class PshRealization:
                         for part, d in combo:
                             pieces += part
                             coeff *= d
-                        key = tuple([column(pieces, run) for run in runs])
-                        total[key] = total.get(key, 0) + coeff
+                        key = []
+                        for last, rest in runs:
+                            merged = pieces[last]
+                            for s in rest:
+                                merged = merge(pieces[s], merged)
+                            key.append(merged)
+                        key = tuple(key)
+                        total[key] = get(key, 0) + coeff
             return TensorElement._trusted(codomain_shape, total)
 
         return RealizedMap(domain_shape, codomain_shape, fn)

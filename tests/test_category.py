@@ -190,7 +190,7 @@ def test_mixed_instance_with_split_support_passes():
     fine = C([1, 1])
     group = _factoring_matrices(fine, fine, fine)
     assert group == [ContingencyMatrix([[1, 0], [0, 1]])]
-    assert list(_route_comparison(fine, fine, fine)(group)) == []
+    assert list(_route_comparison(fine, fine, fine, {})(group)) == []
 
 
 def composite_slot_map(K1, K2):

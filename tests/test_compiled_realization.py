@@ -171,7 +171,10 @@ def comult_fault(monkeypatch):
 
 
 def label_fault(monkeypatch):
-    """Multiply labels that should give (3,1) into (2,2) instead."""
+    """Multiply labels that should give (3,1) into (2,2) instead.
+
+    Products only: the coproduct tables stay true.
+    """
     real = symfunc._merge_labels
 
     def faulty(lam, mu):
@@ -179,6 +182,19 @@ def label_fault(monkeypatch):
         return (2, 2) if merged == (3, 1) else merged
 
     monkeypatch.setattr(symfunc, "_merge_labels", faulty)
+    # _comult_table merges labels too, and its memo is process-wide: a
+    # table built under the fault would outlive it.  The fault gets its own
+    # memo, built with the true merge, so which sweep ran before cannot
+    # change what it reaches.
+    build = symfunc._comult_table.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def true_tables(lam):
+        with monkeypatch.context() as m:
+            m.setattr(symfunc, "_merge_labels", real)
+            return build(lam)
+
+    monkeypatch.setattr(symfunc, "_comult_table", true_tables)
 
 
 def also_survives(monkeypatch, extra):
@@ -257,15 +273,20 @@ SWEEPS = {
 # group chains that realize differently, so the sigma fault shows in the
 # tautau sweep.  A tridegree with a zero slot keeps every degree triple
 # under any degree rule that spares zero slots, so the survival fault
-# first shows at (1,1,1).
+# first shows at (1,1,1).  The label fault reaches the tower sweeps
+# through their column products, but the (2,2) square is blind to it:
+# no product on (2,2) -> (2,2) merges to (3,1), neither a column of
+# degree 2 nor the route's two labels of degree 2.
 FAULT_CASES = [
     ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
     ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
     ("tautau-4-2", sigma_fault, "tautau:equal-chains (2,2)->(2,2)"),
     ("worked-4", swap_fault, "2x2 alpha=(2,2) beta=(2,2) gamma=(4)"),
     ("worked-4", comult_fault, "2x2 alpha=(1,2) beta=(1,2) gamma=(3)"),
+    ("worked-4", label_fault, "2x2 alpha=(1,3) beta=(1,3) gamma=(4)"),
     ("mixed-4-2", swap_fault, "mixed alpha=(2,2) beta=(2,2) gamma=(4) #K=3"),
     ("mixed-4-2", comult_fault, "mixed alpha=(1,2) beta=(1,2) gamma=(3) #K=2"),
+    ("mixed-4-2", label_fault, "mixed alpha=(1,3) beta=(1,3) gamma=(4) #K=2"),
     ("square-22", swap_fault,
      "alpha=(2,2) beta=(2,2) gamma=(4) #K=3 reading=summed"),
     ("square-22", comult_fault,
@@ -289,6 +310,16 @@ def test_injected_fault_is_reported(monkeypatch, sweep, inject, instance):
     inject(monkeypatch)
     failures = SWEEPS[sweep]().failures
     assert failures and failures[0].instance == instance
+
+
+@pytest.mark.parametrize("sweep", ["worked-4", "mixed-4-2", "square-22"])
+def test_tower_sweep_memo_ends_with_the_sweep(monkeypatch, sweep):
+    # the row expansions are shared across one sweep only: a faulty
+    # coproduct's expansions must not reach a later clean sweep
+    with monkeypatch.context() as m:
+        comult_fault(m)
+        assert not SWEEPS[sweep]().passed
+    assert SWEEPS[sweep]().passed
 
 
 def test_surviving_triples_share_one_tuple_per_triple():
@@ -678,10 +709,12 @@ def test_shuffle_tables_are_anchored_to_sigma(monkeypatch):
 @pytest.mark.parametrize("inject", [None, comult_fault], ids=["true", "comult"])
 def test_summed_towers_match_tower_words(monkeypatch, inject):
     # The faulty table is not coassociative, so only the merge chain's
-    # peel order (last piece first) reproduces the words' values.
+    # peel order (last piece first) reproduces the words' values.  One
+    # expansion memo serves every group and margin pair, as in a sweep.
     if inject:
         inject(monkeypatch)
     real = default_realization()
+    expansions = {}
     for n in range(6):
         comps = enumerate_compositions(n)
         for alpha in comps:
@@ -694,12 +727,15 @@ def test_summed_towers_match_tower_words(monkeypatch, inject):
                 groups = [([K], [w]) for K, w in zip(matrices, words)]
                 groups.append((matrices, words))
                 for group, maps in groups:
-                    summed = real._summed_towers(alpha.parts, beta.parts, group)
+                    summed = real._summed_towers(
+                        alpha.parts, beta.parts, group, expansions
+                    )
                     for el in real.tensor_basis(alpha):
                         want = TensorElement.zero(beta.parts)
                         for tower in maps:
                             want = want + tower(el)
                         assert summed(el) == want, (alpha, beta, group, el)
+    assert expansions
 
 
 # --- validation stays at the public boundaries --------------------------------
