@@ -25,8 +25,9 @@ from . import hopfverify, simplicial
 
 # The most compositions, margin matrices or matrix entries that one
 # command lists, the most h-basis inputs a Hopf or bidegree-(1,2) sweep
-# checks, and the most identities the simplicial sweep checks.  Larger
-# outputs and sweeps are refused before they start.
+# checks, the most tower inputs (margin matrices times basis elements) a
+# square sweep checks, and the most identities the simplicial sweep
+# checks.  Larger outputs and sweeps are refused before they start.
 MAX_OUTPUT = 2**18
 
 
@@ -81,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="column margins, e.g. '(1,1)'")
     p.add_argument("--reading", choices=("summed", "per-k"), default="summed")
     handled_by(p, _run_verify, lambda a: hopfverify.check_square_condition(
-        parse_composition(a.alpha), parse_composition(a.beta), a.reading
+        *_square_margins(parse_composition(a.alpha), parse_composition(a.beta)),
+        a.reading,
     ))
 
     p = vsub.add_parser("bidegree12", help="modified multiplication defect")
@@ -147,6 +149,32 @@ def _sweep_bound(bound: int, slots: int, option: str) -> int:
             f"than the {MAX_OUTPUT} this command checks"
         )
     return bound
+
+
+def _square_margins(alpha, beta) -> tuple:
+    """``(alpha, beta)``, once their square sweep is known to be small enough.
+
+    The sweep evaluates the towers of every margin matrix on every
+    h-basis element of A(alpha).  The matrices have no closed form, so
+    they are walked, keeping nothing, until the product passes MAX_OUTPUT;
+    then it raises ``UsageError`` with that count.  Margins with
+    different sums are left for the sweep to refuse.
+    """
+    if alpha.sum != beta.sum:
+        return alpha, beta
+    counts = _partition_counts(min(max(alpha.parts, default=0), 200))
+    basis, exact = _basis_size(alpha, counts)
+    walk = _matrices(alpha, beta, "nonnegative")
+    matrices = sum(1 for _ in islice(walk, MAX_OUTPUT // basis + 1))
+    if matrices * basis > MAX_OUTPUT:
+        # the walk stopped early, so the matrix count is a lower bound
+        least = "" if exact else "at least "
+        raise UsageError(
+            f"margins {alpha} and {beta} give at least {matrices * basis} "
+            f"tower inputs (at least {matrices} matrices times {least}{basis} "
+            f"basis elements), more than the {MAX_OUTPUT} this command checks"
+        )
+    return alpha, beta
 
 
 def _simplicial_bound(max_n: int) -> int:

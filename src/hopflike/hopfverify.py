@@ -509,11 +509,12 @@ def _coded_product(tables, shape, label) -> dict:
 
 
 def _label_defect(tables, shape, label, composite) -> dict:
-    """``composite`` (:func:`_coded_product`, left as it is) minus comult
-    of the modified product, without zero coefficients."""
+    """``composite`` (:func:`_coded_product`) minus comult of the modified
+    product.  Zero coefficients are kept, and where the product dies
+    ``composite`` itself is returned, not a copy."""
     merged = _modified_product_label(label, shape)
     if merged is None:
-        return _nonzero(composite)
+        return composite
     whole = tables.whole(merged)
     if whole == composite:
         return {}
@@ -521,7 +522,7 @@ def _label_defect(tables, shape, label, composite) -> dict:
     get = out.get
     for k, d in whole.items():
         out[k] = get(k, 0) - d
-    return _nonzero(out)
+    return out
 
 
 def _coded_defect(tables, shape, coeffs) -> dict:
@@ -708,7 +709,10 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
     Inputs are visited by multiset of their three slot labels, whose
     arrangements share one :func:`_coded_product` when their
     ``_surviving_triples`` are the representative's reordered.  An
-    arrangement's (2,1) bracket is its reverse's (1,2) expansion, swapped.
+    arrangement's (2,1) bracket is its reverse's (1,2) expansion, swapped:
+    the defect is swapped instead and compared with that expansion, and
+    arrangements sharing the product share its swapped defect, built once
+    per multiset.  A failure shows the defect and the swapped expansion.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
@@ -737,6 +741,9 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
                 rep_shape, _, rep_label = zip(*rep)
                 shared = _coded_product(tables, rep_shape, rep_label)
                 positive = min(rep_shape) > 0
+                # a positive tridegree's product dies: its defect is the
+                # composite itself, so arrangements sharing it share its swap
+                shared_swapped = tables.swapped(shared) if positive else None
                 expansions = {
                     arranged: _coded_six_term_12(tables, degrees, {label: 1})
                     for arranged, (_, degrees, _, label) in inputs.items()
@@ -753,23 +760,29 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
                         tables, degrees, label
                     )
                     defect = _label_defect(tables, degrees, label, composite)
-                    if positive:
-                        mirrored = expansions[arranged[::-1]]
-                        expected = (
-                            ("bracket (1,2)", expansions[arranged]),
-                            ("bracket (2,1)", tables.swapped(mirrored)),
-                        )
+                    if not positive:
+                        checks = (("zero branch", defect, {}),)
                     else:
-                        expected = (("zero branch", {}),)
-                    for case, (name, value) in enumerate(expected):
-                        # the expansions keep zeros: compare raw first
-                        if defect != value and defect != _nonzero(value):
-                            failures.append(((degrees, index, case), (
-                                "tridegree ({},{},{}) {}".format(*degrees, name),
-                                format_tensor(TensorElement.basis(label)),
-                                format_graded(tables.graded(defect)),
-                                format_graded(tables.graded(value)),
-                            )))
+                        swapped = (
+                            shared_swapped if defect is shared
+                            else tables.swapped(defect)
+                        )
+                        checks = (
+                            ("bracket (1,2)", defect, expansions[arranged]),
+                            ("bracket (2,1)", swapped, expansions[arranged[::-1]]),
+                        )
+                    for case, (name, got, value) in enumerate(checks):
+                        # both sides may keep zeros: compare raw first
+                        if got == value or _nonzero(got) == _nonzero(value):
+                            continue
+                        if case:  # report the (2,1) expansion unswapped
+                            value = tables.swapped(value)
+                        failures.append(((degrees, index, case), (
+                            "tridegree ({},{},{}) {}".format(*degrees, name),
+                            format_tensor(TensorElement.basis(label)),
+                            format_graded(tables.graded(_nonzero(defect))),
+                            format_graded(tables.graded(value)),
+                        )))
     for _, fields in sorted(failures):
         report.record(*fields)
     return report

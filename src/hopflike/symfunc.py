@@ -105,21 +105,30 @@ def _comult_table(lam: tuple) -> tuple:
     of the table, for u = 0, ..., |lam|, is the tuple of (mu, nu, coeff)
     with |mu| = u and |nu| = |lam| - u, sorted; no group is empty.  A
     reader wanting one left degree indexes it instead of filtering.
+
+    Built from the memoized table of ``lam[:-1]`` times the coproduct of
+    h_(lam[-1]), read through the second name ``_comult_memo``: a patch
+    of ``_comult_table`` reaches only the tables asked for through it,
+    never their prefixes.
     """
-    table = {(0, (), ()): 1}
-    for part in lam:
-        new = {}
-        for (u, mu, nu), c in table.items():
+    if not lam:
+        return ((((), (), 1),),)
+    part = lam[-1]
+    table = {}
+    for u, group in enumerate(_comult_memo(lam[:-1])):
+        for mu, nu, c in group:
             for i in range(part + 1):
                 left = mu if i == 0 else _merge_labels(mu, (i,))
                 right = nu if i == part else _merge_labels(nu, (part - i,))
                 key = (u + i, left, right)
-                new[key] = new.get(key, 0) + c
-        table = new
+                table[key] = table.get(key, 0) + c
     groups = [[] for _ in range(sum(lam) + 1)]
     for (u, mu, nu), c in sorted(table.items()):
         groups[u].append((mu, nu, c))
     return tuple(map(tuple, groups))
+
+
+_comult_memo = _comult_table  # the same memo, for the recursion above
 
 
 def comult_splittings(lam) -> tuple:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from hopflike import cli
+from hopflike.compositions import enumerate_compositions
 from hopflike.contingency import enumerate_matrices
 from hopflike.errors import UsageError
 from hopflike.parsing import parse_composition
@@ -247,6 +248,50 @@ def test_simplicial_limit_is_exact(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "--max-n 6 gives 307 checks" in err
+
+
+def test_oversized_square_exits_two_at_once(capsys):
+    # 40,176 matrices times 2,401 basis elements: the walk stops at 110
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "verify", "square", "--alpha", "(5,5,5,5)", "--beta", "(5,5,5,5)"
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: margins (5,5,5,5) and (5,5,5,5) give at least 264110 tower "
+        "inputs (at least 110 matrices times 2401 basis elements), more than "
+        f"the {cli.MAX_OUTPUT} this command checks\n"
+    )
+
+
+def test_square_limit_is_exact(capsys, monkeypatch):
+    # 3 margin matrices times the 4 basis elements of A(2,2)
+    argv = ["verify", "square", "--alpha", "(2,2)", "--beta", "(2,2)"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 12)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] == 4
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 11)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "give at least 12 tower inputs (at least 3 matrices times 4 " in err
+
+
+def test_square_sum_mismatch_is_left_to_the_sweep(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "square", "--alpha", "(1,1)", "--beta", "(3)"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: margins (1,1) and (3) have different sums\n"
+
+
+def test_small_squares_are_within_the_limit():
+    # every margin pair the benchmark's seeded squares draw from
+    margins = [c for n in (5, 6) for c in enumerate_compositions(n, 3)]
+    for alpha in margins:
+        for beta in margins:
+            if alpha.sum == beta.sum:
+                assert cli._square_margins(alpha, beta) == (alpha, beta)
 
 
 def test_bidegree12_at_twelve_is_within_the_limit(monkeypatch):

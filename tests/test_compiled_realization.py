@@ -10,6 +10,7 @@ grouped evaluator, ``PshRealization._summed_towers``, is checked against
 the realized tower words of :func:`tower_word`.
 """
 
+import hashlib
 import types
 from bisect import bisect_right
 from functools import lru_cache
@@ -488,6 +489,55 @@ def test_paired_coalgebra_sweeps_match_unpaired_reports(
         got, want = sweep(6), reference(6)
         assert got.checked == want.checked
         assert got.failures == want.failures and len(got.failures) == failures
+
+
+# check_bidegree12_defect(6) under each fault, whole: FAULT_CASES reads only
+# the first instance, these also the formatted (1,2) and (2,1) values
+@pytest.mark.parametrize(
+    "inject, failures, digest",
+    [
+        pytest.param(
+            comult_fault, 63,
+            "07035bee0c5c9b0888de483a8a32edb21d8487ef8f565dd000239c635e8fa9b8",
+            id="comult",
+        ),
+        pytest.param(
+            survival_fault, 174,
+            "0799ab8413db5825a175f5ad260142143c0718a0a532f8d765dfa18d734abdd4",
+            id="survival",
+        ),
+        pytest.param(
+            asymmetric_survival_fault, 100,
+            "1137f2f22a1d105ee627f8107067270053716253a617b68aa1aad0581471d40f",
+            id="asymmetric-survival",
+        ),
+    ],
+)
+def test_bidegree_fault_reports_are_pinned(monkeypatch, inject, failures, digest):
+    inject(monkeypatch)
+    report = check_bidegree12_defect(6)
+    assert len(report.failures) == failures
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_coalgebra_sweeps_pass_after_a_comult_fault(monkeypatch):
+    # tables are built from their prefixes' memoized tables: a fault on
+    # h[2]'s table must not reach h[2,1]'s, nor outlive the fault
+    h21 = (
+        (((), (2, 1), 1),),
+        (((1,), (1, 1), 1), ((1,), (2,), 1)),
+        (((1, 1), (1,), 1), ((2,), (1,), 1)),
+        (((2, 1), (), 1),),
+    )
+    build = symfunc._comult_table.__wrapped__
+    with monkeypatch.context() as m:
+        comult_fault(m)
+        assert not check_hopf_compat(4).passed
+        assert not check_bidegree12_defect(4).passed
+        assert build((2, 1)) == h21
+        assert symfunc._comult_table((2, 1)) == h21
+    assert symfunc._comult_table((2, 1)) == h21
+    assert check_hopf_compat(4).passed and check_bidegree12_defect(4).passed
 
 
 def test_six_term_fault_shows_in_the_mirrored_bracket_alone(monkeypatch):

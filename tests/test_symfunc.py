@@ -153,8 +153,20 @@ def flat_splittings(lam):
     return sorted(key + (c,) for key, c in terms.items())
 
 
+def reference_comult_table(lam):
+    """``_comult_table``'s layout from scratch: ``flat_splittings`` (one
+    cut of every part at once) grouped by left degree, each group sorted."""
+    groups = [[] for _ in range(sum(lam) + 1)]
+    for u, mu, nu, c in flat_splittings(lam):
+        groups[u].append((mu, nu, c))
+    return tuple(map(tuple, groups))
+
+
 def test_comult_table_is_grouped_by_left_degree():
-    for n in range(9):
+    # each table is built from its prefix's memoized table times one
+    # part's coproduct; the memoized and a freshly built table both match
+    # the reference, group by group
+    for n in range(11):
         for lam in partitions_of(n):
             table = comult_splittings(lam)
             assert len(table) == n + 1, lam
@@ -165,8 +177,9 @@ def test_comult_table_is_grouped_by_left_degree():
             assert sum(c for group in table for *_, c in group) == math.prod(
                 p + 1 for p in lam
             )
-            flat = [(u, *entry) for u, group in enumerate(table) for entry in group]
-            assert flat == flat_splittings(lam), lam
+            want = reference_comult_table(lam)
+            assert table == want, lam
+            assert symfunc._comult_table.__wrapped__(lam) == want, lam
 
 
 def test_label_codes_round_trip_at_their_width():
