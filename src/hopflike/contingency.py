@@ -286,10 +286,7 @@ def slot_sources(K: ContingencyMatrix) -> tuple:
 
 
 def transpose(K: ContingencyMatrix) -> ContingencyMatrix:
+    # zip(*rows) cannot see the columns of a matrix without rows
     return ContingencyMatrix._trusted(
-        tuple(
-            tuple(K.entries[i][j] for i in range(K.nrows))
-            for j in range(K.ncols)
-        ),
-        K.nrows,
+        tuple(zip(*K.entries)) if K.nrows else ((),) * K.ncols, K.nrows
     )

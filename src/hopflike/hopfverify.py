@@ -20,8 +20,10 @@ covers them, which makes the expansion equal the defect exactly.
 
 The two coalgebra sweeps, Hopf compatibility and the bidegree-(1,2)
 defect, work on additive integer codes of h-basis labels
-(``symfunc._CodedTables``) and value once what several inputs share;
-README.md describes both.
+(``symfunc._CodedTables``) and value once what several inputs share.
+The tower sweeps sum their towers on the same codes, one slot field per
+tensor slot, and realize only the route as a word; README.md describes
+all three.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
                             failures.append(((degrees, index, j), (
                                 "degrees a={} b={} component j={}".format(*degrees, j),
                                 f"h{list(x)} (x) h{list(y)}",
-                                format_tensor(tables.tensor(shape, whole[j])),
-                                format_tensor(tables.tensor(shape, right)),
+                                format_tensor(tables.decode(shape, whole[j])),
+                                format_tensor(tables.decode(shape, right)),
                             )))
     for _, fields in sorted(failures):
         report.record(*fields)
@@ -134,31 +136,37 @@ def _coarse_route_word(alpha, beta, gamma) -> MorphismWord:
     return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
 
 
-def _route_comparison(alpha, beta, gamma, expansions: dict):
+def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
     The route is realized once, and evaluated once per basis element:
-    its value is kept here the first time a group needs it.  The
-    returned function takes a group of matrices and yields
-    ``(element, towers_sum, route)`` for each basis element of A(alpha)
-    on which the group's summed towers differ from the route.  The
-    towers are evaluated as one map, ``PshRealization._summed_towers``,
-    which builds no word and memoizes row expansions in ``expansions``:
-    one dict per sweep, shared by all of the sweep's groups.
+    its value, and that value coded by ``tables.encode``, are kept here
+    the first time a group needs them.  The returned function takes a
+    group of matrices and yields ``(element, towers_sum, route)`` for
+    each basis element of A(alpha) on which the group's summed towers
+    differ from the route.  The towers come coded from
+    ``PshRealization._summed_towers``, which builds no word and
+    multiplies no label: its products are sums of codes, so a faulty
+    label merge reaches the route alone.  They are decoded only to be
+    reported.  ``tables`` is one ``_CodedTables`` per sweep, shared by
+    all of the sweep's groups.
     """
     real = default_realization()
     route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
     basis = real.tensor_basis(alpha)
     routes = [None] * len(basis)
+    encode = tables.encode
 
     def mismatches(matrices):
-        towers = real._summed_towers(alpha.parts, beta.parts, matrices, expansions)
-        for i, el in enumerate(basis):
-            total = towers(el)
+        totals = real._summed_towers(alpha.parts, matrices, tables)
+        for i, (el, total) in enumerate(zip(basis, totals)):
             if routes[i] is None:
-                routes[i] = route(el)
-            if total != routes[i]:
-                yield el, total, routes[i]
+                value = route(el)
+                routes[i] = value, {encode(k): c for k, c in value.coeffs.items()}
+            value, coded = routes[i]
+            # the towers keep zeros and the route has none: compare raw first
+            if total != coded and _nonzero(total) != coded:
+                yield el, tables.decode(beta.parts, total), value
 
     return mismatches
 
@@ -190,7 +198,7 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
     )
     gamma = Composition([alpha.sum]) if alpha.sum else Composition()
     matrices = enumerate_matrices(alpha, beta)
-    mismatches = _route_comparison(alpha, beta, gamma, {})
+    mismatches = _route_comparison(alpha, beta, gamma, _CodedTables(alpha.sum))
     if reading == "summed":
         report.checked += len(default_realization().tensor_basis(alpha))
         instance = (
@@ -332,7 +340,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
         for n in range(1, max_sum + 1)
         for c in enumerate_compositions(n, max_len)
     ]
-    expansions = {}
+    tables = _CodedTables(max_sum)
     for alpha in comps:
         for beta in comps:
             if beta.sum != alpha.sum:
@@ -344,7 +352,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
                     report,
                     f"mixed alpha={alpha} beta={beta} gamma={gamma} "
                     f"#K={len(group)}",
-                    _route_comparison(alpha, beta, gamma, expansions)(group),
+                    _route_comparison(alpha, beta, gamma, tables)(group),
                 )
     return report
 
@@ -358,14 +366,14 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     totals.  Every group comes from :func:`_factoring_matrices`.
     """
     report = VerificationReport("worked-examples", {"max_n": max_n})
-    expansions = {}
+    tables = _CodedTables(max(max_n, 0))  # no case runs below n = 2
 
     def run_case(alpha, beta, gamma, tag):
         report.checked += 1
         _record_first(
             report,
             f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
-            _route_comparison(alpha, beta, gamma, expansions)(
+            _route_comparison(alpha, beta, gamma, tables)(
                 _factoring_matrices(alpha, beta, gamma)
             ),
         )

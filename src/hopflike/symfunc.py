@@ -687,26 +687,20 @@ def _decode_label(code: int, width: int) -> tuple:
     return tuple(reversed(parts))
 
 
-def _decode_pair(code: int, width: int, shift: int) -> tuple:
-    """The labels (mu, nu) of the pair code code(mu) + code(nu) * 2**shift."""
-    return (
-        _decode_label(code & ((1 << shift) - 1), width),
-        _decode_label(code >> shift, width),
-    )
-
-
 class _CodedTables(dict):
-    """Comultiplication tables on additive pair codes, built on first lookup.
+    """Comultiplication tables and tensors on additive label codes.
 
     For sweeps over labels of degree at most ``degree``: labels get width
-    W = ``degree.bit_length()`` and a pair (mu, nu) gets
-    code(mu) + code(nu) * 2**H with H = W * ``degree``, above every label
-    code.  A product of pair tensors is then a sum of codes.
+    W = ``degree.bit_length()``, and slot j of a tensor label contributes
+    its label code times 2**(j * H), H = W * ``degree`` being above every
+    label code.  A pair (mu, nu) thus gets code(mu) + code(nu) * 2**H,
+    and a product of tensors slot by slot is a sum of codes.
 
     ``tables[lam]`` is ``_comult_table(lam)`` group by group, each group a
     dict {pair code: coeff} without zero coefficients, read from the
-    module attribute on each miss.  ``code(lam)`` and ``whole(lam)`` are
-    memos too.  All three live as long as this dict: one sweep.
+    module attribute on each miss.  ``code(lam)``, ``encode(label)``,
+    ``whole(lam)`` and ``row_expansions(row, columns)`` are memos too.
+    All live as long as this dict: one sweep.
     """
 
     def __init__(self, degree: int):
@@ -715,7 +709,9 @@ class _CodedTables(dict):
         self.shift = self.width * degree
         self.mask = (1 << self.shift) - 1
         self._codes = {}
+        self._encoded = {}
         self._wholes = {}
+        self._rows = {}
 
     def __missing__(self, lam):
         pair = self.pair_code
@@ -736,6 +732,28 @@ class _CodedTables(dict):
     def pair_code(self, mu, nu) -> int:
         return self.code(mu) + (self.code(nu) << self.shift)
 
+    def encode(self, label) -> int:
+        """The code of a tensor label, a tuple of partitions."""
+        try:
+            return self._encoded[label]
+        except KeyError:
+            code = self._encoded[label] = sum(
+                self.code(lam) << self.shift * j for j, lam in enumerate(label)
+            )
+            return code
+
+    def decode(self, shape, coeffs: dict) -> TensorElement:
+        """{code: coeff} as an element of ``shape``, zeros dropped.
+
+        Only the number of slots is read from ``shape``.
+        """
+        width, shift, mask = self.width, self.shift, self.mask
+        slots = range(len(shape))
+        return TensorElement._trusted(tuple(shape), {
+            tuple(_decode_label((k >> shift * j) & mask, width) for j in slots): c
+            for k, c in coeffs.items()
+        })
+
     def whole(self, lam) -> dict:
         """The union of ``self[lam]``'s groups, which are disjoint."""
         try:
@@ -746,6 +764,30 @@ class _CodedTables(dict):
                 whole.update(group)
             return whole
 
+    def row_expansions(self, row, columns) -> tuple:
+        """One matrix row's tower pieces, coded, for each label of its degree.
+
+        Entry i belongs to ``partitions_of(sum(row))[i]``: the (code,
+        coeff) pairs of comultiplying that label into pieces of degrees
+        ``row``, peeling the last piece first as the merge chain does,
+        with piece k coded in slot ``columns[k]``.
+        """
+        key = (row, columns)
+        found = self._rows.get(key)
+        if found is None:
+            code, shift = self.code, self.shift
+            expansions = []
+            for lam in partitions_of(sum(row)):
+                coeffs = {(lam,): 1}
+                for k in range(len(row) - 1, 0, -1):
+                    coeffs = _comult_action(0, sum(row[:k]))(coeffs)
+                expansions.append(tuple(
+                    (sum(code(mu) << shift * j for mu, j in zip(pieces, columns)), c)
+                    for pieces, c in coeffs.items()
+                ))
+            found = self._rows[key] = tuple(expansions)
+        return found
+
     def swap(self, code: int) -> int:
         """The code of (nu, mu) from that of (mu, nu)."""
         return (code >> self.shift) + ((code & self.mask) << self.shift)
@@ -755,22 +797,15 @@ class _CodedTables(dict):
         shift, mask = self.shift, self.mask
         return {(k >> shift) + ((k & mask) << shift): c for k, c in coeffs.items()}
 
-    def tensor(self, shape, coeffs: dict) -> TensorElement:
-        """{pair code: coeff} as a two-slot element of ``shape``."""
-        return TensorElement._trusted(tuple(shape), {
-            _decode_pair(k, self.width, self.shift): c for k, c in coeffs.items()
-        })
-
     def graded(self, coeffs: dict) -> dict:
         """{pair code: coeff} as nonzero {(i, j): TensorElement}, by bidegree."""
         buckets = {}
-        for k, c in coeffs.items():
-            mu, nu = pair = _decode_pair(k, self.width, self.shift)
-            buckets.setdefault((sum(mu), sum(nu)), {})[pair] = c
-        graded = {
+        # a two-slot decode: each pair's bidegree is read off its labels
+        for pair, c in self.decode((0, 0), coeffs).coeffs.items():
+            buckets.setdefault((sum(pair[0]), sum(pair[1])), {})[pair] = c
+        return {
             key: TensorElement._trusted(key, buckets[key]) for key in sorted(buckets)
         }
-        return {key: el for key, el in graded.items() if not el.is_zero}
 
 
 # ---------------------------------------------------------------------------
@@ -847,65 +882,62 @@ class PshRealization:
         return RealizedMap(domain_shape, codomain_shape, fn)
 
     @staticmethod
-    def _summed_towers(
-        domain_shape, codomain_shape, matrices, expansions: dict
-    ) -> RealizedMap:
-        """The towers of ``matrices`` summed, as one map A(domain) -> A(codomain).
+    def _summed_towers(domain_shape, matrices, tables: _CodedTables) -> list:
+        """The towers of ``matrices`` summed, on each basis label of A(domain).
 
-        Each matrix must have row margins ``domain_shape`` and column
-        margins ``codomain_shape``.  Its tower comultiplies every slot
-        into the nonzero entries of its row, peeling the last piece
-        first as the merge chain does; moves the pieces from row order
-        to column order by ``slot_sources(transpose(K))``; and
-        multiplies each column's run, rightmost pair first, as the split
-        chain does.  No word is built.  Row expansions are memoized in
-        ``expansions`` by (slot label, row); a sweep passes one dict to
-        all its groups, so the memo lives for one sweep.
+        Returns one {code: coeff} of ``tables`` per element of
+        ``tensor_basis(domain_shape)``, in that order, zeros kept.  Each
+        matrix must have row margins ``domain_shape``, and ``tables``
+        must be wide enough for its column sums.  Its tower comultiplies
+        every slot into the nonzero entries of its row, as
+        ``tables.row_expansions`` codes them; sends each piece to its
+        column, read from ``slot_sources(transpose(K))``; and multiplies
+        each column's pieces, which on codes is adding them.  No word is
+        built.  The basis is walked matrix by matrix, slot by slot
+        (:func:`_add_towers`), so labels that share a prefix share its
+        partial sums.
         """
-        towers = []
+        totals = [{} for _ in itertools.product(*map(partitions_of, domain_shape))]
         for K in matrices:
             KT = transpose(K)
-            sources = slot_sources(KT)
-            runs, pos = [], 0
-            for col in KT.entries:
-                run = sources[pos:pos + len(col) - col.count(0)]
-                runs.append((run[-1], run[-2::-1]))
-                pos += len(run)
-            rows = tuple(tuple(v for v in row if v) for row in K.entries)
-            towers.append((rows, runs))
+            in_column_order = [j for j, col in enumerate(KT.entries) for v in col if v]
+            columns = [0] * len(in_column_order)
+            for j, piece in zip(in_column_order, slot_sources(KT)):
+                columns[piece] = j
+            factors, start = [], 0
+            for row in K.entries:
+                row = tuple(v for v in row if v)
+                factors.append(tables.row_expansions(
+                    row, tuple(columns[start:start + len(row)])
+                ))
+                start += len(row)
+            # A(()) is spanned by the empty label, whose one piece is code 0
+            _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), totals, 0)
+        return totals
 
-        def expansion(lam, row):
-            items = expansions.get((lam, row))
-            if items is None:
-                coeffs = {(lam,): 1}
-                for k in range(len(row) - 1, 0, -1):
-                    coeffs = _comult_action(0, sum(row[:k]))(coeffs)
-                items = expansions[lam, row] = tuple(coeffs.items())
-            return items
 
-        def fn(el):
-            merge = _merge_labels
-            total = {}
-            get = total.get
-            for label, c in el.coeffs.items():
-                for rows, runs in towers:
-                    factors = [expansion(lam, row) for lam, row in zip(label, rows)]
-                    for combo in itertools.product(*factors):
-                        pieces, coeff = (), c
-                        for part, d in combo:
-                            pieces += part
-                            coeff *= d
-                        key = []
-                        for last, rest in runs:
-                            merged = pieces[last]
-                            for s in rest:
-                                merged = merge(pieces[s], merged)
-                            key.append(merged)
-                        key = tuple(key)
-                        total[key] = get(key, 0) + coeff
-            return TensorElement._trusted(codomain_shape, total)
+def _add_towers(factors, slot, partial, totals, pos) -> int:
+    """Add one matrix's towers on the basis labels from ``slot`` on.
 
-        return RealizedMap(domain_shape, codomain_shape, fn)
+    ``factors[i]`` holds slot i's coded row expansions, one per label in
+    ``partitions_of`` order; ``partial`` is the (code, coeff) pairs of
+    the earlier slots' pieces, summed; the first label reached adds into
+    ``totals[pos]``.  Returns the position after the last label reached.
+    """
+    # Module-level rather than a closure, for the reason _grow_rows gives.
+    last = slot == len(factors) - 1
+    for expansion in factors[slot]:
+        out = totals[pos] if last else {}
+        get = out.get
+        for k1, c1 in partial:
+            for k2, c2 in expansion:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if last:
+            pos += 1
+        else:
+            pos = _add_towers(factors, slot + 1, out.items(), totals, pos)
+    return pos
 
 
 _default_realization = PshRealization()

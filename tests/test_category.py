@@ -28,7 +28,7 @@ from hopflike.hopfverify import (
     check_square_condition,
 )
 from hopflike.parsing import parse_word
-from hopflike.symfunc import default_realization
+from hopflike.symfunc import _CodedTables, default_realization
 
 
 C = Composition
@@ -190,7 +190,7 @@ def test_mixed_instance_with_split_support_passes():
     fine = C([1, 1])
     group = _factoring_matrices(fine, fine, fine)
     assert group == [ContingencyMatrix([[1, 0], [0, 1]])]
-    assert list(_route_comparison(fine, fine, fine, {})(group)) == []
+    assert list(_route_comparison(fine, fine, fine, _CodedTables(2))(group)) == []
 
 
 def composite_slot_map(K1, K2):

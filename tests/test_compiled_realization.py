@@ -260,6 +260,7 @@ SWEEPS = {
     "worked-4": lambda: check_worked_examples(4),
     "mixed-4-2": lambda: check_mixed_relations(4, 2),
     "square-22": lambda: check_square_condition((2, 2), (2, 2)),
+    "square-13-4": lambda: check_square_condition((1, 3), (4,)),
     "hopf-3": lambda: check_hopf_compat(3),
     "bidegree12-4": lambda: check_bidegree12_defect(4),
 }
@@ -274,10 +275,11 @@ SWEEPS = {
 # group chains that realize differently, so the sigma fault shows in the
 # tautau sweep.  A tridegree with a zero slot keeps every degree triple
 # under any degree rule that spares zero slots, so the survival fault
-# first shows at (1,1,1).  The label fault reaches the tower sweeps
-# through their column products, but the (2,2) square is blind to it:
-# no product on (2,2) -> (2,2) merges to (3,1), neither a column of
-# degree 2 nor the route's two labels of degree 2.
+# first shows at (1,1,1).  The towers multiply columns by adding label
+# codes, so the label fault reaches the tower sweeps through the route
+# alone, first where the route merges h[1] and h[3]: (1,3) -> (4).  The
+# (2,2) square is blind to it, since the route's two labels of degree 2
+# never merge to (3,1).
 FAULT_CASES = [
     ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
     ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
@@ -287,11 +289,13 @@ FAULT_CASES = [
     ("worked-4", label_fault, "2x2 alpha=(1,3) beta=(1,3) gamma=(4)"),
     ("mixed-4-2", swap_fault, "mixed alpha=(2,2) beta=(2,2) gamma=(4) #K=3"),
     ("mixed-4-2", comult_fault, "mixed alpha=(1,2) beta=(1,2) gamma=(3) #K=2"),
-    ("mixed-4-2", label_fault, "mixed alpha=(1,3) beta=(1,3) gamma=(4) #K=2"),
+    ("mixed-4-2", label_fault, "mixed alpha=(1,3) beta=(4) gamma=(4) #K=1"),
     ("square-22", swap_fault,
      "alpha=(2,2) beta=(2,2) gamma=(4) #K=3 reading=summed"),
     ("square-22", comult_fault,
      "alpha=(2,2) beta=(2,2) gamma=(4) #K=3 reading=summed"),
+    ("square-13-4", label_fault,
+     "alpha=(1,3) beta=(4) gamma=(4) #K=1 reading=summed"),
     ("hopf-3", comult_fault, "degrees a=1 b=2 component j=1"),
     ("bidegree12-4", comult_fault, "tridegree (0,1,2) zero branch"),
     ("bidegree12-4", survival_fault, "tridegree (1,1,1) bracket (1,2)"),
@@ -378,8 +382,8 @@ def reference_hopf_report(max_degree):
                             report.record(
                                 f"degrees a={a} b={b} component j={j}",
                                 f"h{list(lam)} (x) h{list(mu)}",
-                                format_tensor(tables.tensor(shape, whole[j])),
-                                format_tensor(tables.tensor(shape, right)),
+                                format_tensor(tables.decode(shape, whole[j])),
+                                format_tensor(tables.decode(shape, right)),
                             )
     return report
 
@@ -760,11 +764,11 @@ def test_shuffle_tables_are_anchored_to_sigma(monkeypatch):
 def test_summed_towers_match_tower_words(monkeypatch, inject):
     # The faulty table is not coassociative, so only the merge chain's
     # peel order (last piece first) reproduces the words' values.  One
-    # expansion memo serves every group and margin pair, as in a sweep.
+    # code memo serves every group and margin pair, as in a sweep.
     if inject:
         inject(monkeypatch)
     real = default_realization()
-    expansions = {}
+    tables = symfunc._CodedTables(5)
     for n in range(6):
         comps = enumerate_compositions(n)
         for alpha in comps:
@@ -776,16 +780,39 @@ def test_summed_towers_match_tower_words(monkeypatch, inject):
                 ]
                 groups = [([K], [w]) for K, w in zip(matrices, words)]
                 groups.append((matrices, words))
+                basis = real.tensor_basis(alpha)
                 for group, maps in groups:
-                    summed = real._summed_towers(
-                        alpha.parts, beta.parts, group, expansions
-                    )
-                    for el in real.tensor_basis(alpha):
+                    totals = real._summed_towers(alpha.parts, group, tables)
+                    assert len(totals) == len(basis)
+                    for el, total in zip(basis, totals):
                         want = TensorElement.zero(beta.parts)
                         for tower in maps:
                             want = want + tower(el)
-                        assert summed(el) == want, (alpha, beta, group, el)
-    assert expansions
+                        got = tables.decode(beta.parts, total)
+                        assert got == want, (alpha, beta, group, el)
+    assert tables._rows
+
+
+def test_tower_codes_round_trip_at_the_sweep_width():
+    # The widest column is h[1^n]: every slot of h[1] (x) ... (x) h[1]
+    # merges into one, so part 1's field holds n at the width of a sweep
+    # bounded by n.  Every label of a space of that degree codes apart
+    # and decodes back.
+    n = 8
+    real = default_realization()
+    tables = symfunc._CodedTables(n)
+    alpha, beta = Composition((1,) * n), Composition((n,))
+    (total,) = real._summed_towers(
+        alpha.parts, enumerate_matrices(alpha, beta), tables
+    )
+    assert tables.decode(beta.parts, total) == TensorElement.basis([(1,) * n])
+    for shape in enumerate_compositions(n, 3):
+        labels = [next(iter(el.coeffs)) for el in real.tensor_basis(shape)]
+        codes = {tables.encode(label): label for label in labels}
+        assert len(codes) == len(labels), shape
+        assert tables.decode(shape.parts, dict.fromkeys(codes, 1)).coeffs == (
+            dict.fromkeys(labels, 1)
+        ), shape
 
 
 # --- validation stays at the public boundaries --------------------------------

@@ -22,7 +22,6 @@ from hopflike.symfunc import (
     TransitionCache,
     _CodedTables,
     _decode_label,
-    _decode_pair,
     _inverse_transition,
     _label_code,
     _partition_counts,
@@ -207,13 +206,15 @@ def test_pair_codes_add_like_merged_labels():
     codes = [tables.pair_code(mu, nu) for mu, nu in pairs]
     assert len(set(codes)) == len(pairs)
     for (mu, nu), code in zip(pairs, codes):
-        assert _decode_pair(code, tables.width, tables.shift) == (mu, nu)
+        shape = (sum(mu), sum(nu))
+        assert tables.decode(shape, {code: 1}).coeffs == {(mu, nu): 1}
         assert tables.swap(code) == tables.pair_code(nu, mu)
     for (m1, n1), k1 in zip(pairs[::7], codes[::7]):
         for (m2, n2), k2 in zip(pairs[::5], codes[::5]):
             if sum(m1 + n1 + m2 + n2) <= 8:
                 merged = (symfunc._merge_labels(m1, m2), symfunc._merge_labels(n1, n2))
-                assert _decode_pair(k1 + k2, tables.width, tables.shift) == merged
+                shape = tuple(map(sum, merged))
+                assert tables.decode(shape, {k1 + k2: 1}).coeffs == {merged: 1}
 
 
 def test_merged_labels_share_one_tuple_per_label():
@@ -262,7 +263,7 @@ def test_coded_tables_decode_to_the_comult_table():
     for n in range(9):
         for lam in partitions_of(n):
             assert [
-                tables.tensor((u, n - u), group).coeffs
+                tables.decode((u, n - u), group).coeffs
                 for u, group in enumerate(tables[lam])
             ] == [
                 {(mu, nu): c for mu, nu, c in group}
