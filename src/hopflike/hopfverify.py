@@ -22,8 +22,12 @@ The two coalgebra sweeps, Hopf compatibility and the bidegree-(1,2)
 defect, work on additive integer codes of h-basis labels
 (``symfunc._CodedTables``) and value once what several inputs share.
 The tower sweeps sum their towers on the same codes, one slot field per
-tensor slot, and realize only the route as a word; README.md describes
-all three.
+tensor slot, and realize only the route as a word.  The relation sweeps
+(dd, ss, tautau) read each generator step as a table on basis positions
+(:class:`_StepTables`): splits and shuffles send each position to one
+position, so their chains compose by indexing, and a chain with a merge
+is applied linearly and valued once per source.  README.md describes
+all of them.
 """
 
 from __future__ import annotations
@@ -227,10 +231,17 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
 
     dd, ss and tautau run one loop over the family's walk
     (``category._relation_chains``).  Both chains of an instance are
-    valued from :class:`_StepTables` by :func:`_chain_value`; the left
-    chain's value is kept per source, since walks repeat left chains
-    (tautau compares every chain of a group with its first).  Only when
-    the values differ are the instance's words built and compared by
+    valued from :class:`_StepTables` by :func:`_chain_value`, and kept
+    per source where walks repeat them.  The left chain's value is kept
+    for every family, since tautau compares every chain of a group with
+    its first.  A right chain's value is kept only when it is linear
+    (it has a step that is not a function on basis positions, as every
+    dd chain has), and looked up only beside a linear left value: the
+    dd walk repeats right chains, while tautau's never repeat, and a
+    function chain composes by indexing for less than a lookup that
+    hashes its shuffles.  Values compare raw first, and again with each
+    position p written as ``{p: 1}`` only on a mismatch.  Only when they
+    still differ are the instance's words built and compared by
     :func:`semantic_equal`, which gives the failure's witness; if it
     finds them equal, tables and words disagree and the sweep raises.
     """
@@ -241,15 +252,20 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
     tables = _StepTables(default_realization())
-    lefts, current = {}, None
+    memo, current = {}, None
     for source, left, right, info in chains:
-        if source is not current:  # walks never return to a source
-            lefts, current = {}, source
         report.checked += 1
-        value = lefts.get(left)
-        if value is None:
-            value = lefts[left] = _chain_value(tables, left)
-        if _chain_value(tables, right) == value:
+        if source is not current:  # walks never return to a source
+            memo, current = {}, source
+        lv = memo.get(left)
+        if lv is None:
+            lv = memo[left] = _chain_value(tables, left)
+        rv = memo.get(right) if type(lv[0]) is dict else None
+        if rv is None:
+            rv = _chain_value(tables, right)
+            if type(rv[0]) is dict:
+                memo[right] = rv
+        if lv == rv or _expanded(lv) == _expanded(rv):
             continue
         instance = _relation_instance(source, left, right, info)
         equal, witness = semantic_equal(instance.left, instance.right)
@@ -269,56 +285,88 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
 class _StepTables(dict):
     """Basis tables of generator steps, each built on its first lookup.
 
-    ``tables[key]`` maps every basis label of the step's codomain to the
-    coefficient dict of the generator applied to it, as the
-    realization's one hook ``_action`` gives it: a linear map known by
-    its values on a basis, as SageMath's
-    ``CombinatorialFreeModule.module_morphism`` defines one.  Keys are
-    ``category._step`` keys: ``(generator, domain)`` for a merge or
-    split, the margin matrix K for ``Shuffle(K)``, since K's hash is
-    cached and ``Shuffle`` and ``Composition`` hash in Python.  Tables
-    live as long as this dict: one sweep.
+    ``tables[key]`` is a tuple with one row per basis label of the
+    step's codomain, in ``tensor_basis`` order: the generator applied to
+    that label, as the realization's one hook ``_action`` gives it, read
+    by position in the domain's basis.  A linear map is known by its
+    values on a basis, as SageMath's
+    ``CombinatorialFreeModule.module_morphism`` defines one.  When every
+    image is one label with coefficient 1 (every split and shuffle), a
+    row is that label's domain position, an int; otherwise every row is
+    a ``{position: coeff}`` without zeros.  Keys are ``category._step``
+    keys: ``(generator, domain)`` for a merge or split, the margin matrix
+    K for ``Shuffle(K)``, since K's hash is cached and ``Shuffle`` and
+    ``Composition`` hash in Python.  Each composition's labels and their
+    positions are built once, from the realization's ``_basis_labels``,
+    and everything lives as long as this dict: one sweep.
     """
 
     def __init__(self, realization):
         super().__init__()
         self.realization = realization
+        self.bases = {}  # parts -> (labels, {label: position})
+
+    def _basis(self, parts):
+        basis = self.bases.get(parts)
+        if basis is None:
+            labels = self.realization._basis_labels(parts)
+            basis = self.bases[parts] = labels, {k: p for p, k in enumerate(labels)}
+        return basis
 
     def __missing__(self, key):
         g, domain = _step(key)
         act = self.realization._action(g, domain)
-        table = self[key] = {}
-        for el in self.realization.tensor_basis(apply_generator(g, domain)):
-            label = next(iter(el.coeffs))
-            table[label] = {k: v for k, v in act({label: 1}).items() if v}
-        return table
+        labels = self._basis(apply_generator(g, domain).parts)[0]
+        index = self._basis(domain.parts)[1]
+        rows = tuple(
+            {index[k]: v for k, v in act({label: 1}).items() if v}
+            for label in labels
+        )
+        if all(list(row.values()) == [1] for row in rows):
+            rows = tuple(p for row in rows for p in row)
+        self[key] = rows
+        return rows
 
 
-def _apply_table(step, coeffs) -> dict:
-    """The linear extension of the table ``step`` applied to ``coeffs``."""
-    if len(coeffs) == 1:
-        ((label, c),) = coeffs.items()
-        if c == 1:
-            return step[label]
+def _chain_value(tables, chain) -> tuple:
+    """The composite of ``chain``'s steps on each basis label of its target.
+
+    Realization is contravariant, so the last step acts first.  While
+    the value is positions, the next table is read at them with
+    ``map``, in C, whatever its kind; once it is ``{position: coeff}``,
+    each earlier table is applied linearly and summed exactly.  The
+    value is a tuple in the target's basis order: source positions if
+    every step is a function on positions, else ``{position: coeff}``
+    without zeros.
+    """
+    value = tables[chain[-1]]
+    for key in chain[-2::-1]:
+        step = tables[key]
+        if type(value[0]) is int:
+            value = tuple(map(step.__getitem__, value))
+        else:
+            value = tuple([_applied(step, coeffs) for coeffs in value])
+    return value
+
+
+def _applied(step, coeffs) -> dict:
+    """The table ``step`` applied linearly to ``{position: coeff}``."""
     out = {}
-    for label, c in coeffs.items():
-        for image, d in step[label].items():
-            out[image] = out.get(image, 0) + c * d
+    get = out.get
+    if type(step[0]) is int:
+        for p, c in coeffs.items():
+            q = step[p]
+            out[q] = get(q, 0) + c
+    else:
+        for p, c in coeffs.items():
+            for q, d in step[p].items():
+                out[q] = get(q, 0) + c * d
     return {k: v for k, v in out.items() if v}
 
 
-def _chain_value(tables, chain) -> list:
-    """The composite of ``chain``'s steps on each basis label of its target.
-
-    Realization is contravariant, so the last step acts first; every
-    earlier table is then applied linearly and summed exactly.  The
-    values come in the target's basis order.
-    """
-    values = list(tables[chain[-1]].values())
-    for key in chain[-2::-1]:
-        step = tables[key]
-        values = [_apply_table(step, coeffs) for coeffs in values]
-    return values
+def _expanded(value) -> tuple:
+    """A chain value with each position p written as ``{p: 1}``."""
+    return tuple({v: 1} if type(v) is int else v for v in value)
 
 
 def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:

@@ -847,8 +847,15 @@ class PshRealization:
         Labels come from ``partitions_of``, so they need no validation.
         """
         parts = tuple(map(int, comp))
-        labels = itertools.product(*(partitions_of(d) for d in parts))
-        return [TensorElement._trusted(parts, {label: 1}) for label in labels]
+        return [
+            TensorElement._trusted(parts, {label: 1})
+            for label in self._basis_labels(parts)
+        ]
+
+    @staticmethod
+    def _basis_labels(parts) -> list:
+        """The labels of ``tensor_basis(parts)``, in its order."""
+        return list(itertools.product(*map(partitions_of, parts)))
 
     @staticmethod
     def _action(g, domain: Composition):

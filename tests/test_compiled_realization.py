@@ -253,6 +253,30 @@ def blend_fault(monkeypatch):
     monkeypatch.setattr(symfunc.PshRealization, "_action", staticmethod(faulty))
 
 
+def split_coeff_fault(monkeypatch):
+    """Double the product h[1] * h[2] that s[2,2,1] realizes on (1,3).
+
+    One split table then has a coefficient-2 image, so it is linear while
+    every other split table stays a table of positions.
+    """
+    real = symfunc.PshRealization._action
+
+    def faulty(g, domain):
+        act = real(g, domain)
+        if g != Split(2, 2, 1) or domain != Composition((1, 3)):
+            return act
+
+        def doubled(coeffs):
+            return {
+                label: 2 * c if label == ((1,), (2, 1)) else c
+                for label, c in act(coeffs).items()
+            }
+
+        return doubled
+
+    monkeypatch.setattr(symfunc.PshRealization, "_action", staticmethod(faulty))
+
+
 SWEEPS = {
     "dd-6-4": lambda: check_relation_family("dd", 6, 4),
     "ss-6-4": lambda: check_relation_family("ss", 6, 4),
@@ -620,6 +644,7 @@ def reference_relation_report(family, max_sum, max_len):
         pytest.param("ss", None, 6, 4, 0, id="ss-true"),
         pytest.param("ss", comult_fault, 6, 4, 0, id="ss-comult"),
         pytest.param("ss", label_fault, 6, 4, 16, id="ss-label"),
+        pytest.param("ss", split_coeff_fault, 6, 4, 1, id="ss-mixed"),
     ],
 )
 def test_tautau_tables_agree_with_the_word_path(
@@ -694,6 +719,25 @@ def shuffles_within(max_sum, max_len):
     ]
 
 
+def labels_of(comp):
+    return [next(iter(el.coeffs)) for el in default_realization().tensor_basis(comp)]
+
+
+def decoded_table(tables, key):
+    """``tables[key]`` as {codomain label: {domain label: coeff}}.
+
+    Rows and positions are read in ``tensor_basis`` order; a position p
+    stands for the image {p: 1}.
+    """
+    g, domain = category._step(key)
+    rows, images = labels_of(apply_generator(g, domain)), labels_of(domain)
+    return {
+        label: {images[row]: 1} if type(row) is int
+        else {images[p]: c for p, c in row.items()}
+        for label, row in zip(rows, tables[key], strict=True)
+    }
+
+
 def test_shuffle_tables_match_one_step_words():
     # every step key: the shuffles within 4/4 and each key of the dd and
     # ss walks at 6/4, merges and splits keyed by (generator, domain)
@@ -709,10 +753,72 @@ def test_shuffle_tables_match_one_step_words():
         kinds.add(type(g))
         realized = real.realize_word(MorphismWord(domain, [g]))
         basis = real.tensor_basis(apply_generator(g, domain))
-        assert list(tables[key]) == [next(iter(el.coeffs)) for el in basis]
+        table = decoded_table(tables, key)
+        assert list(table) == [next(iter(el.coeffs)) for el in basis]
         for el in basis:
-            assert tables[key][next(iter(el.coeffs))] == realized(el).coeffs, key
+            assert table[next(iter(el.coeffs))] == realized(el).coeffs, key
+        # splits and shuffles send each label to one label: positions
+        positions = all(type(row) is int for row in tables[key])
+        assert positions == (not isinstance(g, Merge)), key
     assert kinds == {Merge, Split, Shuffle} and len(keys) > 300
+
+
+def test_position_and_linear_values_compare_equal():
+    # each ss chain on its position tables and with one or both tables
+    # turned linear: the values differ raw and agree once expanded
+    tables = _StepTables(default_realization())
+    chains = 0
+    for _, left, right, _ in category._relation_chains("ss", 6, 4):
+        for chain in (left, right):
+            positions = hopfverify._chain_value(tables, chain)
+            assert type(positions) is tuple
+            assert all(type(p) is int for p in positions)
+            for turned in ({chain[0]}, {chain[-1]}, set(chain)):
+                mixed = {
+                    key: tuple({p: 1} for p in tables[key]) if key in turned
+                    else tables[key]
+                    for key in chain
+                }
+                value = hopfverify._chain_value(mixed, chain)
+                assert type(value) is tuple and value != positions
+                assert hopfverify._expanded(value) == hopfverify._expanded(positions)
+            chains += 1
+    assert chains > 100
+
+
+def generators_on(comp):
+    t, parts = comp.length, comp.parts
+    yield from (Merge(t, i) for i in range(1, t))
+    for i, n in enumerate(parts, 1):
+        yield from (Split(t, i, a) for a in range(1, n))
+
+
+def test_mixed_chains_match_realized_words():
+    # chains no walk makes: a merge and a split in either order, so that a
+    # linear value meets a position table (whose products can send two
+    # images to one label, as h[2] (x) h[1,1] and h[1,1] (x) h[2] do) and
+    # a position value meets a linear table
+    real = default_realization()
+    tables = _StepTables(real)
+    kinds = set()
+    for source in (c for n in range(1, 6) for c in enumerate_compositions(n, 3)):
+        images = labels_of(source)
+        for g in generators_on(source):
+            mid = apply_generator(g, source)
+            for h in generators_on(mid):
+                if type(g) is type(h):
+                    continue
+                kinds.add((type(g), type(h)))
+                chain = ((g, source), (h, mid))
+                value = hopfverify._chain_value(tables, chain)
+                realized = real.realize_word(MorphismWord(source, [g, h]))
+                for el, row in zip(
+                    real.tensor_basis(apply_generator(h, mid)), value, strict=True
+                ):
+                    row = {row: 1} if type(row) is int else row
+                    got = {images[p]: c for p, c in row.items()}
+                    assert got == realized(el).coeffs, (chain, el)
+    assert kinds == {(Merge, Split), (Split, Merge)}
 
 
 def slots_from_sigma(K):
@@ -742,7 +848,7 @@ def shuffles_off_sigma(max_sum, max_len):
     flagged = []
     for K in shuffles_within(max_sum, max_len):
         expected = slots_from_sigma(K)
-        for label, value in tables[K].items():
+        for label, value in decoded_table(tables, K).items():
             wide = [lam for lam in label if sum(lam) > 1]
             if len(set(wide)) < len(wide):
                 continue

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hopflike import category, hopfverify
 from hopflike.compositions import (
     Composition,
     common_coarsenings,
@@ -195,6 +196,35 @@ def test_relation_families_pass():
     assert check_relation_family("dd", 6, 3).passed
     assert check_relation_family("ss", 6, 3).passed
     assert check_relation_family("tautau", 4, 3).passed
+
+
+@pytest.mark.parametrize(
+    "family, max_sum, max_len, checked, values",
+    [("dd", 8, 4, 728, 532), ("ss", 8, 4, 1218, 2436), ("tautau", 4, 4, 40820, 40884)],
+)
+def test_relation_sweeps_value_each_kept_chain_once_per_source(
+    monkeypatch, family, max_sum, max_len, checked, values
+):
+    # each left chain is valued once per source; a right chain once per
+    # source when it is linear, as every dd chain is (merges realize
+    # through the coproduct), and at every instance when it is a function
+    # on basis positions, as every ss and tautau chain is
+    calls = 0
+    chain_value = hopfverify._chain_value
+
+    def counted(tables, chain):
+        nonlocal calls
+        calls += 1
+        return chain_value(tables, chain)
+
+    monkeypatch.setattr(hopfverify, "_chain_value", counted)
+    report = check_relation_family(family, max_sum, max_len)
+    walk = list(category._relation_chains(family, max_sum, max_len))
+    lefts = {(source, left) for source, left, _, _ in walk}
+    both = {(source, chain) for source, *sides, _ in walk for chain in sides}
+    assert report.passed and report.checked == len(walk) == checked
+    assert calls == values
+    assert calls == (len(both) if family == "dd" else len(lefts) + checked)
 
 
 def test_mixed_relations_summed():
