@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sum", type=int, default=6)
     p.add_argument("--max-len", type=int, default=4)
     handled_by(p, _run_verify, lambda a: hopfverify.check_relation_family(
-        a.family, a.max_sum, a.max_len
+        a.family, *_relation_bounds(a.max_sum, a.max_len)
     ))
 
     p = vsub.add_parser("hopf", help="product/coproduct compatibility")
@@ -149,6 +149,21 @@ def _sweep_bound(bound: int, slots: int, option: str) -> int:
             f"than the {MAX_OUTPUT} this command checks"
         )
     return bound
+
+
+def _relation_bounds(max_sum: int, max_len: int) -> tuple:
+    """The bounds, once the compositions the sweep lists before it starts
+    (n <= max_sum, at most max_len parts) are counted in closed form and
+    found no more than MAX_OUTPUT.  Bounds below 1 are the sweep's to refuse."""
+    total = 0
+    for n in range(max_sum + 1 if max_len >= 1 else 0):
+        total += _count_compositions(n, max_len, stop=MAX_OUTPUT)
+        if total > MAX_OUTPUT:
+            raise UsageError(
+                f"--max-sum {max_sum} --max-len {max_len} give at least {total} "
+                f"compositions, more than the {MAX_OUTPUT} this command lists"
+            )
+    return max_sum, max_len
 
 
 def _square_margins(alpha, beta) -> tuple:

@@ -18,16 +18,9 @@ a corner term, and summing all six closed ranges would count every
 corner twice.  Corners are assigned to the lowest-numbered map that
 covers them, which makes the expansion equal the defect exactly.
 
-The two coalgebra sweeps, Hopf compatibility and the bidegree-(1,2)
-defect, work on additive integer codes of h-basis labels
-(``symfunc._CodedTables``) and value once what several inputs share.
-The tower sweeps sum their towers on the same codes, one slot field per
-tensor slot, and realize only the route as a word.  The relation sweeps
-(dd, ss, tautau) read each generator step as a table on basis positions
-(:class:`_StepTables`): splits and shuffles send each position to one
-position, so their chains compose by indexing, and a chain with a merge
-is applied linearly and valued once per source.  README.md describes
-all of them.
+README.md describes the coded engines: additive label codes
+(``symfunc._CodedTables``) for the coalgebra and tower sweeps, and step
+tables on basis positions (:class:`_StepTables`) for the relation sweeps.
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ from .category import (
 from .errors import SumMismatchError, UsageError
 from .reports import VerificationReport
 from .symfunc import (
-    SymElement,
     TensorElement,
     _CodedTables,
     comult_splittings,
@@ -488,15 +480,9 @@ def _factoring_matrices(alpha, beta, gamma) -> list:
 # bidegree (1, 2): modified multiplication, defect, six-term expansion
 
 
-def _require_triple(x: TensorElement):
-    if len(x.shape) != 3:
-        raise UsageError(f"need a three-slot element, got shape {x.shape}")
-
-
 def _survives(degrees) -> bool:
     """The modified multiplication's degree rule: a triple product
     survives exactly when some factor has degree 0."""
-    # check_six_cases decides survival by this degree rule alone
     return 0 in degrees
 
 
@@ -517,7 +503,10 @@ def _surviving_triples(shape) -> tuple:
     """Left-degree triples u of a tridegree whose two halves both survive.
 
     Filters the whole box 0 <= u <= shape by ``_survives`` on u and on
-    shape - u.  Nothing here knows the six patterns of the expansion.
+    shape - u, never by the six patterns, so the defect and
+    :func:`check_six_cases`, which read their survivors here, stay
+    independent of the expansion and the patterns they are checked
+    against.  On a zero tridegree every triple survives.
     """
     a, b, c = shape
     return tuple(
@@ -525,21 +514,6 @@ def _surviving_triples(shape) -> tuple:
         for u in product(range(a + 1), range(b + 1), range(c + 1))
         if _survives(u) and _survives((a - u[0], b - u[1], c - u[2]))
     )
-
-
-def modified_mult_12(x: TensorElement) -> SymElement:
-    """Multiplication of one factor against a pair: zero on triple support.
-
-    Vanishes when all three slot degrees are positive; otherwise the
-    two surviving factors multiply.
-    """
-    _require_triple(x)
-    coeffs = {}
-    for label, co in x.coeffs.items():
-        key = _modified_product_label(label, x.shape)
-        if key is not None:
-            coeffs[key] = coeffs.get(key, 0) + co
-    return SymElement(sum(x.shape), "h", coeffs)
 
 
 def _coded_product(tables, shape, label) -> dict:
@@ -581,46 +555,11 @@ def _label_defect(tables, shape, label, composite) -> dict:
     return out
 
 
-def _coded_defect(tables, shape, coeffs) -> dict:
-    """:func:`hopf_defect_12` of {label triple: coeff} on ``shape``, as
-    pair codes without zero coefficients."""
-    out = {}
-    get = out.get
-    for label, co in coeffs.items():
-        composite = _coded_product(tables, shape, label)
-        for k, c in _label_defect(tables, shape, label, composite).items():
-            out[k] = get(k, 0) + co * c
-    return _nonzero(out)
-
-
-def hopf_defect_12(x: TensorElement) -> dict:
-    """Difference of the two Hopf composites on a three-slot element.
-
-    Expands comultiplication on every slot, regroups first halves
-    against second halves, applies the modified multiplication to both
-    triples, and subtracts comult(modified product).  Keys of the result
-    are output bidegrees (i, j).
-
-    Only the left-degree triples of ``_surviving_triples`` are expanded:
-    every other triple has a half that the modified multiplication
-    kills.  They are found by filtering the whole degree box with the
-    product's own degree rule, not from the six patterns, so the defect
-    stays independent of ``six_term_12`` and ``check_six_cases``, which
-    it is checked against.  On a zero tridegree every triple survives.
-
-    Each label's expansion is :func:`_coded_product` and its subtraction
-    :func:`_label_defect`, as in ``check_bidegree12_defect``.
-    """
-    _require_triple(x)
-    tables = _CodedTables(sum(x.shape))
-    return tables.graded(_coded_defect(tables, x.shape, x.coeffs))
-
-
 def _coded_six_term_12(tables, shape, coeffs) -> dict:
     """The six-map expansion of {label triple: coeff}, as pair codes.
 
-    A term's code is a splitting's code plus the pair code of the other
-    two labels.  Zero coefficients are kept.
+    The tridegree must be positive.  A term's code is a splitting's code
+    plus the pair code of the other two labels.  Zero coefficients are kept.
     """
     a = shape[0]
     code, shift, swap = tables.code, tables.shift, tables.swap
@@ -656,62 +595,24 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
     return out
 
 
-def _require_positive(x: TensorElement, name: str):
-    _require_triple(x)
-    if 0 in x.shape:
-        raise UsageError(
-            f"{name} needs positive degrees in all three slots; "
-            "zero tridegrees satisfy the Hopf axiom instead"
-        )
-
-
-def six_term_12(x: TensorElement) -> dict:
-    """The six-map expansion of the Hopf defect on positive tridegrees.
-
-    Each map comultiplies one slot, permutes the middle factors and
-    multiplies pairwise; the six index ranges are half-opened at shared
-    corners (lowest-numbered map wins) so the total counts every
-    surviving term exactly once.
-    """
-    _require_positive(x, "six_term_12")
-    tables = _CodedTables(sum(x.shape))
-    return tables.graded(_coded_six_term_12(tables, x.shape, x.coeffs))
-
-
-def six_term_21(x: TensorElement) -> dict:
-    """Mirror-image expansion for the pair-then-single bracketing.
-
-    Obtained by reversing the slots, applying the (1,2) expansion and
-    swapping the halves of every output pair.
-    """
-    _require_positive(x, "six_term_21")
-    tables = _CodedTables(sum(x.shape))
-    reversed_coeffs = {label[::-1]: c for label, c in x.coeffs.items()}
-    mirrored = _coded_six_term_12(tables, x.shape[::-1], reversed_coeffs)
-    return tables.graded(tables.swapped(mirrored))
-
-
 def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
     """Survival pattern of the shuffled triple-comult expansion.
 
     For positive degrees (a, b, c) the (u, v, w) summand survives
     exactly when one of the six patterns holds: u=0 with v=b, u=0 with
     w=c, v=0 with u=a, v=0 with w=c, w=0 with u=a, or w=0 with v=b.
-    Support is decided from degrees, by ``_modified_product_label``'s
-    rule: each left-degree triple the slots' comultiplication tables
-    offer (the indices of their nonempty groups) survives when
-    min(u, v, w) == 0 == min(a-u, b-v, c-w).  Only that support is
-    compared, never a coefficient, so a wrong coefficient in the
-    comultiplication cannot show here.
+    Support is decided from degrees, by the defect's own rule: the
+    survivors are the triples of :func:`_surviving_triples` that the
+    slots' comultiplication tables offer (the indices of their nonempty
+    groups).  Only that support is compared, never a coefficient, so a
+    wrong coefficient in the comultiplication cannot show here.
     """
     if min(a, b, c) <= 0:
         raise UsageError("check_six_cases needs positive degrees")
     report = VerificationReport("six-cases", {"a": a, "b": b, "c": c})
     expected = {
         (u, v, w)
-        for u in range(a + 1)
-        for v in range(b + 1)
-        for w in range(c + 1)
+        for u, v, w in product(range(a + 1), range(b + 1), range(c + 1))
         if (u == 0 and v == b) or (u == 0 and w == c)
         or (v == 0 and u == a) or (v == 0 and w == c)
         or (w == 0 and u == a) or (w == 0 and v == b)
@@ -731,9 +632,8 @@ def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
                 surviving = survivors.get(key)
                 if surviving is None:
                     surviving = survivors[key] = {
-                        (u, v, w)
-                        for u in us for v in vs for w in ws
-                        if min(u, v, w) == 0 and min(a - u, b - v, c - w) == 0
+                        t for t in _surviving_triples((a, b, c))
+                        if t[0] in us and t[1] in vs and t[2] in ws
                     }
                 if surviving != expected:
                     report.record(

@@ -351,6 +351,35 @@ def test_relations_bad_bounds_exit_two(capsys):
             assert out == ""
 
 
+@pytest.mark.parametrize("family", ["dd", "mixed"])
+def test_oversized_relations_exit_two_at_once(capsys, family):
+    # the sweep lists every source first: 300/40 used to run out of memory
+    start = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "verify", "relations", "--family", family,
+        "--max-sum", "300", "--max-len", "40",
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --max-sum 300 --max-len 40 give at least 524288 compositions, "
+        f"more than the {cli.MAX_OUTPUT} this command lists\n"
+    )
+
+
+def test_relations_limit_counts_every_listed_composition(capsys, monkeypatch):
+    # compositions of n <= 4 with at most 2 parts, the empty one included:
+    # 1 + 1 + 2 + 3 + 4
+    argv = ["verify", "relations", "--family", "dd", "--max-sum", "4",
+            "--max-len", "2"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 11)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 10)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "give at least 11 compositions" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["normalize", "(²)"],
     ["verify", "square", "--alpha", "(²)", "--beta", "(2)"],

@@ -43,6 +43,7 @@ from hopflike.contingency import (
 from hopflike.hopfverify import (
     _coarse_route_word,
     _StepTables,
+    check_bidegree12_cases,
     check_bidegree12_defect,
     check_hopf_compat,
     check_mixed_relations,
@@ -287,6 +288,7 @@ SWEEPS = {
     "square-13-4": lambda: check_square_condition((1, 3), (4,)),
     "hopf-3": lambda: check_hopf_compat(3),
     "bidegree12-4": lambda: check_bidegree12_defect(4),
+    "cases-4": lambda: check_bidegree12_cases(4),
 }
 
 # sweep, fault, instance of the first failure.  No word or tower reaches
@@ -299,7 +301,9 @@ SWEEPS = {
 # group chains that realize differently, so the sigma fault shows in the
 # tautau sweep.  A tridegree with a zero slot keeps every degree triple
 # under any degree rule that spares zero slots, so the survival fault
-# first shows at (1,1,1).  The towers multiply columns by adding label
+# first shows at (1,1,1).  Six-cases reads the defect's survivors, so
+# both survival faults show there too, at the first input of the
+# tridegree they reach.  The towers multiply columns by adding label
 # codes, so the label fault reaches the tower sweeps through the route
 # alone, first where the route merges h[1] and h[3]: (1,3) -> (4).  The
 # (2,2) square is blind to it, since the route's two labels of degree 2
@@ -324,6 +328,9 @@ FAULT_CASES = [
     ("bidegree12-4", comult_fault, "tridegree (0,1,2) zero branch"),
     ("bidegree12-4", survival_fault, "tridegree (1,1,1) bracket (1,2)"),
     ("bidegree12-4", asymmetric_survival_fault, "tridegree (1,2,1) bracket (1,2)"),
+    ("cases-4", survival_fault, "tridegree (1,1,1) input h[1] (x) h[1] (x) h[1]"),
+    ("cases-4", asymmetric_survival_fault,
+     "tridegree (1,2,1) input h[1] (x) h[2] (x) h[1]"),
 ]
 
 
@@ -425,7 +432,10 @@ def reference_bidegree12_report(max_total):
                 for label in product(*map(partitions_of, shape)):
                     report.checked += 1
                     coeffs = {label: 1}
-                    defect = hopfverify._coded_defect(tables, shape, coeffs)
+                    composite = hopfverify._coded_product(tables, shape, label)
+                    defect = hopfverify._nonzero(
+                        hopfverify._label_defect(tables, shape, label, composite)
+                    )
                     if min(shape) > 0:
                         mirrored = hopfverify._coded_six_term_12(
                             tables, shape[::-1], {label[::-1]: 1}

@@ -74,7 +74,7 @@ def test_root_exports_what_callers_read():
 @pytest.mark.parametrize("name", [
     "relations-dd-8-4", "relations-ss-8-4", "relations-tautau-4-4",
     "relations-mixed-6-3", "square-11-summed", "square-11-per-k",
-    "hopf-12", "bidegree12-11", "worked-8",
+    "hopf-12", "bidegree12-11", "worked-8", "simplicial-6",
 ])
 def test_reports_match_recorded_digests(name):
     # "the same reports" means byte-identical JSON: these are the recorded
