@@ -26,7 +26,8 @@ tables on basis positions (:class:`_StepTables`) for the relation sweeps.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import accumulate, combinations, islice, permutations, product
+from math import prod
 
 from .compositions import (
     Composition,
@@ -37,13 +38,11 @@ from .compositions import (
 )
 from .contingency import ContingencyMatrix, enumerate_matrices
 from .category import (
-    MorphismWord,
     _check_bounds,
     _relation_chains,
     _relation_instance,
     _step,
     apply_generator,
-    merge_chain,
     semantic_equal,
     split_chain,
 )
@@ -52,6 +51,7 @@ from .reports import VerificationReport
 from .symfunc import (
     TensorElement,
     _CodedTables,
+    _add_towers,
     comult_splittings,
     default_realization,
     format_graded,
@@ -127,42 +127,48 @@ def _nonzero(coeffs: dict) -> dict:
 # square condition (towers through a margin matrix)
 
 
-def _coarse_route_word(alpha, beta, gamma) -> MorphismWord:
-    """Word beta -> alpha realizing multiply-to-gamma then comultiply."""
-    return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
-
-
 def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
-    The route is realized once, and evaluated once per basis element:
-    its value, and that value coded by ``tables.encode``, are kept here
-    the first time a group needs them.  The returned function takes a
-    group of matrices and yields ``(element, towers_sum, route)`` for
-    each basis element of A(alpha) on which the group's summed towers
-    differ from the route.  The towers come coded from
-    ``PshRealization._summed_towers``, which builds no word and
-    multiplies no label: its products are sums of codes, so a faulty
-    label merge reaches the route alone.  They are decoded only to be
-    reported.  ``tables`` is one ``_CodedTables`` per sweep, shared by
-    all of the sweep's groups.
+    The route multiplies alpha down to gamma, then comultiplies out to
+    beta.  That coproduct is coded once per basis label of A(gamma) from
+    the towers' own ``tables.row_expansions``.  The product stays a
+    realized word, evaluated and kept once per basis element of A(alpha),
+    so a faulty label merge reaches the route alone: the towers
+    (``PshRealization._summed_towers``) merge no label.  The returned
+    function yields ``(element, towers_sum, route)``, both decoded, for
+    each basis element where a group of matrices' towers differ from the
+    route.  ``tables`` is one ``_CodedTables`` per sweep.
     """
     real = default_realization()
-    route = real.realize_word(_coarse_route_word(alpha, beta, gamma))
+    split = real.realize_word(split_chain(gamma, alpha))
+    cuts = list(accumulate(refines(gamma, beta), initial=0))
+    factors = [
+        tables.row_expansions(beta.parts[s:e], tuple(range(s, e)))
+        for s, e in zip(cuts, cuts[1:])
+    ]
+    labels = real._basis_labels(gamma.parts)
+    coded = [{} for _ in labels]
+    # A(()) is spanned by the empty label, whose one piece is code 0
+    _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), coded, 0)
+    through = dict(zip(labels, coded))
     basis = real.tensor_basis(alpha)
     routes = [None] * len(basis)
-    encode = tables.encode
+    decode = tables.decode
 
     def mismatches(matrices):
         totals = real._summed_towers(alpha.parts, matrices, tables)
         for i, (el, total) in enumerate(zip(basis, totals)):
-            if routes[i] is None:
-                value = route(el)
-                routes[i] = value, {encode(k): c for k, c in value.coeffs.items()}
-            value, coded = routes[i]
+            route = routes[i]
+            if route is None:
+                route = {}
+                for label, c in split(el).coeffs.items():
+                    for k, d in through[label].items():
+                        route[k] = route.get(k, 0) + c * d
+                route = routes[i] = _nonzero(route)
             # the towers keep zeros and the route has none: compare raw first
-            if total != coded and _nonzero(total) != coded:
-                yield el, tables.decode(beta.parts, total), value
+            if total != route and _nonzero(total) != route:
+                yield el, decode(beta.parts, total), decode(beta.parts, route)
 
     return mismatches
 
@@ -196,7 +202,7 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
     matrices = enumerate_matrices(alpha, beta)
     mismatches = _route_comparison(alpha, beta, gamma, _CodedTables(alpha.sum))
     if reading == "summed":
-        report.checked += len(default_realization().tensor_basis(alpha))
+        report.checked += prod(len(partitions_of(p)) for p in alpha.parts)
         instance = (
             f"alpha={alpha} beta={beta} gamma={gamma} "
             f"#K={len(matrices)} reading=summed"
@@ -504,7 +510,7 @@ def _surviving_triples(shape) -> tuple:
 
     Filters the whole box 0 <= u <= shape by ``_survives`` on u and on
     shape - u, never by the six patterns, so the defect and
-    :func:`check_six_cases`, which read their survivors here, stay
+    :func:`check_bidegree12_cases`, which read their survivors here, stay
     independent of the expansion and the patterns they are checked
     against.  On a zero tridegree every triple survives.
     """
@@ -593,57 +599,6 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
                 out[k + o5] = get(k + o5, 0) + c
                 out[k + o6] = get(k + o6, 0) + c
     return out
-
-
-def check_six_cases(a: int, b: int, c: int) -> VerificationReport:
-    """Survival pattern of the shuffled triple-comult expansion.
-
-    For positive degrees (a, b, c) the (u, v, w) summand survives
-    exactly when one of the six patterns holds: u=0 with v=b, u=0 with
-    w=c, v=0 with u=a, v=0 with w=c, w=0 with u=a, or w=0 with v=b.
-    Support is decided from degrees, by the defect's own rule: the
-    survivors are the triples of :func:`_surviving_triples` that the
-    slots' comultiplication tables offer (the indices of their nonempty
-    groups).  Only that support is compared, never a coefficient, so a
-    wrong coefficient in the comultiplication cannot show here.
-    """
-    if min(a, b, c) <= 0:
-        raise UsageError("check_six_cases needs positive degrees")
-    report = VerificationReport("six-cases", {"a": a, "b": b, "c": c})
-    expected = {
-        (u, v, w)
-        for u, v, w in product(range(a + 1), range(b + 1), range(c + 1))
-        if (u == 0 and v == b) or (u == 0 and w == c)
-        or (v == 0 and u == a) or (v == 0 and w == c)
-        or (w == 0 and u == a) or (w == 0 and v == b)
-    }
-    # labels share few supports, so each support triple's set is built once
-    supports = {
-        x: frozenset(u for u, group in enumerate(comult_splittings(x)) if group)
-        for d in {a, b, c}
-        for x in partitions_of(d)
-    }
-    survivors = {}
-    for lam in partitions_of(a):
-        for mu in partitions_of(b):
-            for nu in partitions_of(c):
-                report.checked += 1
-                key = us, vs, ws = supports[lam], supports[mu], supports[nu]
-                surviving = survivors.get(key)
-                if surviving is None:
-                    surviving = survivors[key] = {
-                        t for t in _surviving_triples((a, b, c))
-                        if t[0] in us and t[1] in vs and t[2] in ws
-                    }
-                if surviving != expected:
-                    report.record(
-                        f"tridegree ({a},{b},{c}) "
-                        f"input h{list(lam)} (x) h{list(mu)} (x) h{list(nu)}",
-                        "survival pattern",
-                        str(sorted(surviving)),
-                        str(sorted(expected)),
-                    )
-    return report
 
 
 def check_bidegree12(max_total: int) -> list:
@@ -745,19 +700,55 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
 
 
 def check_bidegree12_cases(max_total: int) -> VerificationReport:
-    """Survival patterns on every positive tridegree, in one report.
+    """Survival pattern of the shuffled triple-comult expansion, on every
+    positive tridegree with a + b + c <= max_total, in one report.
 
-    Aggregates :func:`check_six_cases` over a + b + c <= max_total.
+    For positive degrees (a, b, c) the (u, v, w) summand survives
+    exactly when one of the six patterns holds: u=0 with v=b, u=0 with
+    w=c, v=0 with u=a, v=0 with w=c, w=0 with u=a, or w=0 with v=b.
+    Support is decided from degrees, by the defect's own rule: the
+    survivors are the triples of :func:`_surviving_triples` that the
+    slots' comultiplication tables offer (the indices of their nonempty
+    groups).  Only that support is compared, never a coefficient, so a
+    wrong coefficient in the comultiplication cannot show here.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-six-cases", {"max_total": max_total})
+    # every degree is positive, so none exceeds max_total - 2
+    supports = {
+        x: frozenset(u for u, group in enumerate(comult_splittings(x)) if group)
+        for d in range(1, max_total - 1)
+        for x in partitions_of(d)
+    }
     for a in range(1, max_total + 1):
         for b in range(1, max_total - a + 1):
             for c in range(1, max_total - a - b + 1):
-                sub = check_six_cases(a, b, c)
-                report.checked += sub.checked
-                report.failures.extend(sub.failures)
+                expected = {
+                    (u, v, w)
+                    for u, v, w in product(range(a + 1), range(b + 1), range(c + 1))
+                    if (u == 0 and v == b) or (u == 0 and w == c)
+                    or (v == 0 and u == a) or (v == 0 and w == c)
+                    or (w == 0 and u == a) or (w == 0 and v == b)
+                }
+                survivors = {}  # labels share few supports: one set per support triple
+                for lam, mu, nu in product(*map(partitions_of, (a, b, c))):
+                    report.checked += 1
+                    key = us, vs, ws = supports[lam], supports[mu], supports[nu]
+                    surviving = survivors.get(key)
+                    if surviving is None:
+                        surviving = survivors[key] = {
+                            t for t in _surviving_triples((a, b, c))
+                            if t[0] in us and t[1] in vs and t[2] in ws
+                        }
+                    if surviving != expected:
+                        report.record(
+                            f"tridegree ({a},{b},{c}) "
+                            f"input h{list(lam)} (x) h{list(mu)} (x) h{list(nu)}",
+                            "survival pattern",
+                            str(sorted(surviving)),
+                            str(sorted(expected)),
+                        )
     return report
 
 

@@ -698,9 +698,9 @@ class _CodedTables(dict):
 
     ``tables[lam]`` is ``_comult_table(lam)`` group by group, each group a
     dict {pair code: coeff} without zero coefficients, read from the
-    module attribute on each miss.  ``code(lam)``, ``encode(label)``,
-    ``whole(lam)`` and ``row_expansions(row, columns)`` are memos too.
-    All live as long as this dict: one sweep.
+    module attribute on each miss.  ``code(lam)``, ``whole(lam)`` and
+    ``row_expansions(row, columns)``, which codes towers and routes alike,
+    are memos too.  All live as long as this dict: one sweep.
     """
 
     def __init__(self, degree: int):
@@ -709,7 +709,6 @@ class _CodedTables(dict):
         self.shift = self.width * degree
         self.mask = (1 << self.shift) - 1
         self._codes = {}
-        self._encoded = {}
         self._wholes = {}
         self._rows = {}
 
@@ -731,16 +730,6 @@ class _CodedTables(dict):
 
     def pair_code(self, mu, nu) -> int:
         return self.code(mu) + (self.code(nu) << self.shift)
-
-    def encode(self, label) -> int:
-        """The code of a tensor label, a tuple of partitions."""
-        try:
-            return self._encoded[label]
-        except KeyError:
-            code = self._encoded[label] = sum(
-                self.code(lam) << self.shift * j for j, lam in enumerate(label)
-            )
-            return code
 
     def decode(self, shape, coeffs: dict) -> TensorElement:
         """{code: coeff} as an element of ``shape``, zeros dropped.

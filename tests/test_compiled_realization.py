@@ -7,7 +7,8 @@ slot operations and re-validates every intermediate element, so a
 compilation mistake (wrong slot, wrong degree, wrong order of steps)
 shows up as a difference.  The tower sweeps build no words: their
 grouped evaluator, ``PshRealization._summed_towers``, is checked against
-the realized tower words of :func:`tower_word`.
+the realized tower words of :func:`tower_word`, and the route's coded
+coproduct half against the realized words of :func:`route_word`.
 """
 
 import hashlib
@@ -31,7 +32,11 @@ from hopflike.category import (
     semantic_equal,
     split_chain,
 )
-from hopflike.compositions import Composition, enumerate_compositions
+from hopflike.compositions import (
+    Composition,
+    common_coarsenings,
+    enumerate_compositions,
+)
 from hopflike.contingency import (
     ContingencyMatrix,
     enumerate_matrices,
@@ -41,7 +46,7 @@ from hopflike.contingency import (
     transpose,
 )
 from hopflike.hopfverify import (
-    _coarse_route_word,
+    _route_comparison,
     _StepTables,
     check_bidegree12_cases,
     check_bidegree12_defect,
@@ -78,6 +83,11 @@ def tower_word(alpha, beta, K):
         .then(MorphismWord(kap.col, [Shuffle(transpose(K))]))
         .then(merge_chain(kap.row, alpha))
     )
+
+
+def route_word(alpha, beta, gamma):
+    """Word beta -> alpha realizing multiply-to-gamma then comultiply."""
+    return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
 
 
 def reference_apply(word, el):
@@ -132,7 +142,7 @@ def test_square_words_match_reference():
         gamma = Composition([n])
         for alpha in comps:
             for beta in comps:
-                words.append(_coarse_route_word(alpha, beta, gamma))
+                words.append(route_word(alpha, beta, gamma))
                 words.extend(
                     tower_word(alpha, beta, K)
                     for K in enumerate_matrices(alpha, beta)
@@ -909,6 +919,42 @@ def test_summed_towers_match_tower_words(monkeypatch, inject):
     assert tables._rows
 
 
+def test_coded_route_matches_route_word():
+    # An empty group has zero towers, so every element of A(alpha) fails
+    # and is yielded with its route: the coded coproduct half, read from
+    # the towers' row expansions, against the realized route word.
+    real = default_realization()
+    tables = symfunc._CodedTables(5)
+    for n in range(6):
+        comps = enumerate_compositions(n)
+        for alpha in comps:
+            for beta in comps:
+                for gamma in common_coarsenings(alpha, beta):
+                    word = real.realize_word(route_word(alpha, beta, gamma))
+                    yielded = list(_route_comparison(alpha, beta, gamma, tables)([]))
+                    assert [el for el, _, _ in yielded] == real.tensor_basis(alpha)
+                    for el, towers, route in yielded:
+                        assert towers == TensorElement.zero(beta.parts)
+                        assert route == word(el), (alpha, beta, gamma, el)
+
+
+def test_tower_sweeps_realize_no_merge(monkeypatch):
+    # the towers add codes and the route's coproduct half is coded from
+    # the same row expansions: only the route's splits are realized
+    words = []
+    realize_word = symfunc.PshRealization.realize_word
+
+    def recorded(self, word):
+        words.append(word)
+        return realize_word(self, word)
+
+    monkeypatch.setattr(symfunc.PshRealization, "realize_word", recorded)
+    assert check_worked_examples(5).passed
+    assert check_mixed_relations(4, 3).passed
+    assert words
+    assert not [w for w in words if any(isinstance(g, Merge) for g in w.steps)]
+
+
 def test_tower_codes_round_trip_at_the_sweep_width():
     # The widest column is h[1^n]: every slot of h[1] (x) ... (x) h[1]
     # merges into one, so part 1's field holds n at the width of a sweep
@@ -922,9 +968,13 @@ def test_tower_codes_round_trip_at_the_sweep_width():
         alpha.parts, enumerate_matrices(alpha, beta), tables
     )
     assert tables.decode(beta.parts, total) == TensorElement.basis([(1,) * n])
+    code, shift = tables.code, tables.shift
     for shape in enumerate_compositions(n, 3):
         labels = [next(iter(el.coeffs)) for el in real.tensor_basis(shape)]
-        codes = {tables.encode(label): label for label in labels}
+        codes = {
+            sum(code(lam) << shift * j for j, lam in enumerate(label)): label
+            for label in labels
+        }
         assert len(codes) == len(labels), shape
         assert tables.decode(shape.parts, dict.fromkeys(codes, 1)).coeffs == (
             dict.fromkeys(labels, 1)

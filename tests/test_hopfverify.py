@@ -17,10 +17,10 @@ from hopflike.hopfverify import (
     _factoring_matrices,
     _modified_product_label,
     check_bidegree12,
+    check_bidegree12_cases,
     check_hopf_compat,
     check_mixed_relations,
     check_relation_family,
-    check_six_cases,
     check_square_condition,
     check_worked_examples,
     explore_mixed_bidegree,
@@ -433,12 +433,10 @@ def test_six_term_linear_on_label_differences():
 
 
 def test_six_cases_pattern():
-    report = check_six_cases(1, 1, 1)
+    # total 4 covers the tridegrees (1,1,1) and (1,1,2) with their arrangements
+    report = check_bidegree12_cases(4)
     assert report.passed
-    report = check_six_cases(1, 1, 2)
-    assert report.passed
-    with pytest.raises(UsageError):
-        check_six_cases(0, 1, 1)
+    assert report.checked == 1 + 3 * 2
 
 
 def test_bidegree_sweep_small():
