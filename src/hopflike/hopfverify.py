@@ -18,14 +18,14 @@ a corner term, and summing all six closed ranges would count every
 corner twice.  Corners are assigned to the lowest-numbered map that
 covers them, which makes the expansion equal the defect exactly.
 
-README.md describes the coded engines: additive label codes
-(``symfunc._CodedTables``) for the coalgebra and tower sweeps, and step
-tables on basis positions (:class:`_StepTables`) for the relation sweeps.
+README.md describes the coded engines: label codes (``symfunc._CodedTables``)
+for the coalgebra and tower sweeps, and basis-position step tables
+(:class:`_StepTables`) for the relation sweeps and the tower routes' splits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations, islice, permutations, product
 from math import prod
 
@@ -46,7 +46,7 @@ from .category import (
     semantic_equal,
     split_chain,
 )
-from .errors import SumMismatchError, UsageError
+from .errors import RealizationError, SumMismatchError, UsageError
 from .reports import VerificationReport
 from .symfunc import (
     TensorElement,
@@ -127,48 +127,47 @@ def _nonzero(coeffs: dict) -> dict:
 # square condition (towers through a margin matrix)
 
 
-def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
+def _route_comparison(alpha, beta, gamma, tables: _CodedTables, steps: _StepTables):
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
     The route multiplies alpha down to gamma, then comultiplies out to
-    beta.  That coproduct is coded once per basis label of A(gamma) from
-    the towers' own ``tables.row_expansions``.  The product stays a
-    realized word, evaluated and kept once per basis element of A(alpha),
-    so a faulty label merge reaches the route alone: the towers
-    (``PshRealization._summed_towers``) merge no label.  The returned
-    function yields ``(element, towers_sum, route)``, both decoded, for
-    each basis element where a group of matrices' towers differ from the
-    route.  ``tables`` is one ``_CodedTables`` per sweep.
+    beta.  The coproduct is coded once per label of A(gamma) from the
+    towers' ``tables.row_expansions``; the product is read off positions,
+    A(alpha) -> A(gamma), from ``steps`` by :func:`_chain_value`.  The
+    returned function yields ``(element, towers_sum, route)``, both
+    decoded, for each basis element where a group of matrices' towers
+    differ from the route.  Only there is the split word realized, once,
+    and its value must be the tables', or the sweep raises.
     """
-    real = default_realization()
-    split = real.realize_word(split_chain(gamma, alpha))
+    word, labels = split_chain(gamma, alpha), steps._basis(gamma.parts)[0]
+    chain = tuple(zip(word.steps, word.objects))
+    split = _chain_value(steps, chain) if chain else range(len(labels))
     cuts = list(accumulate(refines(gamma, beta), initial=0))
     factors = [
         tables.row_expansions(beta.parts[s:e], tuple(range(s, e)))
         for s, e in zip(cuts, cuts[1:])
     ]
-    labels = real._basis_labels(gamma.parts)
     coded = [{} for _ in labels]
     # A(()) is spanned by the empty label, whose one piece is code 0
     _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), coded, 0)
-    through = dict(zip(labels, coded))
-    basis = real.tensor_basis(alpha)
-    routes = [None] * len(basis)
-    decode = tables.decode
+    coded = [_nonzero(c) for c in coded]
+    # a faulty product can make a split value linear: it sums labels' routes
+    routes = [coded[p] if type(p) is int else _applied(coded, p) for p in split]
+    real, decode, witnesses = steps.realization, tables.decode, {}
+    realized = cache(lambda: real.realize_word(word))  # on the first failure
 
     def mismatches(matrices):
         totals = real._summed_towers(alpha.parts, matrices, tables)
-        for i, (el, total) in enumerate(zip(basis, totals)):
-            route = routes[i]
-            if route is None:
-                route = {}
-                for label, c in split(el).coeffs.items():
-                    for k, d in through[label].items():
-                        route[k] = route.get(k, 0) + c * d
-                route = routes[i] = _nonzero(route)
+        for i, (total, route) in enumerate(zip(totals, routes)):
             # the towers keep zeros and the route has none: compare raw first
-            if total != route and _nonzero(total) != route:
-                yield el, decode(beta.parts, total), decode(beta.parts, route)
+            if total == route or _nonzero(total) == route:
+                continue
+            if i not in witnesses:  # the word's value there must be the tables'
+                el = witnesses[i] = TensorElement.basis(steps._basis(alpha.parts)[0][i])
+                want = _expanded(split[i:i + 1])[0]
+                if realized()(el).coeffs != {labels[q]: c for q, c in want.items()}:
+                    raise RuntimeError(f"step tables and the split word disagree on {el}")
+            yield witnesses[i], decode(beta.parts, total), decode(beta.parts, route)
 
     return mismatches
 
@@ -200,7 +199,8 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
     )
     gamma = Composition([alpha.sum]) if alpha.sum else Composition()
     matrices = enumerate_matrices(alpha, beta)
-    mismatches = _route_comparison(alpha, beta, gamma, _CodedTables(alpha.sum))
+    steps = _StepTables(default_realization())
+    mismatches = _route_comparison(alpha, beta, gamma, _CodedTables(alpha.sum), steps)
     if reading == "summed":
         report.checked += prod(len(partitions_of(p)) for p in alpha.parts)
         instance = (
@@ -283,20 +283,16 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
 class _StepTables(dict):
     """Basis tables of generator steps, each built on its first lookup.
 
-    ``tables[key]`` is a tuple with one row per basis label of the
-    step's codomain, in ``tensor_basis`` order: the generator applied to
-    that label, as the realization's one hook ``_action`` gives it, read
-    by position in the domain's basis.  A linear map is known by its
-    values on a basis, as SageMath's
-    ``CombinatorialFreeModule.module_morphism`` defines one.  When every
-    image is one label with coefficient 1 (every split and shuffle), a
-    row is that label's domain position, an int; otherwise every row is
-    a ``{position: coeff}`` without zeros.  Keys are ``category._step``
-    keys: ``(generator, domain)`` for a merge or split, the margin matrix
-    K for ``Shuffle(K)``, since K's hash is cached and ``Shuffle`` and
-    ``Composition`` hash in Python.  Each composition's labels and their
-    positions are built once, from the realization's ``_basis_labels``,
-    and everything lives as long as this dict: one sweep.
+    They value the relation sweeps' chains and the tower routes' split
+    chains.  ``tables[key]`` has one row per basis label of the step's
+    codomain, in ``tensor_basis`` order: the generator applied to that
+    label by the realization's one hook ``_action``, read by position in
+    the domain's basis.  A row is that position, an int, when every image
+    is one label with coefficient 1 (every split and shuffle), and else a
+    ``{position: coeff}`` without zeros.  Keys are ``category._step``
+    keys: ``(generator, domain)``, or K for ``Shuffle(K)``, whose hash is
+    cached.  Labels and positions are built once per composition, from
+    ``_basis_labels``, and everything lives as long as this dict: one sweep.
     """
 
     def __init__(self, realization):
@@ -316,10 +312,11 @@ class _StepTables(dict):
         act = self.realization._action(g, domain)
         labels = self._basis(apply_generator(g, domain).parts)[0]
         index = self._basis(domain.parts)[1]
-        rows = tuple(
-            {index[k]: v for k, v in act({label: 1}).items() if v}
-            for label in labels
-        )
+        images = [act({label: 1}) for label in labels]
+        try:
+            rows = tuple({index[k]: v for k, v in img.items() if v} for img in images)
+        except KeyError as exc:  # a faulty action left the domain's basis
+            raise RealizationError(f"step {g}: {exc} is not a basis label of A{domain}")
         if all(list(row.values()) == [1] for row in rows):
             rows = tuple(p for row in rows for p in row)
         self[key] = rows
@@ -386,7 +383,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
         for n in range(1, max_sum + 1)
         for c in enumerate_compositions(n, max_len)
     ]
-    tables = _CodedTables(max_sum)
+    tables, steps = _CodedTables(max_sum), _StepTables(default_realization())
     for alpha in comps:
         for beta in comps:
             if beta.sum != alpha.sum:
@@ -398,7 +395,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
                     report,
                     f"mixed alpha={alpha} beta={beta} gamma={gamma} "
                     f"#K={len(group)}",
-                    _route_comparison(alpha, beta, gamma, tables)(group),
+                    _route_comparison(alpha, beta, gamma, tables, steps)(group),
                 )
     return report
 
@@ -413,13 +410,14 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     """
     report = VerificationReport("worked-examples", {"max_n": max_n})
     tables = _CodedTables(max(max_n, 0))  # no case runs below n = 2
+    steps = _StepTables(default_realization())
 
     def run_case(alpha, beta, gamma, tag):
         report.checked += 1
         _record_first(
             report,
             f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
-            _route_comparison(alpha, beta, gamma, tables)(
+            _route_comparison(alpha, beta, gamma, tables, steps)(
                 _factoring_matrices(alpha, beta, gamma)
             ),
         )

@@ -21,6 +21,7 @@ import pytest
 
 import hopflike
 from hopflike import category, hopfverify, symfunc
+from hopflike.errors import RealizationError
 from hopflike.category import (
     Merge,
     MorphismWord,
@@ -187,11 +188,23 @@ def label_fault(monkeypatch):
 
     Products only: the coproduct tables stay true.
     """
+    merge_fault(monkeypatch, (2, 2))
+
+
+def degree_fault(monkeypatch):
+    """Multiply labels that should give (3,1) into (1,3,1), a label of
+    degree 5 that no basis of degree 4 holds.  Products only."""
+    merge_fault(monkeypatch, (1, 3, 1))
+
+
+def merge_fault(monkeypatch, wrong):
+    """Multiply labels that should give (3,1) into ``wrong``; the
+    coproduct tables stay true."""
     real = symfunc._merge_labels
 
     def faulty(lam, mu):
         merged = real(lam, mu)
-        return (2, 2) if merged == (3, 1) else merged
+        return wrong if merged == (3, 1) else merged
 
     monkeypatch.setattr(symfunc, "_merge_labels", faulty)
     # _comult_table merges labels too, and its memo is process-wide: a
@@ -924,35 +937,87 @@ def test_coded_route_matches_route_word():
     # and is yielded with its route: the coded coproduct half, read from
     # the towers' row expansions, against the realized route word.
     real = default_realization()
-    tables = symfunc._CodedTables(5)
+    tables, steps = symfunc._CodedTables(5), _StepTables(real)
     for n in range(6):
         comps = enumerate_compositions(n)
         for alpha in comps:
             for beta in comps:
                 for gamma in common_coarsenings(alpha, beta):
                     word = real.realize_word(route_word(alpha, beta, gamma))
-                    yielded = list(_route_comparison(alpha, beta, gamma, tables)([]))
+                    comparison = _route_comparison(alpha, beta, gamma, tables, steps)
+                    yielded = list(comparison([]))
                     assert [el for el, _, _ in yielded] == real.tensor_basis(alpha)
                     for el, towers, route in yielded:
                         assert towers == TensorElement.zero(beta.parts)
                         assert route == word(el), (alpha, beta, gamma, el)
 
 
-def test_tower_sweeps_realize_no_merge(monkeypatch):
-    # the towers add codes and the route's coproduct half is coded from
-    # the same row expansions: only the route's splits are realized
-    words = []
+def test_passing_tower_sweeps_realize_no_word(monkeypatch):
+    # the towers add codes, the route's coproduct half is coded from the
+    # same row expansions and its split half is read from step tables:
+    # a passing sweep realizes and evaluates no word at all
+    calls = []
     realize_word = symfunc.PshRealization.realize_word
+    call = symfunc.RealizedMap.__call__
 
     def recorded(self, word):
-        words.append(word)
+        calls.append(word)
         return realize_word(self, word)
 
+    def evaluated(self, el):
+        calls.append(el)
+        return call(self, el)
+
     monkeypatch.setattr(symfunc.PshRealization, "realize_word", recorded)
+    monkeypatch.setattr(symfunc.RealizedMap, "__call__", evaluated)
     assert check_worked_examples(5).passed
     assert check_mixed_relations(4, 3).passed
-    assert words
-    assert not [w for w in words if any(isinstance(g, Merge) for g in w.steps)]
+    assert calls == []
+
+
+def test_route_cross_check_raises_on_disagreement(monkeypatch):
+    # step tables that send every element of A(alpha) to the wrong label
+    # of A(gamma) disagree with the realized split word on the first
+    # failure, and the sweep raises rather than report a false route
+    chain_value = hopfverify._chain_value
+
+    def reversed_positions(tables, chain):
+        value = chain_value(tables, chain)
+        return value[::-1] if len(chain) >= 1 else value
+
+    monkeypatch.setattr(hopfverify, "_chain_value", reversed_positions)
+    with pytest.raises(RuntimeError, match="split word disagree"):
+        check_worked_examples(4)
+
+
+def test_linear_split_value_routes_as_the_word(monkeypatch):
+    # a product with a coefficient-2 image makes one split table linear:
+    # the route sums that value's coded labels, as the realized word does
+    split_coeff_fault(monkeypatch)
+    real = default_realization()
+    tables, steps = symfunc._CodedTables(4), _StepTables(real)
+    comps = enumerate_compositions(4)
+    for alpha, beta in product(comps, repeat=2):
+        for gamma in common_coarsenings(alpha, beta):
+            word = real.realize_word(route_word(alpha, beta, gamma))
+            for el, _, route in _route_comparison(alpha, beta, gamma, tables, steps)([]):
+                assert route == word(el), (alpha, beta, gamma, el)
+    assert [type(rows[0]) for rows in steps.values()].count(dict) == 1
+    assert not check_mixed_relations(4, 3).passed
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda: check_worked_examples(4), lambda: check_relation_family("ss", 6, 4)],
+    ids=["worked-4", "ss-6-4"],
+)
+def test_degree_fault_is_a_realization_error(monkeypatch, sweep):
+    # the product leaves A(domain)'s basis: the step table that reads it
+    # names the step and the stray label instead of ending in a KeyError
+    assert sweep().passed
+    degree_fault(monkeypatch)
+    with pytest.raises(RealizationError, match=r"\(1, 3, 1\),\) is not a basis label"):
+        sweep()
 
 
 def test_tower_codes_round_trip_at_the_sweep_width():
