@@ -13,11 +13,14 @@ Composition bookkeeping: the face/degeneracy operators of a simplicial
 set X are contravariant images of these monotone maps, so an operator
 identity ``p q = r s`` (q applied first) holds iff the underlying maps
 satisfy ``map(q) . map(p) = map(s) . map(r)`` with the first-applied
-operator outermost.
+operator outermost.  The sweep composes value tables, building each
+face and degeneracy once per (n, i) and checking its signature then;
+``MonotoneMap.after`` is the reference composition it agrees with.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 from .errors import IndexRangeError
@@ -95,17 +98,6 @@ def degeneracy(n: int, i: int) -> MonotoneMap:
     return MonotoneMap(n + 1, n, table)
 
 
-def _operator_chain(maps):
-    """Underlying map of an operator word (first-applied operator first).
-
-    Contravariance makes the first-applied operator the outermost map.
-    """
-    result = maps[0]
-    for m in maps[1:]:
-        result = result.after(m)
-    return result
-
-
 def identity_check_count(max_n: int) -> int:
     """How many checks ``verify_simplicial_identities(max_n)`` makes.
 
@@ -130,66 +122,53 @@ def verify_simplicial_identities(
     if max_n < 1:
         raise IndexRangeError("max_n must be >= 1")
     report = VerificationReport("simplicial", {"max_n": max_n})
+    tables = {}
 
-    def check(name, n, i, j, left_ops, right_ops):
-        left = _operator_chain(left_ops)
-        right = _operator_chain(right_ops)
-        report.checked += 1
-        if left != right:
-            report.record(
-                f"{name} at n={n}, i={i}, j={j}",
-                name,
-                str(left.table),
-                str(right.table),
-            )
+    def table(fn, n, i):
+        """``fn(n, i)``'s value table, built and its signature checked once."""
+        key = (fn, n, i)
+        if key not in tables:
+            m = fn(n, i)
+            kind, domain = ("face", n - 1) if fn is face_fn else ("degeneracy", n + 1)
+            if (m.domain, m.codomain) != (domain, n):
+                raise IndexRangeError(
+                    f"{kind} ({n},{i}) is [{m.domain}]->[{m.codomain}], "
+                    f"not [{domain}]->[{n}]"
+                )
+            tables[key] = m.table
+        return tables[key]
 
-    for n in range(2, max_n + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                # d_i d_j = d_{j-1} d_i
-                check(
-                    "d_i d_j = d_(j-1) d_i (i<j)", n, i, j,
-                    [face_fn(n, j), face_fn(n - 1, i)],
-                    [face_fn(n, i), face_fn(n - 1, j - 1)],
-                )
-    for n in range(1, max_n + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                # d_i s_j = s_{j-1} d_i
-                check(
-                    "d_i s_j = s_(j-1) d_i (i<j)", n, i, j,
-                    [degeneracy_fn(n, j), face_fn(n + 1, i)],
-                    [face_fn(n, i), degeneracy_fn(n - 1, j - 1)],
-                )
-    for n in range(0, max_n + 1):
-        for j in range(n + 1):
-            for i in (j, j + 1):
-                # d_i s_j = 1
-                left = _operator_chain([degeneracy_fn(n, j), face_fn(n + 1, i)])
-                report.checked += 1
-                if left != identity(n):
-                    report.record(
-                        f"d_i s_j = 1 (i=j or i=j+1) at n={n}, i={i}, j={j}",
-                        "d_i s_j = 1",
-                        str(left.table),
-                        str(identity(n).table),
-                    )
-    for n in range(1, max_n + 1):
-        for j in range(n):
-            for i in range(j + 2, n + 2):
-                # d_i s_j = s_j d_{i-1}
-                check(
-                    "d_i s_j = s_j d_(i-1) (i>j+1)", n, i, j,
-                    [degeneracy_fn(n, j), face_fn(n + 1, i)],
-                    [face_fn(n, i - 1), degeneracy_fn(n - 1, j)],
-                )
-    for n in range(0, max_n + 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                # s_i s_j = s_{j+1} s_i
-                check(
-                    "s_i s_j = s_(j+1) s_i (i<=j)", n, i, j,
-                    [degeneracy_fn(n, j), degeneracy_fn(n + 1, i)],
-                    [degeneracy_fn(n, i), degeneracy_fn(n + 1, j + 1)],
+    d, s = partial(table, face_fn), partial(table, degeneracy_fn)
+    # Each family: its witness, the rest of its instance label, its walk
+    # (n, i, j) and the tables p, q, r, t of ``p . q = r . t``.
+    top = max_n + 1
+    families = (
+        ("d_i d_j = d_(j-1) d_i (i<j)", "",
+         ((n, i, j) for n in range(2, top) for j in range(n + 1) for i in range(j)),
+         lambda n, i, j: (d(n, j), d(n - 1, i), d(n, i), d(n - 1, j - 1))),
+        ("d_i s_j = s_(j-1) d_i (i<j)", "",
+         ((n, i, j) for n in range(1, top) for j in range(n + 1) for i in range(j)),
+         lambda n, i, j: (s(n, j), d(n + 1, i), d(n, i), s(n - 1, j - 1))),
+        ("d_i s_j = 1", " (i=j or i=j+1)",
+         ((n, i, j) for n in range(top) for j in range(n + 1) for i in (j, j + 1)),
+         lambda n, i, j: (s(n, j), d(n + 1, i), range(n + 1), range(n + 1))),
+        ("d_i s_j = s_j d_(i-1) (i>j+1)", "",
+         ((n, i, j) for n in range(1, top) for j in range(n)
+          for i in range(j + 2, n + 2)),
+         lambda n, i, j: (s(n, j), d(n + 1, i), d(n, i - 1), s(n - 1, j))),
+        ("s_i s_j = s_(j+1) s_i (i<=j)", "",
+         ((n, i, j) for n in range(top) for j in range(n + 1) for i in range(j + 1)),
+         lambda n, i, j: (s(n, j), s(n + 1, i), s(n, i), s(n + 1, j + 1))),
+    )
+    for witness, rest, walk, operators in families:
+        for n, i, j in walk:
+            p, q, r, t = operators(n, i, j)
+            left = tuple(map(p.__getitem__, q))
+            right = tuple(map(r.__getitem__, t))
+            report.checked += 1
+            if left != right:
+                report.record(
+                    f"{witness}{rest} at n={n}, i={i}, j={j}", witness,
+                    str(left), str(right),
                 )
     return report

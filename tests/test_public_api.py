@@ -71,11 +71,7 @@ def test_root_exports_what_callers_read():
     assert missing == []
 
 
-@pytest.mark.parametrize("name", [
-    "relations-dd-8-4", "relations-ss-8-4", "relations-tautau-4-4",
-    "relations-mixed-6-3", "square-11-summed", "square-11-per-k",
-    "hopf-12", "bidegree12-11", "worked-8", "simplicial-6",
-])
+@pytest.mark.parametrize("name", [*workloads.CLI_SWEEPS, "worked-8"])
 def test_reports_match_recorded_digests(name):
     # "the same reports" means byte-identical JSON: these are the recorded
     # bytes' SHA-256, for the sweeps fast enough to run on every test run.

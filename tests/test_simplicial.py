@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -82,6 +83,63 @@ def test_corrupted_face_is_caught_and_named():
     assert not report.passed
     assert any("d_i d_j" in f.witness or "d_i s_j" in f.witness
                for f in report.failures)
+
+
+def _face_fault(n, i):
+    if (n, i) == (2, 1):
+        return MonotoneMap(1, 2, (0, 1))  # should be (0, 2)
+    return face(n, i)
+
+
+def _degeneracy_fault(n, i):
+    if (n, i) == (1, 0):
+        return MonotoneMap(2, 1, (0, 1, 1))  # should be (0, 0, 1)
+    return degeneracy(n, i)
+
+
+# Count, first instance and whole-report digest, as the sweep that
+# composed MonotoneMaps through ``after`` reported them.
+@pytest.mark.parametrize("faults, count, first, sha", [
+    (dict(face_fn=_face_fault), 7,
+     "d_i d_j = d_(j-1) d_i (i<j) at n=2, i=0, j=1",
+     "4c0b027a0476b5e54a5b94dbd094a890c2e230dd2be6085b85cd426d05d9c675"),
+    (dict(degeneracy_fn=_degeneracy_fault), 7,
+     "d_i s_j = s_(j-1) d_i (i<j) at n=2, i=0, j=1",
+     "b93b1ab18c8610b573ce61f3e69b8ccc7099c9e54aaea72d5c2c56d35496dded"),
+], ids=["face", "degeneracy"])
+def test_sweep_fails_on_either_operator(faults, count, first, sha):
+    report = verify_simplicial_identities(4, **faults)
+    assert len(report.failures) == count
+    assert report.failures[0].instance == first
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha
+
+
+def test_each_operator_is_built_once_per_index():
+    calls = []
+
+    def counted(fn):
+        def build(n, i):
+            calls.append((fn, n, i))
+            return fn(n, i)
+        return build
+
+    verify_simplicial_identities(
+        4, face_fn=counted(face), degeneracy_fn=counted(degeneracy)
+    )
+    assert len(calls) == len(set(calls))
+    assert [sum(fn is f for fn, _, _ in calls) for f in (face, degeneracy)] == [20, 21]
+
+
+def test_operator_of_the_wrong_signature_is_refused():
+    # Each table's signature is checked once, when it is built.  The sweep
+    # that composed through ``after`` raised here too, without naming it.
+    def bad_face(n, i):
+        if (n, i) == (2, 1):
+            return MonotoneMap(1, 3, (0, 2))  # [1] -> [3], not [1] -> [2]
+        return face(n, i)
+
+    with pytest.raises(IndexRangeError, match=r"face \(2,1\)"):
+        verify_simplicial_identities(4, face_fn=bad_face)
 
 
 def test_composition_associative_and_identity_neutral():
