@@ -15,6 +15,7 @@ import sys
 import time
 from functools import cache
 from itertools import islice
+from math import prod
 
 from .compositions import _count_compositions, enumerate_compositions
 from .contingency import _matrices, enumerate_matrices
@@ -228,6 +229,13 @@ def _run_verify(args) -> int:
 
 def _run_explore(args) -> int:
     beta = parse_composition(args.beta)
+    # tables, work and output grow as (a+1)(b1+1)(b2+1); bad a or beta is the sweep's
+    size = (args.a + 1) * prod(b + 1 for b in beta.parts)
+    if args.a >= 0 and beta.length == 2 and size > MAX_OUTPUT:
+        raise UsageError(
+            f"--a {args.a} --beta {beta} give a size (a+1)(b1+1)(b2+1) of "
+            f"{size}, more than the {MAX_OUTPUT} this command computes"
+        )
     report = hopfverify.explore_mixed_bidegree(args.a, beta)
     if args.format == "json":
         print(json.dumps(report, indent=2))

@@ -26,7 +26,7 @@ for the coalgebra and tower sweeps, and basis-position step tables
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import accumulate, combinations, islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import prod
 
 from .compositions import (
@@ -51,7 +51,6 @@ from .reports import VerificationReport
 from .symfunc import (
     TensorElement,
     _CodedTables,
-    _add_towers,
     comult_splittings,
     default_realization,
     format_graded,
@@ -131,33 +130,30 @@ def _route_comparison(alpha, beta, gamma, tables: _CodedTables, steps: _StepTabl
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
     The route multiplies alpha down to gamma, then comultiplies out to
-    beta.  The coproduct is coded once per label of A(gamma) from the
-    towers' ``tables.row_expansions``; the product is read off positions,
-    A(alpha) -> A(gamma), from ``steps`` by :func:`_chain_value`.  The
-    returned function yields ``(element, towers_sum, route)``, both
-    decoded, for each basis element where a group of matrices' towers
-    differ from the route.  Only there is the split word realized, once,
-    and its value must be the tables', or the sweep raises.
+    beta.  The coproduct is the tower of gamma's diagonal, the one matrix
+    of (gamma, beta) factoring through gamma, kept in ``tables.coproducts``;
+    the product is read off positions, A(alpha) -> A(gamma), from
+    ``steps`` by :func:`_chain_value`.  The returned function yields
+    ``(element, towers_sum, route)``, both decoded, for each basis element
+    where a group of matrices' towers differ from the route.  Only there
+    is the split word realized, once, and its value must be the tables',
+    or the sweep raises.
     """
     word, labels = split_chain(gamma, alpha), steps._basis(gamma.parts)[0]
     chain = tuple(zip(word.steps, word.objects))
     split = _chain_value(steps, chain) if chain else range(len(labels))
-    cuts = list(accumulate(refines(gamma, beta), initial=0))
-    factors = [
-        tables.row_expansions(beta.parts[s:e], tuple(range(s, e)))
-        for s, e in zip(cuts, cuts[1:])
-    ]
-    coded = [{} for _ in labels]
-    # A(()) is spanned by the empty label, whose one piece is code 0
-    _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), coded, 0)
-    coded = [_nonzero(c) for c in coded]
+    coded = tables.coproducts.get((gamma.parts, beta.parts))
+    if coded is None:  # once per (gamma, beta) in a sweep
+        diagonal = _factoring_matrices(gamma, beta, gamma)
+        towers = tables.summed_towers(gamma.parts, diagonal)
+        coded = tables.coproducts[gamma.parts, beta.parts] = list(map(_nonzero, towers))
     # a faulty product can make a split value linear: it sums labels' routes
     routes = [coded[p] if type(p) is int else _applied(coded, p) for p in split]
     real, decode, witnesses = steps.realization, tables.decode, {}
     realized = cache(lambda: real.realize_word(word))  # on the first failure
 
     def mismatches(matrices):
-        totals = real._summed_towers(alpha.parts, matrices, tables)
+        totals = tables.summed_towers(alpha.parts, matrices)
         for i, (total, route) in enumerate(zip(totals, routes)):
             # the towers keep zeros and the route has none: compare raw first
             if total == route or _nonzero(total) == route:

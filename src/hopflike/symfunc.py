@@ -144,10 +144,43 @@ def comult_splittings(lam) -> tuple:
 # elements of one graded piece
 
 
-class SymElement:
+class _Combination:
+    """The arithmetic of an immutable integer combination ``coeffs``.
+
+    Each subclass builds its results through ``_like(coeffs)``.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _merged(self, other) -> dict:
+        merged = dict(self.coeffs)
+        for label, c in other.coeffs.items():
+            merged[label] = merged.get(label, 0) + c
+        return merged
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, scalar):
+        if isinstance(scalar, int):
+            return self._like({k: scalar * v for k, v in self.coeffs.items()})
+        return NotImplemented
+
+
+class SymElement(_Combination):
     """Homogeneous integer combination of basis vectors of one degree."""
 
-    __slots__ = ("degree", "basis", "coeffs")
+    __slots__ = ("degree", "basis")
 
     def __init__(self, degree: int, basis: str, coeffs: dict):
         if basis not in ("h", "m", "s"):
@@ -167,9 +200,6 @@ class SymElement:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", {k: v for k, v in cleaned.items() if v})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymElement is immutable")
-
     @classmethod
     def basis_element(cls, basis: str, lam) -> "SymElement":
         lam = tuple(lam)
@@ -183,10 +213,6 @@ class SymElement:
     def one(cls, basis: str = "h") -> "SymElement":
         return cls(0, basis, {(): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _like(self, coeffs):
         return SymElement(self.degree, self.basis, coeffs)
 
@@ -199,21 +225,7 @@ class SymElement:
             raise DegreeMismatchError("SymElement is homogeneous")
         if self.is_zero and other.degree != self.degree:
             return other
-        merged = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            merged[lam] = merged.get(lam, 0) + c
-        return self._like(merged)
-
-    def __neg__(self):
-        return self._like({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, int):
-            return self._like({k: scalar * v for k, v in self.coeffs.items()})
-        return NotImplemented
+        return self._like(self._merged(other))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -487,7 +499,7 @@ def hall_inner(x: SymElement, y: SymElement) -> int:
 # tensor spaces
 
 
-class TensorElement:
+class TensorElement(_Combination):
     """Integer combination of h-basis tensors over a raw shape.
 
     The shape is a tuple of non-negative slot degrees; each label is a
@@ -495,7 +507,7 @@ class TensorElement:
     constructor raises ``RealizationError`` on any other label.
     """
 
-    __slots__ = ("shape", "coeffs")
+    __slots__ = ("shape",)
 
     def __init__(self, shape, coeffs: dict):
         shape = tuple(int(v) for v in shape)
@@ -518,9 +530,6 @@ class TensorElement:
             self, "coeffs", {k: v for k, v in cleaned.items() if v}
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
     @classmethod
     def _trusted(cls, shape: tuple, coeffs: dict) -> "TensorElement":
         """Build without validation, dropping zero coefficients.
@@ -533,6 +542,9 @@ class TensorElement:
         object.__setattr__(el, "coeffs", {k: v for k, v in coeffs.items() if v})
         return el
 
+    def _like(self, coeffs):
+        return TensorElement._trusted(self.shape, coeffs)
+
     @classmethod
     def zero(cls, shape) -> "TensorElement":
         return cls(shape, {})
@@ -541,10 +553,6 @@ class TensorElement:
     def basis(cls, label) -> "TensorElement":
         label = tuple(tuple(p) for p in label)
         return cls(tuple(sum(p) for p in label), {label: 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other):
         if not isinstance(other, TensorElement):
@@ -555,25 +563,7 @@ class TensorElement:
             if other.is_zero:
                 return self
             raise RealizationError(f"shape mismatch {self.shape} vs {other.shape}")
-        merged = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            merged[label] = merged.get(label, 0) + c
-        return TensorElement._trusted(self.shape, merged)
-
-    def __neg__(self):
-        return TensorElement._trusted(
-            self.shape, {k: -v for k, v in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, int):
-            return TensorElement._trusted(
-                self.shape, {k: scalar * v for k, v in self.coeffs.items()}
-            )
-        return NotImplemented
+        return self._like(self._merged(other))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -699,8 +689,9 @@ class _CodedTables(dict):
     ``tables[lam]`` is ``_comult_table(lam)`` group by group, each group a
     dict {pair code: coeff} without zero coefficients, read from the
     module attribute on each miss.  ``code(lam)``, ``whole(lam)`` and
-    ``row_expansions(row, columns)``, which codes towers and routes alike,
-    are memos too.  All live as long as this dict: one sweep.
+    ``row_expansions(row, columns)`` are memos too.  ``summed_towers``
+    values towers on them, and a tower route keeps its coproducts in
+    ``coproducts``.  All live as long as this dict: one sweep.
     """
 
     def __init__(self, degree: int):
@@ -711,6 +702,7 @@ class _CodedTables(dict):
         self._codes = {}
         self._wholes = {}
         self._rows = {}
+        self.coproducts = {}  # (gamma parts, beta parts) -> a route's coproducts
 
     def __missing__(self, lam):
         pair = self.pair_code
@@ -777,6 +769,38 @@ class _CodedTables(dict):
             found = self._rows[key] = tuple(expansions)
         return found
 
+    def summed_towers(self, domain_shape, matrices) -> list:
+        """The towers of ``matrices`` summed, on each basis label of A(domain).
+
+        Returns one {code: coeff} per element of ``tensor_basis(domain_shape)``,
+        in that order, zeros kept.  Each matrix must have row margins
+        ``domain_shape``, and these tables must be wide enough for its
+        column sums.  Its tower comultiplies every slot into the nonzero
+        entries of its row, as ``row_expansions`` codes them; sends each
+        piece to its column, read from ``slot_sources(transpose(K))``; and
+        multiplies each column's pieces, which on codes is adding them.  No
+        word is built.  The basis is walked matrix by matrix, slot by slot
+        (:func:`_add_towers`), so labels that share a prefix share its
+        partial sums.
+        """
+        totals = [{} for _ in itertools.product(*map(partitions_of, domain_shape))]
+        for K in matrices:
+            KT = transpose(K)
+            in_column_order = [j for j, col in enumerate(KT.entries) for v in col if v]
+            columns = [0] * len(in_column_order)
+            for j, piece in zip(in_column_order, slot_sources(KT)):
+                columns[piece] = j
+            factors, start = [], 0
+            for row in K.entries:
+                row = tuple(v for v in row if v)
+                factors.append(self.row_expansions(
+                    row, tuple(columns[start:start + len(row)])
+                ))
+                start += len(row)
+            # A(()) is spanned by the empty label, whose one piece is code 0
+            _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), totals, 0)
+        return totals
+
     def swap(self, code: int) -> int:
         """The code of (nu, mu) from that of (mu, nu)."""
         return (code >> self.shift) + ((code & self.mask) << self.shift)
@@ -795,6 +819,30 @@ class _CodedTables(dict):
         return {
             key: TensorElement._trusted(key, buckets[key]) for key in sorted(buckets)
         }
+
+
+def _add_towers(factors, slot, partial, totals, pos) -> int:
+    """Add one matrix's towers on the basis labels from ``slot`` on.
+
+    ``factors[i]`` holds slot i's coded row expansions, one per label in
+    ``partitions_of`` order; ``partial`` is the (code, coeff) pairs of
+    the earlier slots' pieces, summed; the first label reached adds into
+    ``totals[pos]``.  Returns the position after the last label reached.
+    """
+    # Module-level rather than a closure, for the reason _grow_rows gives.
+    last = slot == len(factors) - 1
+    for expansion in factors[slot]:
+        out = totals[pos] if last else {}
+        get = out.get
+        for k1, c1 in partial:
+            for k2, c2 in expansion:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if last:
+            pos += 1
+        else:
+            pos = _add_towers(factors, slot + 1, out.items(), totals, pos)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -861,79 +909,19 @@ class PshRealization:
         raise RealizationError(f"unknown generator {g!r}")
 
     def realize_word(self, word) -> RealizedMap:
-        """Compile ``word``; each step's domain is read from ``word.objects``."""
-        actions = [self._action(g, d) for g, d in zip(word.steps, word.objects)]
-        return self._compiled(word.target.parts, word.source.parts, actions[::-1])
+        """Compile ``word`` into one map, with one shape check on entry.
 
-    @staticmethod
-    def _compiled(domain_shape, codomain_shape, actions) -> RealizedMap:
-        """Map applying ``actions`` in order, with one shape check on entry."""
+        Each step's domain is read from ``word.objects``; the last acts first."""
+        actions = [self._action(g, d) for g, d in zip(word.steps, word.objects)][::-1]
+        shape = word.source.parts
 
         def fn(el):
             coeffs = el.coeffs
             for act in actions:
                 coeffs = act(coeffs)
-            return TensorElement._trusted(codomain_shape, coeffs)
+            return TensorElement._trusted(shape, coeffs)
 
-        return RealizedMap(domain_shape, codomain_shape, fn)
-
-    @staticmethod
-    def _summed_towers(domain_shape, matrices, tables: _CodedTables) -> list:
-        """The towers of ``matrices`` summed, on each basis label of A(domain).
-
-        Returns one {code: coeff} of ``tables`` per element of
-        ``tensor_basis(domain_shape)``, in that order, zeros kept.  Each
-        matrix must have row margins ``domain_shape``, and ``tables``
-        must be wide enough for its column sums.  Its tower comultiplies
-        every slot into the nonzero entries of its row, as
-        ``tables.row_expansions`` codes them; sends each piece to its
-        column, read from ``slot_sources(transpose(K))``; and multiplies
-        each column's pieces, which on codes is adding them.  No word is
-        built.  The basis is walked matrix by matrix, slot by slot
-        (:func:`_add_towers`), so labels that share a prefix share its
-        partial sums.
-        """
-        totals = [{} for _ in itertools.product(*map(partitions_of, domain_shape))]
-        for K in matrices:
-            KT = transpose(K)
-            in_column_order = [j for j, col in enumerate(KT.entries) for v in col if v]
-            columns = [0] * len(in_column_order)
-            for j, piece in zip(in_column_order, slot_sources(KT)):
-                columns[piece] = j
-            factors, start = [], 0
-            for row in K.entries:
-                row = tuple(v for v in row if v)
-                factors.append(tables.row_expansions(
-                    row, tuple(columns[start:start + len(row)])
-                ))
-                start += len(row)
-            # A(()) is spanned by the empty label, whose one piece is code 0
-            _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), totals, 0)
-        return totals
-
-
-def _add_towers(factors, slot, partial, totals, pos) -> int:
-    """Add one matrix's towers on the basis labels from ``slot`` on.
-
-    ``factors[i]`` holds slot i's coded row expansions, one per label in
-    ``partitions_of`` order; ``partial`` is the (code, coeff) pairs of
-    the earlier slots' pieces, summed; the first label reached adds into
-    ``totals[pos]``.  Returns the position after the last label reached.
-    """
-    # Module-level rather than a closure, for the reason _grow_rows gives.
-    last = slot == len(factors) - 1
-    for expansion in factors[slot]:
-        out = totals[pos] if last else {}
-        get = out.get
-        for k1, c1 in partial:
-            for k2, c2 in expansion:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        if last:
-            pos += 1
-        else:
-            pos = _add_towers(factors, slot + 1, out.items(), totals, pos)
-    return pos
+        return RealizedMap(word.target.parts, shape, fn)
 
 
 _default_realization = PshRealization()

@@ -421,6 +421,30 @@ def test_explore_mixed_json(capsys):
     assert "upper" in payload and "lower" in payload
 
 
+@pytest.mark.parametrize("a", ["3000000", "200000"])
+def test_oversized_explore_exits_two_at_once(capsys, a):
+    # 3000000 used to end in a MemoryError traceback under a 1 GB limit
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "explore", "mixed", "--a", a, "--beta", "(1,1)")
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --a {a} --beta (1,1) give a size (a+1)(b1+1)(b2+1) of "
+        f"{(int(a) + 1) * 4}, more than the {cli.MAX_OUTPUT} this command "
+        "computes\n"
+    )
+
+
+def test_explore_limit_is_exact(capsys, monkeypatch):
+    argv = ["explore", "mixed", "--a", "2", "--beta", "(2,2)"]
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 27)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_OUTPUT", 26)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "(a+1)(b1+1)(b2+1) of 27," in err
+
+
 def test_repeated_calls_leave_no_cyclic_garbage(capsys):
     # A parser is a web of reference cycles, so building one per call left
     # hundreds of objects per call for the cyclic collector.

@@ -6,7 +6,7 @@ here walks the same word one generator at a time through the public
 slot operations and re-validates every intermediate element, so a
 compilation mistake (wrong slot, wrong degree, wrong order of steps)
 shows up as a difference.  The tower sweeps build no words: their
-grouped evaluator, ``PshRealization._summed_towers``, is checked against
+grouped evaluator, ``_CodedTables.summed_towers``, is checked against
 the realized tower words of :func:`tower_word`, and the route's coded
 coproduct half against the realized words of :func:`route_word`.
 """
@@ -921,7 +921,7 @@ def test_summed_towers_match_tower_words(monkeypatch, inject):
                 groups.append((matrices, words))
                 basis = real.tensor_basis(alpha)
                 for group, maps in groups:
-                    totals = real._summed_towers(alpha.parts, group, tables)
+                    totals = tables.summed_towers(alpha.parts, group)
                     assert len(totals) == len(basis)
                     for el, total in zip(basis, totals):
                         want = TensorElement.zero(beta.parts)
@@ -1029,9 +1029,7 @@ def test_tower_codes_round_trip_at_the_sweep_width():
     real = default_realization()
     tables = symfunc._CodedTables(n)
     alpha, beta = Composition((1,) * n), Composition((n,))
-    (total,) = real._summed_towers(
-        alpha.parts, enumerate_matrices(alpha, beta), tables
-    )
+    (total,) = tables.summed_towers(alpha.parts, enumerate_matrices(alpha, beta))
     assert tables.decode(beta.parts, total) == TensorElement.basis([(1,) * n])
     code, shift = tables.code, tables.shift
     for shape in enumerate_compositions(n, 3):

@@ -1,4 +1,5 @@
 import json
+import sys
 from bisect import bisect_left
 from itertools import accumulate, combinations, product
 from pathlib import Path
@@ -158,10 +159,11 @@ def test_per_k_realizes_the_route_once(monkeypatch):
 @pytest.mark.parametrize("parts, checked", [((1, 2, 1, 2), 58), ((2, 2, 2), 21)])
 def test_per_k_evaluates_the_route_once_per_element(monkeypatch, parts, checked):
     # every matrix fails on the first basis element: one tower-group call
-    # per matrix, and one route call for that element in all
+    # per matrix and one for the route's coproduct half, and one route
+    # call for that element in all
     routes = groups = 0
     call = RealizedMap.__call__
-    summed = PshRealization._summed_towers
+    summed = symfunc._CodedTables.summed_towers
 
     def counted_route(self, el):
         nonlocal routes
@@ -174,11 +176,41 @@ def test_per_k_evaluates_the_route_once_per_element(monkeypatch, parts, checked)
         return summed(*args)
 
     monkeypatch.setattr(RealizedMap, "__call__", counted_route)
-    monkeypatch.setattr(PshRealization, "_summed_towers", staticmethod(counted_group))
+    monkeypatch.setattr(symfunc._CodedTables, "summed_towers", counted_group)
     report = check_square_condition(C(parts), C(parts), "per-k")
     assert report.checked == checked
     assert routes == 1
-    assert groups == checked
+    assert groups == checked + 1
+
+
+@pytest.mark.parametrize("sweep, routes, checked", [
+    (lambda: check_mixed_relations(6, 3), 116, 692),
+    (lambda: check_worked_examples(8), 140, 818),
+], ids=["mixed-6-3", "worked-8"])
+def test_route_coproducts_are_valued_once_per_gamma_beta(
+    monkeypatch, sweep, routes, checked
+):
+    # the route's comultiplied half is the tower of gamma's diagonal,
+    # valued once per (gamma, beta) of the sweep, however many alphas
+    # share it; the towers are valued once per comparison
+    calls = {"_route_comparison": [], "mismatches": []}
+    summed = symfunc._CodedTables.summed_towers
+
+    def counted(self, domain_shape, matrices):
+        calls[sys._getframe(1).f_code.co_name].append((domain_shape, matrices))
+        return summed(self, domain_shape, matrices)
+
+    monkeypatch.setattr(symfunc._CodedTables, "summed_towers", counted)
+    report = sweep()
+    diagonals = calls["_route_comparison"]
+    assert report.passed and report.checked == checked
+    assert len(calls["mismatches"]) == checked
+    assert len(diagonals) == routes
+    assert len({(shape, K.raw_col_margins) for shape, (K,) in diagonals}) == routes
+    for shape, (K,) in diagonals:  # one entry per column, rows in order
+        owners = [[i for i, v in enumerate(col) if v] for col in zip(*K.entries)]
+        assert K.raw_row_margins == shape and owners == sorted(owners)
+        assert all(len(rows) == 1 for rows in owners)
 
 
 def _block_index(parts, gamma):

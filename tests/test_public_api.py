@@ -40,6 +40,13 @@ def test_public_names_are_pinned():
         assert hasattr(hopflike, name), name
 
 
+def test_realization_surface_is_pinned():
+    # what a second realization has to provide; the towers live on the
+    # sweep's coded tables, not here
+    own = {n for n in vars(symfunc.PshRealization) if not n.startswith("__")}
+    assert own == {"tensor_basis", "_basis_labels", "_action", "realize_word"}
+
+
 def test_root_exports_what_callers_read():
     # The scripts and the benchmark read the package root, and tier-1 runs
     # neither, so a name missing from it would show only as their failure.
