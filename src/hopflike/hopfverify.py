@@ -18,9 +18,9 @@ a corner term, and summing all six closed ranges would count every
 corner twice.  Corners are assigned to the lowest-numbered map that
 covers them, which makes the expansion equal the defect exactly.
 
-README.md describes the coded engines: label codes (``symfunc._CodedTables``)
-for the coalgebra and tower sweeps, and basis-position step tables
-(:class:`_StepTables`) for the relation sweeps and the tower routes' splits.
+README.md describes the coded engines: each sweep's one ``symfunc._CodedTables``,
+read from the default realization, with label codes for the coalgebra and tower
+sweeps and basis-position step tables (``steps``) for the relation sweeps.
 """
 
 from __future__ import annotations
@@ -41,17 +41,14 @@ from .category import (
     _check_bounds,
     _relation_chains,
     _relation_instance,
-    _step,
-    apply_generator,
     semantic_equal,
     split_chain,
 )
-from .errors import RealizationError, SumMismatchError, UsageError
+from .errors import SumMismatchError, UsageError
 from .reports import VerificationReport
 from .symfunc import (
     TensorElement,
     _CodedTables,
-    comult_splittings,
     default_realization,
     format_graded,
     format_tensor,
@@ -79,7 +76,7 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
     if max_degree < 1:
         raise UsageError("max_degree must be >= 1")
     report = VerificationReport("hopf-compat", {"max_degree": max_degree})
-    tables = _CodedTables(max_degree)
+    tables = _CodedTables(default_realization(), max_degree)
     failures = []  # (input-order key, failure fields)
     for a in range(max_degree + 1):
         for b in range(a, max_degree - a + 1):
@@ -126,20 +123,21 @@ def _nonzero(coeffs: dict) -> dict:
 # square condition (towers through a margin matrix)
 
 
-def _route_comparison(alpha, beta, gamma, tables: _CodedTables, steps: _StepTables):
+def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
     """Compare groups of towers of (alpha, beta) with the route via gamma.
 
     The route multiplies alpha down to gamma, then comultiplies out to
     beta.  The coproduct is the tower of gamma's diagonal, the one matrix
     of (gamma, beta) factoring through gamma, kept in ``tables.coproducts``;
     the product is read off positions, A(alpha) -> A(gamma), from
-    ``steps`` by :func:`_chain_value`.  The returned function yields
+    ``tables.steps`` by :func:`_chain_value`.  The returned function yields
     ``(element, towers_sum, route)``, both decoded, for each basis element
     where a group of matrices' towers differ from the route.  Only there
     is the split word realized, once, and its value must be the tables',
     or the sweep raises.
     """
-    word, labels = split_chain(gamma, alpha), steps._basis(gamma.parts)[0]
+    steps, word = tables.steps, split_chain(gamma, alpha)
+    labels = steps._basis(gamma.parts)[0]
     chain = tuple(zip(word.steps, word.objects))
     split = _chain_value(steps, chain) if chain else range(len(labels))
     coded = tables.coproducts.get((gamma.parts, beta.parts))
@@ -195,8 +193,8 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
     )
     gamma = Composition([alpha.sum]) if alpha.sum else Composition()
     matrices = enumerate_matrices(alpha, beta)
-    steps = _StepTables(default_realization())
-    mismatches = _route_comparison(alpha, beta, gamma, _CodedTables(alpha.sum), steps)
+    tables = _CodedTables(default_realization(), alpha.sum)
+    mismatches = _route_comparison(alpha, beta, gamma, tables)
     if reading == "summed":
         report.checked += prod(len(partitions_of(p)) for p in alpha.parts)
         instance = (
@@ -225,7 +223,7 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
 
     dd, ss and tautau run one loop over the family's walk
     (``category._relation_chains``).  Both chains of an instance are
-    valued from :class:`_StepTables` by :func:`_chain_value`, and kept
+    valued from the step tables by :func:`_chain_value`, and kept
     per source where walks repeat them.  The left chain's value is kept
     for every family, since tautau compares every chain of a group with
     its first.  A right chain's value is kept only when it is linear
@@ -245,7 +243,7 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
     report = VerificationReport(
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
-    tables = _StepTables(default_realization())
+    tables = _CodedTables(default_realization(), max_sum).steps
     memo, current = {}, None
     for source, left, right, info in chains:
         report.checked += 1
@@ -274,49 +272,6 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
             *map(format_tensor, (TensorElement.basis(label), lv, rv)),
         )
     return report
-
-
-class _StepTables(dict):
-    """Basis tables of generator steps, each built on its first lookup.
-
-    They value the relation sweeps' chains and the tower routes' split
-    chains.  ``tables[key]`` has one row per basis label of the step's
-    codomain, in ``tensor_basis`` order: the generator applied to that
-    label by the realization's one hook ``_action``, read by position in
-    the domain's basis.  A row is that position, an int, when every image
-    is one label with coefficient 1 (every split and shuffle), and else a
-    ``{position: coeff}`` without zeros.  Keys are ``category._step``
-    keys: ``(generator, domain)``, or K for ``Shuffle(K)``, whose hash is
-    cached.  Labels and positions are built once per composition, from
-    ``_basis_labels``, and everything lives as long as this dict: one sweep.
-    """
-
-    def __init__(self, realization):
-        super().__init__()
-        self.realization = realization
-        self.bases = {}  # parts -> (labels, {label: position})
-
-    def _basis(self, parts):
-        basis = self.bases.get(parts)
-        if basis is None:
-            labels = self.realization._basis_labels(parts)
-            basis = self.bases[parts] = labels, {k: p for p, k in enumerate(labels)}
-        return basis
-
-    def __missing__(self, key):
-        g, domain = _step(key)
-        act = self.realization._action(g, domain)
-        labels = self._basis(apply_generator(g, domain).parts)[0]
-        index = self._basis(domain.parts)[1]
-        images = [act({label: 1}) for label in labels]
-        try:
-            rows = tuple({index[k]: v for k, v in img.items() if v} for img in images)
-        except KeyError as exc:  # a faulty action left the domain's basis
-            raise RealizationError(f"step {g}: {exc} is not a basis label of A{domain}")
-        if all(list(row.values()) == [1] for row in rows):
-            rows = tuple(p for row in rows for p in row)
-        self[key] = rows
-        return rows
 
 
 def _chain_value(tables, chain) -> tuple:
@@ -379,7 +334,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
         for n in range(1, max_sum + 1)
         for c in enumerate_compositions(n, max_len)
     ]
-    tables, steps = _CodedTables(max_sum), _StepTables(default_realization())
+    tables = _CodedTables(default_realization(), max_sum)
     for alpha in comps:
         for beta in comps:
             if beta.sum != alpha.sum:
@@ -391,7 +346,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
                     report,
                     f"mixed alpha={alpha} beta={beta} gamma={gamma} "
                     f"#K={len(group)}",
-                    _route_comparison(alpha, beta, gamma, tables, steps)(group),
+                    _route_comparison(alpha, beta, gamma, tables)(group),
                 )
     return report
 
@@ -405,15 +360,14 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     totals.  Every group comes from :func:`_factoring_matrices`.
     """
     report = VerificationReport("worked-examples", {"max_n": max_n})
-    tables = _CodedTables(max(max_n, 0))  # no case runs below n = 2
-    steps = _StepTables(default_realization())
+    tables = _CodedTables(default_realization(), max(max_n, 0))  # no case below n = 2
 
     def run_case(alpha, beta, gamma, tag):
         report.checked += 1
         _record_first(
             report,
             f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
-            _route_comparison(alpha, beta, gamma, tables, steps)(
+            _route_comparison(alpha, beta, gamma, tables)(
                 _factoring_matrices(alpha, beta, gamma)
             ),
         )
@@ -622,7 +576,7 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
-    tables = _CodedTables(max_total)
+    tables = _CodedTables(default_realization(), max_total)
     # (degree, index in partitions_of, label), by degree: the indices
     # order failures as the inputs come
     slots = [
@@ -709,9 +663,10 @@ def check_bidegree12_cases(max_total: int) -> VerificationReport:
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
     report = VerificationReport("bidegree12-six-cases", {"max_total": max_total})
+    tables = _CodedTables(default_realization(), max_total)
     # every degree is positive, so none exceeds max_total - 2
     supports = {
-        x: frozenset(u for u, group in enumerate(comult_splittings(x)) if group)
+        x: frozenset(u for u, group in enumerate(tables[x]) if group)
         for d in range(1, max_total - 1)
         for x in partitions_of(d)
     }
@@ -771,8 +726,9 @@ def _halves(label):
     Yields ``(left, right, coeff)`` with each half a label whose empty
     (degree-zero) slots are dropped.
     """
+    splittings = default_realization()._splittings
     for slot, lam in enumerate(label):
-        for group in comult_splittings(lam):
+        for group in splittings(lam):
             for mu, nu, c in group:
                 left = tuple(p for p in label[:slot] + (mu,) if p)
                 right = tuple(p for p in (nu,) + label[slot + 1:] if p)

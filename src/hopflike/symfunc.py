@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .compositions import Composition
 from .contingency import slot_sources, transpose
-from .category import Merge, Shuffle, Split
+from .category import Merge, Shuffle, Split, _step, apply_generator
 from .errors import (
     BasisMismatchError,
     DegreeMismatchError,
@@ -107,15 +107,13 @@ def _comult_table(lam: tuple) -> tuple:
     reader wanting one left degree indexes it instead of filtering.
 
     Built from the memoized table of ``lam[:-1]`` times the coproduct of
-    h_(lam[-1]), read through the second name ``_comult_memo``: a patch
-    of ``_comult_table`` reaches only the tables asked for through it,
-    never their prefixes.
+    h_(lam[-1]).  The realization reads it as ``PshRealization._splittings``.
     """
     if not lam:
         return ((((), (), 1),),)
     part = lam[-1]
     table = {}
-    for u, group in enumerate(_comult_memo(lam[:-1])):
+    for u, group in enumerate(_comult_table(lam[:-1])):
         for mu, nu, c in group:
             for i in range(part + 1):
                 left = mu if i == 0 else _merge_labels(mu, (i,))
@@ -126,9 +124,6 @@ def _comult_table(lam: tuple) -> tuple:
     for (u, mu, nu), c in sorted(table.items()):
         groups[u].append((mu, nu, c))
     return tuple(map(tuple, groups))
-
-
-_comult_memo = _comult_table  # the same memo, for the recursion above
 
 
 def comult_splittings(lam) -> tuple:
@@ -579,14 +574,14 @@ class TensorElement(_Combination):
         return format_tensor(self)
 
 
-def _comult_action(slot: int, d1: int):
+def _comult_action(slot: int, d1: int, splittings=_comult_table):
     """Coefficient map of comultiplying ``slot`` with left degree d1."""
 
     def act(coeffs: dict) -> dict:
         out = {}
         for label, c in coeffs.items():
             head, tail = label[:slot], label[slot + 1:]
-            for mu, nu, d in _comult_table(label[slot])[d1]:
+            for mu, nu, d in splittings(label[slot])[d1]:
                 key = head + (mu, nu) + tail
                 out[key] = out.get(key, 0) + c * d
         return out
@@ -678,24 +673,27 @@ def _decode_label(code: int, width: int) -> tuple:
 
 
 class _CodedTables(dict):
-    """Comultiplication tables and tensors on additive label codes.
+    """One sweep's tables, all read from one ``realization``.
 
-    For sweeps over labels of degree at most ``degree``: labels get width
+    Labels of degree at most ``degree`` get additive codes of width
     W = ``degree.bit_length()``, and slot j of a tensor label contributes
     its label code times 2**(j * H), H = W * ``degree`` being above every
     label code.  A pair (mu, nu) thus gets code(mu) + code(nu) * 2**H,
     and a product of tensors slot by slot is a sum of codes.
 
-    ``tables[lam]`` is ``_comult_table(lam)`` group by group, each group a
-    dict {pair code: coeff} without zero coefficients, read from the
-    module attribute on each miss.  ``code(lam)``, ``whole(lam)`` and
-    ``row_expansions(row, columns)`` are memos too.  ``summed_towers``
-    values towers on them, and a tower route keeps its coproducts in
-    ``coproducts``.  All live as long as this dict: one sweep.
+    ``tables[lam]`` is the realization's ``_splittings(lam)`` group by
+    group, each group a dict {pair code: coeff} without zero coefficients;
+    ``row_expansions(row, columns)`` reads the same hook.  It, ``code(lam)``
+    and ``whole(lam)`` are memos too.  ``summed_towers`` values towers on
+    them, a tower route keeps its coproducts in ``coproducts``, and
+    ``steps`` holds the realization's step tables (:class:`_StepTables`).
+    All live as long as this dict: one sweep.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, realization, degree: int):
         super().__init__()
+        self.realization = realization
+        self.steps = _StepTables(realization)
         self.width = degree.bit_length()
         self.shift = self.width * degree
         self.mask = (1 << self.shift) - 1
@@ -708,7 +706,7 @@ class _CodedTables(dict):
         pair = self.pair_code
         table = self[lam] = tuple(
             {pair(mu, nu): c for mu, nu, c in group if c}
-            for group in _comult_table(lam)
+            for group in self.realization._splittings(lam)
         )
         return table
 
@@ -757,11 +755,11 @@ class _CodedTables(dict):
         found = self._rows.get(key)
         if found is None:
             code, shift = self.code, self.shift
-            expansions = []
+            splittings, expansions = self.realization._splittings, []
             for lam in partitions_of(sum(row)):
                 coeffs = {(lam,): 1}
                 for k in range(len(row) - 1, 0, -1):
-                    coeffs = _comult_action(0, sum(row[:k]))(coeffs)
+                    coeffs = _comult_action(0, sum(row[:k]), splittings)(coeffs)
                 expansions.append(tuple(
                     (sum(code(mu) << shift * j for mu, j in zip(pieces, columns)), c)
                     for pieces, c in coeffs.items()
@@ -845,6 +843,50 @@ def _add_towers(factors, slot, partial, totals, pos) -> int:
     return pos
 
 
+class _StepTables(dict):
+    """Basis tables of generator steps, each built on its first lookup.
+
+    They value the relation sweeps' chains and the tower routes' split
+    chains; only :class:`_CodedTables` builds them, as its ``steps``.
+    ``tables[key]`` has one row per basis label of the step's codomain,
+    in ``tensor_basis`` order: the generator applied to that label by the
+    realization's step hook ``_action``, read by position in the
+    domain's basis.  A row is that position, an int, when every image
+    is one label with coefficient 1 (every split and shuffle), and else a
+    ``{position: coeff}`` without zeros.  Keys are ``category._step``
+    keys: ``(generator, domain)``, or K for ``Shuffle(K)``, whose hash is
+    cached.  Labels and positions are built once per composition, from
+    ``_basis_labels``, and everything lives as long as this dict: one sweep.
+    """
+
+    def __init__(self, realization):
+        super().__init__()
+        self.realization = realization
+        self.bases = {}  # parts -> (labels, {label: position})
+
+    def _basis(self, parts):
+        basis = self.bases.get(parts)
+        if basis is None:
+            labels = self.realization._basis_labels(parts)
+            basis = self.bases[parts] = labels, {k: p for p, k in enumerate(labels)}
+        return basis
+
+    def __missing__(self, key):
+        g, domain = _step(key)
+        act = self.realization._action(g, domain)
+        labels = self._basis(apply_generator(g, domain).parts)[0]
+        index = self._basis(domain.parts)[1]
+        images = [act({label: 1}) for label in labels]
+        try:
+            rows = tuple({index[k]: v for k, v in img.items() if v} for img in images)
+        except KeyError as exc:  # a faulty action left the domain's basis
+            raise RealizationError(f"step {g}: {exc} is not a basis label of A{domain}")
+        if all(list(row.values()) == [1] for row in rows):
+            rows = tuple(p for row in rows for p in row)
+        self[key] = rows
+        return rows
+
+
 # ---------------------------------------------------------------------------
 # the contravariant realization
 
@@ -894,14 +936,15 @@ class PshRealization:
         """The labels of ``tensor_basis(parts)``, in its order."""
         return list(itertools.product(*map(partitions_of, parts)))
 
-    @staticmethod
-    def _action(g, domain: Composition):
+    _splittings = staticmethod(_comult_table)  # h_lam's splitting table, by left degree
+
+    def _action(self, g, domain: Composition):
         """Coefficient map realizing ``g`` out of A(codomain) into A(domain).
 
         ``g`` must be admissible on ``domain``.
         """
         if isinstance(g, Merge):
-            return _comult_action(g.i - 1, domain.parts[g.i - 1])
+            return _comult_action(g.i - 1, domain.parts[g.i - 1], self._splittings)
         if isinstance(g, Split):
             return _mult_action(g.i - 1)
         if isinstance(g, Shuffle):

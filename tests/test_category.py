@@ -24,7 +24,6 @@ from hopflike.errors import ChainError, GeneratorDomainError, UsageError, WordSy
 from hopflike.hopfverify import (
     _factoring_matrices,
     _route_comparison,
-    _StepTables,
     check_relation_family,
     check_square_condition,
 )
@@ -191,8 +190,8 @@ def test_mixed_instance_with_split_support_passes():
     fine = C([1, 1])
     group = _factoring_matrices(fine, fine, fine)
     assert group == [ContingencyMatrix([[1, 0], [0, 1]])]
-    steps = _StepTables(default_realization())
-    assert list(_route_comparison(fine, fine, fine, _CodedTables(2), steps)(group)) == []
+    tables = _CodedTables(default_realization(), 2)
+    assert list(_route_comparison(fine, fine, fine, tables)(group)) == []
 
 
 def composite_slot_map(K1, K2):

@@ -48,7 +48,6 @@ from hopflike.contingency import (
 )
 from hopflike.hopfverify import (
     _route_comparison,
-    _StepTables,
     check_bidegree12_cases,
     check_bidegree12_defect,
     check_hopf_compat,
@@ -167,20 +166,23 @@ def swap_fault(monkeypatch):
     monkeypatch.setattr(symfunc, "slot_sources", faulty)
 
 
+def h2_corrupted(lam):
+    """The splitting table of h_lam, with one added to the h1 (x) h1
+    coefficient of the coproduct of h2."""
+    table = symfunc._comult_table(lam)
+    if lam != (2,):
+        return table
+    return tuple(
+        tuple((mu, nu, c + 1 if mu == nu == (1,) else c) for mu, nu, c in group)
+        for group in table
+    )
+
+
 def comult_fault(monkeypatch):
     """Add one to the h1 (x) h1 coefficient of the coproduct of h2."""
-    real = symfunc._comult_table
-
-    def corrupted(lam):
-        table = real(lam)
-        if lam != (2,):
-            return table
-        return tuple(
-            tuple((mu, nu, c + 1 if mu == nu == (1,) else c) for mu, nu, c in group)
-            for group in table
-        )
-
-    monkeypatch.setattr(symfunc, "_comult_table", corrupted)
+    monkeypatch.setattr(
+        symfunc.PshRealization, "_splittings", staticmethod(h2_corrupted)
+    )
 
 
 def label_fault(monkeypatch):
@@ -200,26 +202,25 @@ def degree_fault(monkeypatch):
 def merge_fault(monkeypatch, wrong):
     """Multiply labels that should give (3,1) into ``wrong``; the
     coproduct tables stay true."""
-    real = symfunc._merge_labels
+    real = symfunc.PshRealization._action
 
-    def faulty(lam, mu):
-        merged = real(lam, mu)
-        return wrong if merged == (3, 1) else merged
+    def faulty(self, g, domain):
+        act = real(self, g, domain)
+        if not isinstance(g, Split):
+            return act
+        slot = g.i - 1  # the product's slot
 
-    monkeypatch.setattr(symfunc, "_merge_labels", faulty)
-    # _comult_table merges labels too, and its memo is process-wide: a
-    # table built under the fault would outlive it.  The fault gets its own
-    # memo, built with the true merge, so which sweep ran before cannot
-    # change what it reaches.
-    build = symfunc._comult_table.__wrapped__
+        def merged(coeffs):
+            out = {}
+            for label, c in act(coeffs).items():
+                if label[slot] == (3, 1):
+                    label = label[:slot] + (wrong,) + label[slot + 1:]
+                out[label] = out.get(label, 0) + c
+            return out
 
-    @lru_cache(maxsize=None)
-    def true_tables(lam):
-        with monkeypatch.context() as m:
-            m.setattr(symfunc, "_merge_labels", real)
-            return build(lam)
+        return merged
 
-    monkeypatch.setattr(symfunc, "_comult_table", true_tables)
+    monkeypatch.setattr(symfunc.PshRealization, "_action", faulty)
 
 
 def also_survives(monkeypatch, extra):
@@ -261,8 +262,8 @@ def blend_fault(monkeypatch):
     identity: a linear map that is not a permutation."""
     real = symfunc.PshRealization._action
 
-    def faulty(g, domain):
-        act = real(g, domain)
+    def faulty(self, g, domain):
+        act = real(self, g, domain)
         if not (isinstance(g, Shuffle) and g.K == SWAP):
             return act
 
@@ -274,7 +275,7 @@ def blend_fault(monkeypatch):
 
         return blended
 
-    monkeypatch.setattr(symfunc.PshRealization, "_action", staticmethod(faulty))
+    monkeypatch.setattr(symfunc.PshRealization, "_action", faulty)
 
 
 def split_coeff_fault(monkeypatch):
@@ -285,8 +286,8 @@ def split_coeff_fault(monkeypatch):
     """
     real = symfunc.PshRealization._action
 
-    def faulty(g, domain):
-        act = real(g, domain)
+    def faulty(self, g, domain):
+        act = real(self, g, domain)
         if g != Split(2, 2, 1) or domain != Composition((1, 3)):
             return act
 
@@ -298,7 +299,7 @@ def split_coeff_fault(monkeypatch):
 
         return doubled
 
-    monkeypatch.setattr(symfunc.PshRealization, "_action", staticmethod(faulty))
+    monkeypatch.setattr(symfunc.PshRealization, "_action", faulty)
 
 
 SWEEPS = {
@@ -413,24 +414,30 @@ def test_survival_fault_reaches_a_positive_bracket(monkeypatch):
 # --- the coalgebra sweeps value mirror-image inputs together -------------------
 
 
+def shuffled_product(tables, lam, mu, j) -> dict:
+    """The Hopf sweep's right side on h[lam] (x) h[mu] at left degree j:
+    the sum over u + v = j of their splittings multiplied, codes added."""
+    right = {}
+    for u in range(max(0, j - sum(mu)), min(sum(lam), j) + 1):
+        for k1, c1 in tables[lam][u].items():
+            for k2, c2 in tables[mu][j - u].items():
+                right[k1 + k2] = right.get(k1 + k2, 0) + c1 * c2
+    return right
+
+
 def reference_hopf_report(max_degree):
     """``check_hopf_compat``'s report with one visit per ordered input:
     (lam, mu) and (mu, lam) each build their own shuffled product."""
     report = VerificationReport("hopf-compat", {"max_degree": max_degree})
-    tables = symfunc._CodedTables(max_degree)
+    tables = symfunc._CodedTables(default_realization(), max_degree)
     for a in range(max_degree + 1):
         for b in range(max_degree - a + 1):
             for lam in partitions_of(a):
                 for mu in partitions_of(b):
                     report.checked += 1
                     whole = tables[hopfverify._merge_labels(lam, mu)]
-                    xs, ys = tables[lam], tables[mu]
                     for j in range(a + b + 1):
-                        right = {}
-                        for u in range(max(0, j - b), min(a, j) + 1):
-                            for k1, c1 in xs[u].items():
-                                for k2, c2 in ys[j - u].items():
-                                    right[k1 + k2] = right.get(k1 + k2, 0) + c1 * c2
+                        right = shuffled_product(tables, lam, mu, j)
                         if whole[j] != {k: v for k, v in right.items() if v}:
                             shape = (j, a + b - j)
                             report.record(
@@ -447,7 +454,7 @@ def reference_bidegree12_report(max_total):
     label's (2,1) bracket is the swapped (1,2) expansion of its reverse,
     computed again for that label alone."""
     report = VerificationReport("bidegree12-defect", {"max_total": max_total})
-    tables = symfunc._CodedTables(max_total)
+    tables = symfunc._CodedTables(default_realization(), max_total)
     for a in range(max_total + 1):
         for b in range(max_total - a + 1):
             for c in range(max_total - a - b + 1):
@@ -510,7 +517,7 @@ def h21_fault(monkeypatch):
             for u, group in enumerate(table)
         )
 
-    monkeypatch.setattr(symfunc, "_comult_table", corrupted)
+    monkeypatch.setattr(symfunc.PshRealization, "_splittings", staticmethod(corrupted))
 
 
 def merge_order_fault(monkeypatch):
@@ -582,8 +589,9 @@ def test_bidegree_fault_reports_are_pinned(monkeypatch, inject, failures, digest
 
 
 def test_coalgebra_sweeps_pass_after_a_comult_fault(monkeypatch):
-    # tables are built from their prefixes' memoized tables: a fault on
-    # h[2]'s table must not reach h[2,1]'s, nor outlive the fault
+    # tables are built from their prefixes' memoized tables, which the
+    # realization's hook does not reach: a fault on h[2]'s table must not
+    # reach h[2,1]'s, nor outlive the fault
     h21 = (
         (((), (2, 1), 1),),
         (((1,), (1, 1), 1), ((1,), (2,), 1)),
@@ -596,7 +604,7 @@ def test_coalgebra_sweeps_pass_after_a_comult_fault(monkeypatch):
         assert not check_hopf_compat(4).passed
         assert not check_bidegree12_defect(4).passed
         assert build((2, 1)) == h21
-        assert symfunc._comult_table((2, 1)) == h21
+        assert default_realization()._splittings((2, 1)) == h21
     assert symfunc._comult_table((2, 1)) == h21
     assert check_hopf_compat(4).passed and check_bidegree12_defect(4).passed
 
@@ -775,7 +783,7 @@ def test_shuffle_tables_match_one_step_words():
     # every step key: the shuffles within 4/4 and each key of the dd and
     # ss walks at 6/4, merges and splits keyed by (generator, domain)
     real = default_realization()
-    tables = _StepTables(real)
+    tables = symfunc._CodedTables(real, 6).steps
     keys = set(shuffles_within(4, 4))
     for family in ("dd", "ss"):
         for _, left, right, _ in category._relation_chains(family, 6, 4):
@@ -799,7 +807,7 @@ def test_shuffle_tables_match_one_step_words():
 def test_position_and_linear_values_compare_equal():
     # each ss chain on its position tables and with one or both tables
     # turned linear: the values differ raw and agree once expanded
-    tables = _StepTables(default_realization())
+    tables = symfunc._CodedTables(default_realization(), 6).steps
     chains = 0
     for _, left, right, _ in category._relation_chains("ss", 6, 4):
         for chain in (left, right):
@@ -832,7 +840,7 @@ def test_mixed_chains_match_realized_words():
     # images to one label, as h[2] (x) h[1,1] and h[1,1] (x) h[2] do) and
     # a position value meets a linear table
     real = default_realization()
-    tables = _StepTables(real)
+    tables = symfunc._CodedTables(real, 5).steps
     kinds = set()
     for source in (c for n in range(1, 6) for c in enumerate_compositions(n, 3)):
         images = labels_of(source)
@@ -877,7 +885,7 @@ def shuffles_off_sigma(max_sum, max_len):
     shows which slot it came from.  Slots of degree 1 all carry h[1]: a
     swap between them cannot show, and they are not compared.
     """
-    tables = _StepTables(default_realization())
+    tables = symfunc._CodedTables(default_realization(), max_sum).steps
     flagged = []
     for K in shuffles_within(max_sum, max_len):
         expected = slots_from_sigma(K)
@@ -907,7 +915,7 @@ def test_summed_towers_match_tower_words(monkeypatch, inject):
     if inject:
         inject(monkeypatch)
     real = default_realization()
-    tables = symfunc._CodedTables(5)
+    tables = symfunc._CodedTables(real, 5)
     for n in range(6):
         comps = enumerate_compositions(n)
         for alpha in comps:
@@ -932,19 +940,57 @@ def test_summed_towers_match_tower_words(monkeypatch, inject):
     assert tables._rows
 
 
+def test_summed_towers_match_the_hopf_sweeps_shuffled_product():
+    # The 2x2 towers of (a, b) summed over margins (j, a+b-j) are the Hopf
+    # sweep's right side, valued from the coded tables alone: an anchor for
+    # summed_towers that shares neither _add_towers nor a word.
+    tables = symfunc._CodedTables(default_realization(), 6)
+    checks = 0
+    for a, b in product(range(1, 6), repeat=2):
+        if a + b > 6:
+            continue
+        for j in range(1, a + b):
+            matrices = enumerate_matrices((a, b), (j, a + b - j))
+            totals = tables.summed_towers((a, b), matrices)
+            labels = product(partitions_of(a), partitions_of(b))
+            for (lam, mu), total in zip(labels, totals, strict=True):
+                want = hopfverify._nonzero(shuffled_product(tables, lam, mu, j))
+                assert hopfverify._nonzero(total) == want, (a, b, j, lam, mu)
+                checks += 1
+    assert checks == 342
+
+
+def test_one_realization_feeds_every_table():
+    # a realization with another coproduct table reaches all three of one
+    # _CodedTables' memos: the coded tables, the towers' row expansions and
+    # the merge steps; the default realization's stay true in this process
+    class H2Corrupted(symfunc.PshRealization):
+        _splittings = staticmethod(h2_corrupted)
+
+    merge = (Merge(2, 1), Composition((1, 1)))  # h[2] and h[1,1] to h[1] (x) h[1]
+    faulty = symfunc._CodedTables(H2Corrupted(), 4)
+    true = symfunc._CodedTables(default_realization(), 4)
+    for tables, c in [(faulty, 2), (true, 1)]:
+        pair = tables.pair_code
+        h1h1 = pair((1,), (1,))
+        assert tables[(2,)] == ({pair((), (2,)): 1}, {h1h1: c}, {pair((2,), ()): 1})
+        assert tables.row_expansions((1, 1), (0, 1)) == (((h1h1, c),), ((h1h1, 2),))
+        assert tables.steps[merge] == ({0: c}, {0: 2})
+
+
 def test_coded_route_matches_route_word():
     # An empty group has zero towers, so every element of A(alpha) fails
     # and is yielded with its route: the coded coproduct half, read from
     # the towers' row expansions, against the realized route word.
     real = default_realization()
-    tables, steps = symfunc._CodedTables(5), _StepTables(real)
+    tables = symfunc._CodedTables(real, 5)
     for n in range(6):
         comps = enumerate_compositions(n)
         for alpha in comps:
             for beta in comps:
                 for gamma in common_coarsenings(alpha, beta):
                     word = real.realize_word(route_word(alpha, beta, gamma))
-                    comparison = _route_comparison(alpha, beta, gamma, tables, steps)
+                    comparison = _route_comparison(alpha, beta, gamma, tables)
                     yielded = list(comparison([]))
                     assert [el for el, _, _ in yielded] == real.tensor_basis(alpha)
                     for el, towers, route in yielded:
@@ -995,14 +1041,14 @@ def test_linear_split_value_routes_as_the_word(monkeypatch):
     # the route sums that value's coded labels, as the realized word does
     split_coeff_fault(monkeypatch)
     real = default_realization()
-    tables, steps = symfunc._CodedTables(4), _StepTables(real)
+    tables = symfunc._CodedTables(real, 4)
     comps = enumerate_compositions(4)
     for alpha, beta in product(comps, repeat=2):
         for gamma in common_coarsenings(alpha, beta):
             word = real.realize_word(route_word(alpha, beta, gamma))
-            for el, _, route in _route_comparison(alpha, beta, gamma, tables, steps)([]):
+            for el, _, route in _route_comparison(alpha, beta, gamma, tables)([]):
                 assert route == word(el), (alpha, beta, gamma, el)
-    assert [type(rows[0]) for rows in steps.values()].count(dict) == 1
+    assert [type(rows[0]) for rows in tables.steps.values()].count(dict) == 1
     assert not check_mixed_relations(4, 3).passed
 
 
@@ -1027,7 +1073,7 @@ def test_tower_codes_round_trip_at_the_sweep_width():
     # and decodes back.
     n = 8
     real = default_realization()
-    tables = symfunc._CodedTables(n)
+    tables = symfunc._CodedTables(real, n)
     alpha, beta = Composition((1,) * n), Composition((n,))
     (total,) = tables.summed_towers(alpha.parts, enumerate_matrices(alpha, beta))
     assert tables.decode(beta.parts, total) == TensorElement.basis([(1,) * n])

@@ -48,7 +48,7 @@ def sweep_defect(x):
     """The Hopf defect of a three-slot element by output bidegree, from the
     defect sweep's own helpers: each label's product, less the comult of
     its modified product."""
-    tables = symfunc._CodedTables(sum(x.shape))
+    tables = symfunc._CodedTables(default_realization(), sum(x.shape))
     out = {}
     for label, co in x.coeffs.items():
         composite = hopfverify._coded_product(tables, x.shape, label)
@@ -59,14 +59,14 @@ def sweep_defect(x):
 
 def expansion_12(x):
     """The six-map expansion of a positive three-slot element, by bidegree."""
-    tables = symfunc._CodedTables(sum(x.shape))
+    tables = symfunc._CodedTables(default_realization(), sum(x.shape))
     return tables.graded(hopfverify._coded_six_term_12(tables, x.shape, x.coeffs))
 
 
 def expansion_21(x):
     """The (2,1) bracketing: the reversed element's (1,2) expansion with the
     halves of every output pair swapped."""
-    tables = symfunc._CodedTables(sum(x.shape))
+    tables = symfunc._CodedTables(default_realization(), sum(x.shape))
     reversed_coeffs = {label[::-1]: c for label, c in x.coeffs.items()}
     mirrored = hopfverify._coded_six_term_12(tables, x.shape[::-1], reversed_coeffs)
     return tables.graded(tables.swapped(mirrored))
@@ -398,7 +398,7 @@ def test_hopf_failure_decodes_the_widest_label(monkeypatch):
     # both sides of a Hopf comparison merge labels by the same add, so only
     # the decoded failure shows whether h[1^8] kept its own code
     assert check_hopf_compat(8).passed
-    real = symfunc._comult_table
+    real = PshRealization._splittings
     ones = (1,) * 8
 
     def corrupted(lam):
@@ -407,7 +407,7 @@ def test_hopf_failure_decodes_the_widest_label(monkeypatch):
             return table
         return table[:-1] + (((ones, (), 2),),)
 
-    monkeypatch.setattr(symfunc, "_comult_table", corrupted)
+    monkeypatch.setattr(PshRealization, "_splittings", staticmethod(corrupted))
     failure = check_hopf_compat(8).failures[0]
     assert failure.instance == "degrees a=1 b=7 component j=8"
     assert failure.left == "2*h[1,1,1,1,1,1,1,1] (x) h[]"

@@ -41,10 +41,56 @@ def test_public_names_are_pinned():
 
 
 def test_realization_surface_is_pinned():
-    # what a second realization has to provide; the towers live on the
+    # what a second realization has to provide: its basis, its coproduct
+    # table (_splittings, which the sweeps' coded tables and every merge
+    # read), its step hook and the word compiler; the towers live on the
     # sweep's coded tables, not here
     own = {n for n in vars(symfunc.PshRealization) if not n.startswith("__")}
-    assert own == {"tensor_basis", "_basis_labels", "_action", "realize_word"}
+    assert own == {
+        "tensor_basis", "_basis_labels", "_splittings", "_action", "realize_word",
+    }
+
+
+def names_in(node) -> set:
+    """Every name, attribute and imported name that ``node`` mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_sweeps_read_the_coproduct_through_the_realization():
+    # the sweeps' tables come from one realization: hopfverify names no
+    # module-level coproduct, the coded tables read none, and the step
+    # tables are built only as the coded tables' own
+    src = ROOT / "src" / "hopflike"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    bypass = {"_comult_table", "comult_splittings", "_comult_action"}
+    assert names_in(trees["hopfverify.py"]) & bypass == set()
+    (coded,) = [
+        node for node in trees["symfunc.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_CodedTables"
+    ]
+    assert "_comult_table" not in names_in(coded)
+    (init,) = [
+        node for node in coded.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+
+    def builds(node):
+        return [
+            sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and "_StepTables" in names_in(sub.func)
+        ]
+
+    assert [call for tree in trees.values() for call in builds(tree)] == builds(init)
+    assert len(builds(init)) == 1
 
 
 def test_root_exports_what_callers_read():

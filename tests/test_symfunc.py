@@ -191,11 +191,12 @@ def test_label_codes_round_trip_at_their_width():
         assert len(set(codes)) == len(labels), d
         for lam, code in zip(labels, codes):
             assert _decode_label(code, width) == lam, (d, lam)
-    assert _CodedTables(7).width == 3 and _CodedTables(8).width == 4
+    real = default_realization()
+    assert _CodedTables(real, 7).width == 3 and _CodedTables(real, 8).width == 4
 
 
 def test_pair_codes_add_like_merged_labels():
-    tables = _CodedTables(8)
+    tables = _CodedTables(default_realization(), 8)
     pairs = [
         (mu, nu)
         for n in range(9)
@@ -228,7 +229,8 @@ def test_merged_labels_share_one_tuple_per_label():
 
 def test_label_code_memos_keep_their_own_width():
     # one process, two widths: a memo must never serve the other width
-    narrow, wide = _CodedTables(7), _CodedTables(8)
+    real = default_realization()
+    narrow, wide = _CodedTables(real, 7), _CodedTables(real, 8)
     labels = [lam for n in range(8) for lam in partitions_of(n)]
     for tables, width in [(narrow, 3), (wide, 4), (narrow, 3)]:
         for lam in labels:
@@ -236,7 +238,7 @@ def test_label_code_memos_keep_their_own_width():
 
 
 def test_whole_is_the_union_of_the_groups():
-    tables = _CodedTables(8)
+    tables = _CodedTables(default_realization(), 8)
     for n in range(9):
         for lam in partitions_of(n):
             whole = tables.whole(lam)
@@ -247,7 +249,7 @@ def test_whole_is_the_union_of_the_groups():
 
 
 def test_swapped_swaps_every_code():
-    tables = _CodedTables(8)
+    tables = _CodedTables(default_realization(), 8)
     coeffs = {
         tables.pair_code(mu, nu): len(mu) - 2 * len(nu)
         for n in range(9)
@@ -259,7 +261,7 @@ def test_swapped_swaps_every_code():
 
 
 def test_coded_tables_decode_to_the_comult_table():
-    tables = _CodedTables(8)
+    tables = _CodedTables(default_realization(), 8)
     for n in range(9):
         for lam in partitions_of(n):
             assert [
