@@ -209,24 +209,16 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
 
     Families: ``dd`` (merge-merge), ``ss`` (split-split) and ``tautau``
     (shuffle chains with equal underlying permutations), by sorted
-    source; tautau yields a source's instances in chain order.  Every
-    instance is a tuple of the family's walk, ``_relation_chains``, with
-    its words and description built by ``_relation_instance``.  The
-    sweep, :func:`hopflike.hopfverify.check_relation_family`, reads the
-    same walk and builds an instance only for a failure.  The mixed
-    family (split-chain; shuffle; merge-chain against a coarsening
-    route) has no single-word instances here: it holds only with towers
-    summed over the matrices that factor through a coarsening, which
-    :func:`hopflike.hopfverify.check_mixed_relations` checks group by
-    group, and :func:`hopflike.hopfverify.check_square_condition`
-    compares each matrix alone in its per-k reading.
+    source; tautau yields a source's instances in chain order.  Each
+    instance is built by ``_relation_instance`` from one tuple of the
+    family's walk, ``_relation_chains``; the sweep,
+    :func:`hopflike.hopfverify.check_relation_family`, reads the same
+    walk and builds an instance only for a failure.  The mixed family
+    holds only for towers summed over a coarsening, so it has no
+    single-word instances: :func:`hopflike.hopfverify.check_mixed_relations`
+    checks it.
     """
-    return list(_relation_instances(family, max_sum, max_len))
-
-
-def _relation_instances(family, max_sum, max_len):
-    """Iterator over one family's instances; bad bounds or family raise at the call."""
-    return starmap(_relation_instance, _relation_chains(family, max_sum, max_len))
+    return list(starmap(_relation_instance, _relation_chains(family, max_sum, max_len)))
 
 
 def _relation_chains(family, max_sum, max_len):

@@ -66,20 +66,6 @@ class ContingencyMatrix:
         object.__setattr__(K, "_hash", None)
         return K
 
-    @property
-    def raw_row_margins(self) -> tuple:
-        return tuple(sum(row) for row in self.entries)
-
-    @property
-    def raw_col_margins(self) -> tuple:
-        return tuple(
-            sum(row[j] for row in self.entries) for j in range(self.ncols)
-        )
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, ContingencyMatrix)

@@ -234,8 +234,9 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
     hashes its shuffles.  Values compare raw first, and again with each
     position p written as ``{p: 1}`` only on a mismatch.  Only when they
     still differ are the instance's words built and compared by
-    :func:`semantic_equal`, which gives the failure's witness; if it
-    finds them equal, tables and words disagree and the sweep raises.
+    :func:`semantic_equal` on the tables' own realization, which gives
+    the failure's witness; if it finds them equal, tables and words
+    disagree and the sweep raises.
     """
     if family == "mixed":
         return check_mixed_relations(max_sum, max_len)
@@ -260,7 +261,9 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
         if lv == rv or _expanded(lv) == _expanded(rv):
             continue
         instance = _relation_instance(source, left, right, info)
-        equal, witness = semantic_equal(instance.left, instance.right)
+        equal, witness = semantic_equal(
+            instance.left, instance.right, tables.realization
+        )
         if equal:
             raise RuntimeError(
                 f"step tables and realized words disagree on "

@@ -80,10 +80,6 @@ def _is_partition(lam: tuple) -> bool:
     return not lam or (lam[-1] > 0 and list(lam) == sorted(lam, reverse=True))
 
 
-def sort_parts(parts) -> tuple:
-    return tuple(sorted((p for p in parts if p > 0), reverse=True))
-
-
 _LABELS = {}  # one tuple per merged label, shared by all pairs giving it
 
 
@@ -202,7 +198,7 @@ class SymElement(_Combination):
 
     @classmethod
     def h(cls, *parts) -> "SymElement":
-        return cls.basis_element("h", sort_parts(parts))
+        return cls.basis_element("h", sorted((p for p in parts if p > 0), reverse=True))
 
     @classmethod
     def one(cls, basis: str = "h") -> "SymElement":

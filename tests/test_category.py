@@ -1,17 +1,19 @@
 import tracemalloc
 from collections import Counter
+from itertools import starmap
 
 import pytest
 
 from hopflike.compositions import Composition, enumerate_compositions, refines
-from hopflike.contingency import ContingencyMatrix, enumerate_matrices, kappa, sigma_K
+from hopflike.contingency import ContingencyMatrix, enumerate_matrices, kappa
 from hopflike.category import (
     Merge,
     MorphismWord,
     RelationInstance,
     Shuffle,
     Split,
-    _relation_instances,
+    _relation_chains,
+    _relation_instance,
     _shuffles_by_source,
     apply_generator,
     enumerate_relation_instances,
@@ -29,6 +31,7 @@ from hopflike.hopfverify import (
 )
 from hopflike.parsing import parse_word
 from hopflike.symfunc import _CodedTables, default_realization
+from reference import slots_from_sigma
 
 
 C = Composition
@@ -194,34 +197,6 @@ def test_mixed_instance_with_split_support_passes():
     assert list(_route_comparison(fine, fine, fine, tables)(group)) == []
 
 
-def composite_slot_map(K1, K2):
-    """Oracle: where each source slot lands, from raw block positions."""
-    second = sigma_K(K2)
-    perm = tuple(second[v - 1] for v in sigma_K(K1))  # K1's shuffle, then K2's
-    source = kappa(K1).row
-    target = kappa(K2).col
-    starts = []
-    pos = 1
-    for width in source.parts:
-        starts.append(pos)
-        pos += width
-    t_starts = []
-    pos = 1
-    for width in target.parts:
-        t_starts.append(pos)
-        pos += width
-
-    def target_slot(position):
-        return next(
-            p for p, (s, w) in enumerate(zip(t_starts, target.parts))
-            if s <= position < s + w
-        )
-
-    out = tuple(target_slot(perm[s - 1]) for s in starts)
-    assert all(source.parts[q] == target.parts[out[q]] for q in range(len(out)))
-    return out
-
-
 def test_tautau_chains_realize_as_permutations():
     real = default_realization()
     for inst in enumerate_relation_instances("tautau", 4, 4):
@@ -236,7 +211,10 @@ def test_tautau_chains_realize_as_permutations():
                 continue
             word = MorphismWord(kappa(K1).row, [Shuffle(K1), Shuffle(K2)])
             realized = real.realize_word(word)
-            slot_map = composite_slot_map(K1, K2)
+            second = slots_from_sigma(K2)
+            slot_map = tuple(second[s] for s in slots_from_sigma(K1))
+            source, target = word.source.parts, word.target.parts
+            assert all(source[q] == target[s] for q, s in enumerate(slot_map))
             for el in real.tensor_basis(word.target):
                 got = realized(el)
                 label = next(iter(el.coeffs))
@@ -277,7 +255,9 @@ def collected_tautau_instances(max_sum, max_len):
 
 @pytest.mark.parametrize("max_sum, max_len", [(4, 3), (4, 4)])
 def test_streamed_tautau_yields_the_collected_instances(max_sum, max_len):
-    streamed = Counter(_relation_instances("tautau", max_sum, max_len))
+    streamed = Counter(
+        starmap(_relation_instance, _relation_chains("tautau", max_sum, max_len))
+    )
     assert streamed == Counter(collected_tautau_instances(max_sum, max_len))
     assert sum(streamed.values()) > 100
 
@@ -286,7 +266,7 @@ def test_streamed_tautau_holds_one_word_per_group():
     # 2.9 MB when every chain pair of a source is held at once
     tracemalloc.start()
     try:
-        for _ in _relation_instances("tautau", 4, 4):
+        for _ in starmap(_relation_instance, _relation_chains("tautau", 4, 4)):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import itertools
 import json
@@ -468,27 +469,28 @@ def test_repeated_calls_leave_no_cyclic_garbage(capsys):
     assert found == 0
 
 
-def test_every_subcommand_has_help():
-    for argv in [
-        ["--help"],
-        ["verify", "--help"],
-        ["verify", "simplicial", "--help"],
-        ["verify", "relations", "--help"],
-        ["verify", "hopf", "--help"],
-        ["verify", "square", "--help"],
-        ["verify", "bidegree12", "--help"],
-        ["explore", "--help"],
-        ["explore", "mixed", "--help"],
-        ["matrices", "--help"],
-        ["compositions", "--help"],
-        ["normalize", "--help"],
-    ]:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hopflike", *argv],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, argv
-        assert "usage" in proc.stdout.lower()
+def help_argvs(parser, prefix=()):
+    """``--help`` after the names of this parser and of each one below it."""
+    yield [*prefix, "--help"]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from help_argvs(sub, (*prefix, name))
+
+
+def test_every_subcommand_has_help(capsys):
+    argvs = list(help_argvs(cli.build_parser()))
+    assert ["verify", "bidegree12", "--help"] in argvs and len(argvs) >= 12
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0, argv
+        assert "usage" in capsys.readouterr().out.lower(), argv
+    # the entry point, once
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopflike", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0 and "usage" in proc.stdout.lower()
 
 
 def test_json_output_byte_identical_across_processes():

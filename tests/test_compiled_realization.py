@@ -1,21 +1,23 @@
-"""The compiled realization against a step-by-step reference, and its faults.
+"""The compiled realization and the coded engines against the references.
 
 ``PshRealization.realize_word`` compiles a word into one coefficient map
-and validates only the element it is given.  The reference evaluator
-here walks the same word one generator at a time through the public
-slot operations and re-validates every intermediate element, so a
-compilation mistake (wrong slot, wrong degree, wrong order of steps)
-shows up as a difference.  The tower sweeps build no words: their
-grouped evaluator, ``_CodedTables.summed_towers``, is checked against
-the realized tower words of :func:`tower_word`, and the route's coded
-coproduct half against the realized words of :func:`route_word`.
+and validates only the element it is given.  The reference evaluator,
+:func:`reference.reference_apply`, walks the same word one generator at
+a time through the public slot operations and re-validates every
+intermediate element, so a compilation mistake (wrong slot, wrong
+degree, wrong order of steps) shows up as a difference.  The tower
+sweeps build no words: their grouped evaluator,
+``_CodedTables.summed_towers``, is checked against the realized tower
+words of :func:`reference.tower_word`, and the route's coded coproduct
+half against the realized words of :func:`reference.route_word`.  The
+sweeps' reports are checked against the reports the references rebuild,
+and the faults of ``tests/reference.py`` are shown to reach the sweeps
+they should.
 """
 
 import hashlib
 import types
-from bisect import bisect_right
-from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 
@@ -29,23 +31,13 @@ from hopflike.category import (
     Split,
     apply_generator,
     enumerate_relation_instances,
-    merge_chain,
-    semantic_equal,
-    split_chain,
 )
 from hopflike.compositions import (
     Composition,
     common_coarsenings,
     enumerate_compositions,
 )
-from hopflike.contingency import (
-    ContingencyMatrix,
-    enumerate_matrices,
-    kappa,
-    sigma_K,
-    slot_sources,
-    transpose,
-)
+from hopflike.contingency import enumerate_matrices
 from hopflike.hopfverify import (
     _route_comparison,
     check_bidegree12_cases,
@@ -56,59 +48,33 @@ from hopflike.hopfverify import (
     check_square_condition,
     check_worked_examples,
 )
-from hopflike.reports import VerificationReport
-from hopflike.symfunc import (
-    TensorElement,
-    default_realization,
-    format_graded,
-    format_tensor,
-    partitions_of,
-    tensor_comult_component,
-    tensor_mult_slots,
-    tensor_permute,
+from hopflike.symfunc import TensorElement, default_realization, partitions_of
+from reference import (
+    SWAP,
+    DoubledH21Products,
+    asymmetric_survival_fault,
+    blend_fault,
+    comult_fault,
+    degree_fault,
+    generators_on,
+    h21_fault,
+    h2_corrupted,
+    label_fault,
+    merge_order_fault,
+    reference_apply,
+    reference_bidegree12_report,
+    reference_hopf_report,
+    reference_relation_report,
+    route_word,
+    shuffled_product,
+    sigma_fault,
+    six_term_fault,
+    slots_from_sigma,
+    split_coeff_fault,
+    survival_fault,
+    swap_fault,
+    tower_word,
 )
-
-
-def tower_word(alpha, beta, K):
-    """Word beta -> alpha realizing the forward tower A(alpha) -> A(beta).
-
-    Comultiply along alpha into the row refinement, shuffle row order to
-    column order, multiply out to beta.  Realized contravariantly, a
-    word from beta gives a map out of A(alpha), so the shuffle step uses
-    the transposed matrix.
-    """
-    kap = kappa(K)
-    return (
-        split_chain(beta, kap.col)
-        .then(MorphismWord(kap.col, [Shuffle(transpose(K))]))
-        .then(merge_chain(kap.row, alpha))
-    )
-
-
-def route_word(alpha, beta, gamma):
-    """Word beta -> alpha realizing multiply-to-gamma then comultiply."""
-    return merge_chain(beta, gamma).then(split_chain(gamma, alpha))
-
-
-def reference_apply(word, el):
-    """Realize ``word`` on ``el`` one step at a time, last step first."""
-    domains = [word.source]
-    for g in word.steps:
-        domains.append(apply_generator(g, domains[-1]))
-    assert el.shape == domains[-1].parts
-    for g, dom in zip(reversed(word.steps), reversed(domains[:-1])):
-        if isinstance(g, Merge):
-            slot = g.i - 1
-            el = tensor_comult_component(
-                el, slot, dom.parts[slot], dom.parts[slot + 1]
-            )
-        elif isinstance(g, Split):
-            el = tensor_mult_slots(el, g.i - 1)
-        else:
-            el = tensor_permute(el, slot_sources(g.K))
-        el = TensorElement(el.shape, el.coeffs)  # the validating constructor
-        assert el.shape == dom.parts
-    return el
 
 
 def assert_matches_reference(words):
@@ -150,157 +116,7 @@ def test_square_words_match_reference():
     assert assert_matches_reference(words) > len(words)
 
 
-# --- injected faults ----------------------------------------------------------
-
-SWAP = ContingencyMatrix([[0, 2], [2, 0]])
-
-
-def swap_fault(monkeypatch):
-    """Exchange the two degree-2 slots of the one shuffle along SWAP."""
-    real = symfunc.slot_sources
-
-    def faulty(K):
-        sources = real(K)
-        return (sources[1], sources[0]) + sources[2:] if K == SWAP else sources
-
-    monkeypatch.setattr(symfunc, "slot_sources", faulty)
-
-
-def h2_corrupted(lam):
-    """The splitting table of h_lam, with one added to the h1 (x) h1
-    coefficient of the coproduct of h2."""
-    table = symfunc._comult_table(lam)
-    if lam != (2,):
-        return table
-    return tuple(
-        tuple((mu, nu, c + 1 if mu == nu == (1,) else c) for mu, nu, c in group)
-        for group in table
-    )
-
-
-def comult_fault(monkeypatch):
-    """Add one to the h1 (x) h1 coefficient of the coproduct of h2."""
-    monkeypatch.setattr(
-        symfunc.PshRealization, "_splittings", staticmethod(h2_corrupted)
-    )
-
-
-def label_fault(monkeypatch):
-    """Multiply labels that should give (3,1) into (2,2) instead.
-
-    Products only: the coproduct tables stay true.
-    """
-    merge_fault(monkeypatch, (2, 2))
-
-
-def degree_fault(monkeypatch):
-    """Multiply labels that should give (3,1) into (1,3,1), a label of
-    degree 5 that no basis of degree 4 holds.  Products only."""
-    merge_fault(monkeypatch, (1, 3, 1))
-
-
-def merge_fault(monkeypatch, wrong):
-    """Multiply labels that should give (3,1) into ``wrong``; the
-    coproduct tables stay true."""
-    real = symfunc.PshRealization._action
-
-    def faulty(self, g, domain):
-        act = real(self, g, domain)
-        if not isinstance(g, Split):
-            return act
-        slot = g.i - 1  # the product's slot
-
-        def merged(coeffs):
-            out = {}
-            for label, c in act(coeffs).items():
-                if label[slot] == (3, 1):
-                    label = label[:slot] + (wrong,) + label[slot + 1:]
-                out[label] = out.get(label, 0) + c
-            return out
-
-        return merged
-
-    monkeypatch.setattr(symfunc.PshRealization, "_action", faulty)
-
-
-def also_survives(monkeypatch, extra):
-    """Let the triple product of slot degrees ``extra`` survive too."""
-    real = hopfverify._survives
-    monkeypatch.setattr(
-        hopfverify, "_survives", lambda degrees: real(degrees) or degrees == extra
-    )
-    # The survivor memo is process-wide: the fault gets a fresh one, so a
-    # sweep run before cannot hide it and it does not outlive the test.
-    fresh = lru_cache(maxsize=None)(hopfverify._surviving_triples.__wrapped__)
-    monkeypatch.setattr(hopfverify, "_surviving_triples", fresh)
-
-
-def survival_fault(monkeypatch):
-    """Let a triple product whose three degrees are all 1 survive."""
-    also_survives(monkeypatch, (1, 1, 1))
-
-
-def asymmetric_survival_fault(monkeypatch):
-    """Let the triple product of degrees (1,2,1), in that slot order only,
-    survive: arrangements of one label multiset then differ in survivors."""
-    also_survives(monkeypatch, (1, 2, 1))
-
-
-def sigma_fault(monkeypatch):
-    """Report the identity position images for the one shuffle along SWAP."""
-    real = category.sigma_K
-
-    def faulty(K):
-        images = real(K)
-        return tuple(range(1, len(images) + 1)) if K == SWAP else images
-
-    monkeypatch.setattr(category, "sigma_K", faulty)
-
-
-def blend_fault(monkeypatch):
-    """Realize the shuffle along SWAP as its permutation plus twice the
-    identity: a linear map that is not a permutation."""
-    real = symfunc.PshRealization._action
-
-    def faulty(self, g, domain):
-        act = real(self, g, domain)
-        if not (isinstance(g, Shuffle) and g.K == SWAP):
-            return act
-
-        def blended(coeffs):
-            out = dict(act(coeffs))
-            for label, c in coeffs.items():
-                out[label] = out.get(label, 0) + 2 * c
-            return out
-
-        return blended
-
-    monkeypatch.setattr(symfunc.PshRealization, "_action", faulty)
-
-
-def split_coeff_fault(monkeypatch):
-    """Double the product h[1] * h[2] that s[2,2,1] realizes on (1,3).
-
-    One split table then has a coefficient-2 image, so it is linear while
-    every other split table stays a table of positions.
-    """
-    real = symfunc.PshRealization._action
-
-    def faulty(self, g, domain):
-        act = real(self, g, domain)
-        if g != Split(2, 2, 1) or domain != Composition((1, 3)):
-            return act
-
-        def doubled(coeffs):
-            return {
-                label: 2 * c if label == ((1,), (2, 1)) else c
-                for label, c in act(coeffs).items()
-            }
-
-        return doubled
-
-    monkeypatch.setattr(symfunc.PshRealization, "_action", faulty)
-
+# --- injected faults reach the sweeps ----------------------------------------
 
 SWEEPS = {
     "dd-6-4": lambda: check_relation_family("dd", 6, 4),
@@ -412,122 +228,6 @@ def test_survival_fault_reaches_a_positive_bracket(monkeypatch):
 
 
 # --- the coalgebra sweeps value mirror-image inputs together -------------------
-
-
-def shuffled_product(tables, lam, mu, j) -> dict:
-    """The Hopf sweep's right side on h[lam] (x) h[mu] at left degree j:
-    the sum over u + v = j of their splittings multiplied, codes added."""
-    right = {}
-    for u in range(max(0, j - sum(mu)), min(sum(lam), j) + 1):
-        for k1, c1 in tables[lam][u].items():
-            for k2, c2 in tables[mu][j - u].items():
-                right[k1 + k2] = right.get(k1 + k2, 0) + c1 * c2
-    return right
-
-
-def reference_hopf_report(max_degree):
-    """``check_hopf_compat``'s report with one visit per ordered input:
-    (lam, mu) and (mu, lam) each build their own shuffled product."""
-    report = VerificationReport("hopf-compat", {"max_degree": max_degree})
-    tables = symfunc._CodedTables(default_realization(), max_degree)
-    for a in range(max_degree + 1):
-        for b in range(max_degree - a + 1):
-            for lam in partitions_of(a):
-                for mu in partitions_of(b):
-                    report.checked += 1
-                    whole = tables[hopfverify._merge_labels(lam, mu)]
-                    for j in range(a + b + 1):
-                        right = shuffled_product(tables, lam, mu, j)
-                        if whole[j] != {k: v for k, v in right.items() if v}:
-                            shape = (j, a + b - j)
-                            report.record(
-                                f"degrees a={a} b={b} component j={j}",
-                                f"h{list(lam)} (x) h{list(mu)}",
-                                format_tensor(tables.decode(shape, whole[j])),
-                                format_tensor(tables.decode(shape, right)),
-                            )
-    return report
-
-
-def reference_bidegree12_report(max_total):
-    """``check_bidegree12_defect``'s report with one visit per input: each
-    label's (2,1) bracket is the swapped (1,2) expansion of its reverse,
-    computed again for that label alone."""
-    report = VerificationReport("bidegree12-defect", {"max_total": max_total})
-    tables = symfunc._CodedTables(default_realization(), max_total)
-    for a in range(max_total + 1):
-        for b in range(max_total - a + 1):
-            for c in range(max_total - a - b + 1):
-                shape = (a, b, c)
-                for label in product(*map(partitions_of, shape)):
-                    report.checked += 1
-                    coeffs = {label: 1}
-                    composite = hopfverify._coded_product(tables, shape, label)
-                    defect = hopfverify._nonzero(
-                        hopfverify._label_defect(tables, shape, label, composite)
-                    )
-                    if min(shape) > 0:
-                        mirrored = hopfverify._coded_six_term_12(
-                            tables, shape[::-1], {label[::-1]: 1}
-                        )
-                        expected = (
-                            ("bracket (1,2)",
-                             hopfverify._coded_six_term_12(tables, shape, coeffs)),
-                            ("bracket (2,1)",
-                             {tables.swap(k): v for k, v in mirrored.items()}),
-                        )
-                    else:
-                        expected = (("zero branch", {}),)
-                    for case, expansion in expected:
-                        if defect != expansion:
-                            report.record(
-                                f"tridegree ({a},{b},{c}) {case}",
-                                format_tensor(TensorElement._trusted(shape, coeffs)),
-                                format_graded(tables.graded(defect)),
-                                format_graded(tables.graded(expansion)),
-                            )
-    return report
-
-
-def six_term_fault(monkeypatch):
-    """Add one to every coefficient of the (1,2) expansion on tridegrees
-    with a > c, so only the (2,1) bracket of their mirrors reads it."""
-    real = hopfverify._coded_six_term_12
-
-    def faulty(tables, shape, coeffs):
-        out = real(tables, shape, coeffs)
-        return {k: v + 1 for k, v in out.items()} if shape[0] > shape[2] else out
-
-    monkeypatch.setattr(hopfverify, "_coded_six_term_12", faulty)
-
-
-def h21_fault(monkeypatch):
-    """Add one to the h[1] (x) h[1,1] coefficient of the coproduct of h[2,1]."""
-    real = symfunc._comult_table
-
-    def corrupted(lam):
-        table = real(lam)
-        if lam != (2, 1):
-            return table
-        return tuple(
-            tuple(
-                (mu, nu, c + 1 if u == 1 and (mu, nu) == ((1,), (1, 1)) else c)
-                for mu, nu, c in group
-            )
-            for u, group in enumerate(table)
-        )
-
-    monkeypatch.setattr(symfunc.PshRealization, "_splittings", staticmethod(corrupted))
-
-
-def merge_order_fault(monkeypatch):
-    """Multiply h[2] by h[1], in that order only, into h[1,1,1]."""
-    real = hopfverify._merge_labels
-
-    def faulty(lam, mu):
-        return (1, 1, 1) if (lam, mu) == ((2,), (1,)) else real(lam, mu)
-
-    monkeypatch.setattr(hopfverify, "_merge_labels", faulty)
 
 
 @pytest.mark.parametrize(
@@ -652,26 +352,6 @@ def test_bidegree_sweep_values_each_label_once(monkeypatch):
 # --- the relation sweeps' step tables -----------------------------------------
 
 
-def reference_relation_report(family, max_sum, max_len):
-    """A relation sweep's report rebuilt from words: ``semantic_equal`` on
-    every instance of ``enumerate_relation_instances``, no tables."""
-    report = VerificationReport(
-        f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
-    )
-    for instance in enumerate_relation_instances(family, max_sum, max_len):
-        report.checked += 1
-        equal, witness = semantic_equal(instance.left, instance.right)
-        if not equal:
-            label, lv, rv = witness
-            report.record(
-                instance.description,
-                format_tensor(TensorElement.basis(label)),
-                format_tensor(lv),
-                format_tensor(rv),
-            )
-    return report
-
-
 @pytest.mark.parametrize(
     "family, inject, max_sum, max_len, failures",
     [
@@ -752,16 +432,23 @@ def test_tautau_raises_when_tables_and_words_disagree(
         check_relation_family(family, max_sum, max_len)
 
 
+def test_relation_witness_reads_the_tables_realization(monkeypatch):
+    # the step tables and the failure's witness come from one realization:
+    # a sweep on another realization's tables reports its words' values
+    # instead of finding the default realization's words equal
+    doubled = DoubledH21Products()
+    monkeypatch.setattr(hopfverify, "default_realization", lambda: doubled)
+    report = check_relation_family("ss", 4, 3)
+    assert len(report.failures) == 3
+    assert report.to_json() == reference_relation_report("ss", 4, 3, doubled).to_json()
+
+
 def shuffles_within(max_sum, max_len):
     return [
         K
         for shuffles in category._shuffles_by_source(max_sum, max_len).values()
         for K, _, _ in shuffles
     ]
-
-
-def labels_of(comp):
-    return [next(iter(el.coeffs)) for el in default_realization().tensor_basis(comp)]
 
 
 def decoded_table(tables, key):
@@ -771,7 +458,8 @@ def decoded_table(tables, key):
     stands for the image {p: 1}.
     """
     g, domain = category._step(key)
-    rows, images = labels_of(apply_generator(g, domain)), labels_of(domain)
+    labels = tables.realization._basis_labels
+    rows, images = labels(apply_generator(g, domain).parts), labels(domain.parts)
     return {
         label: {images[row]: 1} if type(row) is int
         else {images[p]: c for p, c in row.items()}
@@ -827,13 +515,6 @@ def test_position_and_linear_values_compare_equal():
     assert chains > 100
 
 
-def generators_on(comp):
-    t, parts = comp.length, comp.parts
-    yield from (Merge(t, i) for i in range(1, t))
-    for i, n in enumerate(parts, 1):
-        yield from (Split(t, i, a) for a in range(1, n))
-
-
 def test_mixed_chains_match_realized_words():
     # chains no walk makes: a merge and a split in either order, so that a
     # linear value meets a position table (whose products can send two
@@ -843,7 +524,7 @@ def test_mixed_chains_match_realized_words():
     tables = symfunc._CodedTables(real, 5).steps
     kinds = set()
     for source in (c for n in range(1, 6) for c in enumerate_compositions(n, 3)):
-        images = labels_of(source)
+        images = real._basis_labels(source.parts)
         for g in generators_on(source):
             mid = apply_generator(g, source)
             for h in generators_on(mid):
@@ -860,21 +541,6 @@ def test_mixed_chains_match_realized_words():
                     got = {images[p]: c for p, c in row.items()}
                     assert got == realized(el).coeffs, (chain, el)
     assert kinds == {(Merge, Split), (Split, Merge)}
-
-
-def slots_from_sigma(K):
-    """For each slot of kappa(K).row, the slot of kappa(K).col it reads.
-
-    Read off the position images of ``sigma_K``: the slot starting at
-    position p goes to the target slot that contains its image.
-    """
-    kap = kappa(K)
-    images = sigma_K(K)
-    starts = [0, *accumulate(kap.row.parts)][:-1]
-    target_starts = [0, *accumulate(kap.col.parts)][:-1]
-    return tuple(
-        bisect_right(target_starts, images[p] - 1) - 1 for p in starts
-    )
 
 
 def shuffles_off_sigma(max_sum, max_len):

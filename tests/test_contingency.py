@@ -16,6 +16,7 @@ from hopflike.contingency import (
 from hopflike.errors import HopflikeError, SumMismatchError
 from hopflike.hopfverify import _factoring_matrices
 from hopflike.symfunc import partitions_of
+from reference import margins
 
 
 def brute_force_matrices(alpha, beta, positive=False):
@@ -124,8 +125,7 @@ def test_margin_equations_hold():
     # or columns, and a spot check below covers reordered margins)
     def check(alpha, beta):
         for K in enumerate_matrices(alpha, beta):
-            assert K.raw_row_margins == tuple(alpha)
-            assert K.raw_col_margins == tuple(beta)
+            assert margins(K) == (tuple(alpha), tuple(beta))
 
     for n in range(7):
         comps = [c.parts for c in enumerate_compositions(n)]
@@ -252,13 +252,13 @@ def test_block_decompose_of_direct_sum_concatenates():
         for row in K2.entries:
             rows.append((0,) * K1.ncols + row)
         combined = ContingencyMatrix(rows)
-        margins = [
-            Composition(K1.raw_row_margins + K2.raw_row_margins),
-            Composition(K1.raw_col_margins + K2.raw_col_margins),
-        ]
-        group = _factoring_matrices(*margins, Composition([K1.total, K2.total]))
+        (rows1, cols1), (rows2, cols2) = margins(K1), margins(K2)
+        group = _factoring_matrices(
+            Composition(rows1 + rows2),
+            Composition(cols1 + cols2),
+            Composition([sum(rows1), sum(rows2)]),
+        )
         assert combined in group
         assert len(group) == len(set(group)) == (
-            count_matrices(K1.raw_row_margins, K1.raw_col_margins)
-            * count_matrices(K2.raw_row_margins, K2.raw_col_margins)
+            count_matrices(rows1, cols1) * count_matrices(rows2, cols2)
         )

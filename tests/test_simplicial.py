@@ -12,6 +12,7 @@ from hopflike.simplicial import (
     identity_check_count,
     verify_simplicial_identities,
 )
+from reference import degeneracy_fault, face_fault
 
 
 def all_monotone_maps(n, m):
@@ -74,36 +75,19 @@ def test_check_count_is_the_sweeps(max_n):
 
 
 def test_corrupted_face_is_caught_and_named():
-    def bad_face(n, i):
-        if (n, i) == (2, 1):
-            return MonotoneMap(1, 2, (0, 1))  # should be (0, 2)
-        return face(n, i)
-
-    report = verify_simplicial_identities(3, face_fn=bad_face)
+    report = verify_simplicial_identities(3, face_fn=face_fault)
     assert not report.passed
     assert any("d_i d_j" in f.witness or "d_i s_j" in f.witness
                for f in report.failures)
 
 
-def _face_fault(n, i):
-    if (n, i) == (2, 1):
-        return MonotoneMap(1, 2, (0, 1))  # should be (0, 2)
-    return face(n, i)
-
-
-def _degeneracy_fault(n, i):
-    if (n, i) == (1, 0):
-        return MonotoneMap(2, 1, (0, 1, 1))  # should be (0, 0, 1)
-    return degeneracy(n, i)
-
-
 # Count, first instance and whole-report digest, as the sweep that
 # composed MonotoneMaps through ``after`` reported them.
 @pytest.mark.parametrize("faults, count, first, sha", [
-    (dict(face_fn=_face_fault), 7,
+    (dict(face_fn=face_fault), 7,
      "d_i d_j = d_(j-1) d_i (i<j) at n=2, i=0, j=1",
      "4c0b027a0476b5e54a5b94dbd094a890c2e230dd2be6085b85cd426d05d9c675"),
-    (dict(degeneracy_fn=_degeneracy_fault), 7,
+    (dict(degeneracy_fn=degeneracy_fault), 7,
      "d_i s_j = s_(j-1) d_i (i<j) at n=2, i=0, j=1",
      "b93b1ab18c8610b573ce61f3e69b8ccc7099c9e54aaea72d5c2c56d35496dded"),
 ], ids=["face", "degeneracy"])

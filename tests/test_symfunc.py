@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hopflike.compositions import Composition
+from hopflike.compositions import Composition, enumerate_compositions
 from hopflike.category import Merge, MorphismWord, Shuffle, Split
 from hopflike import contingency, symfunc
 from hopflike.contingency import ContingencyMatrix, count_matrices
@@ -39,6 +39,12 @@ from hopflike.symfunc import (
     schur,
     tensor_permute,
     transition_cache,
+)
+from reference import (
+    generators_on,
+    jacobi_trudi,
+    reference_comult_table,
+    reference_kostka,
 )
 
 
@@ -136,29 +142,6 @@ def test_comult_component_rejects_negative_degrees():
         comult_component(H(2), 3, -1)
     with pytest.raises(RealizationError):
         symfunc.tensor_comult_component(TensorElement.basis([(2,)]), 0, -1, 3)
-
-
-def flat_splittings(lam):
-    """Sorted (u, mu, nu, coeff) of h_lam from the product of the parts'
-    coproducts: part p contributes h_i (x) h_(p-i) for one i in 0..p."""
-    terms = {}
-    for cut in itertools.product(*(range(p + 1) for p in lam)):
-        key = (
-            sum(cut),
-            symfunc.sort_parts(cut),
-            symfunc.sort_parts(p - i for p, i in zip(lam, cut)),
-        )
-        terms[key] = terms.get(key, 0) + 1
-    return sorted(key + (c,) for key, c in terms.items())
-
-
-def reference_comult_table(lam):
-    """``_comult_table``'s layout from scratch: ``flat_splittings`` (one
-    cut of every part at once) grouped by left degree, each group sorted."""
-    groups = [[] for _ in range(sum(lam) + 1)]
-    for u, mu, nu, c in flat_splittings(lam):
-        groups[u].append((mu, nu, c))
-    return tuple(map(tuple, groups))
 
 
 def test_comult_table_is_grouped_by_left_degree():
@@ -417,23 +400,14 @@ def test_realize_word_functorial():
         assert whole(el) == first(second(el))
 
 
-def all_single_step_words(comp):
-    t = comp.length
-    for i in range(1, t):
-        yield MorphismWord(comp, [Merge(t, i)])
-    for i in range(1, t + 1):
-        for a in range(1, comp.parts[i - 1]):
-            yield MorphismWord(comp, [Split(t, i, a)])
-
-
 def test_realize_compose_functorial_sweep():
-    from hopflike.compositions import enumerate_compositions
-
     real = default_realization()
     for n in range(1, 6):
         for comp in enumerate_compositions(n):
-            for w1 in all_single_step_words(comp):
-                for w2 in all_single_step_words(w1.target):
+            for g1 in generators_on(comp):
+                w1 = MorphismWord(comp, [g1])
+                for g2 in generators_on(w1.target):
+                    w2 = MorphismWord(w1.target, [g2])
                     whole = real.realize_word(w1.then(w2))
                     first = real.realize_word(w1)
                     second = real.realize_word(w2)
@@ -577,37 +551,6 @@ def test_commutative_and_cocommutative():
 # --- the Kostka table and the transition layer -----------------------------
 
 
-def jacobi_trudi(lam):
-    """Reference Schur expansion: det(h_(lam_i - i + j)) over all row orders."""
-    lam = tuple(lam)
-    rows = len(lam)
-    if rows == 0:
-        return SymElement.one()
-    coeffs = {}
-    for perm in itertools.permutations(range(rows)):
-        degrees = []
-        dead = False
-        for i in range(rows):
-            d = lam[i] - i + perm[i]
-            if d < 0:
-                dead = True
-                break
-            if d > 0:
-                degrees.append(d)
-        if dead:
-            continue
-        inversions = sum(
-            1
-            for i in range(rows)
-            for j in range(i + 1, rows)
-            if perm[i] > perm[j]
-        )
-        sign = -1 if inversions % 2 else 1
-        key = tuple(sorted(degrees, reverse=True))
-        coeffs[key] = coeffs.get(key, 0) + sign
-    return SymElement(sum(lam), "h", coeffs)
-
-
 def hook_length_count(lam):
     """Standard Young tableaux of shape lam: n! over the product of hooks."""
     columns = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
@@ -629,27 +572,6 @@ def rsk_mismatches(max_degree):
                 if matrix[lam][mu] != count_matrices(lam, mu):
                     bad.append((lam, mu))
     return bad
-
-
-def reference_kostka(n):
-    """Kostka table with every column grown from the empty shape, one
-    horizontal strip per part of the content."""
-    parts = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    columns = []
-    for mu in parts:
-        shapes = {(): 1}
-        for part in mu:
-            grown = {}
-            for shape, c in shapes.items():
-                for nu in symfunc._horizontal_strips(shape, part):
-                    grown[nu] = grown.get(nu, 0) + c
-            shapes = grown
-        column = [0] * len(parts)
-        for lam, c in shapes.items():
-            column[index[lam]] = c
-        columns.append(column)
-    return tuple(zip(*columns))
 
 
 def dense_product(a, b):
