@@ -18,7 +18,7 @@ rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
+from operator import itemgetter
 
 from .compositions import Composition, enumerate_compositions, refines
 from .contingency import ContingencyMatrix, enumerate_matrices, kappa, sigma_K
@@ -218,21 +218,28 @@ def enumerate_relation_instances(family: str, max_sum: int, max_len: int) -> lis
     single-word instances: :func:`hopflike.hopfverify.check_mixed_relations`
     checks it.
     """
-    return list(starmap(_relation_instance, _relation_chains(family, max_sum, max_len)))
+    shuffles, chains = _relation_chains(family, max_sum, max_len)
+    return [_relation_instance(*chain, shuffles) for chain in chains]
 
 
 def _relation_chains(family, max_sum, max_len):
-    """One family's walk of ``(source, left, right, info)`` tuples.
+    """One family's walk, as ``(shuffles, chains)``.
 
-    ``left`` and ``right`` are chains of step keys (:func:`_step`) from
-    ``source`` to one target; ``info`` is the description's template and
-    its fields after the source.  Bad bounds or family raise at the call.
+    ``chains`` yields ``(source, left, right, info)`` tuples: ``left``
+    and ``right`` are chains of step keys (:func:`_step`) from ``source``
+    to one target, and ``info`` is the description's template and its
+    fields after the source.  A shuffle's key is its id, its index in
+    the list ``shuffles`` (empty but for tautau).  Bad bounds or family
+    raise at the call.
     """
     _check_bounds(max_sum, max_len)
-    walks = {"dd": _dd_chains, "ss": _ss_chains, "tautau": _tautau_chains}
+    if family == "tautau":
+        shuffles, by_source = _shuffles_by_source(max_sum, max_len)
+        return shuffles, _tautau_chains(shuffles, by_source)
+    walks = {"dd": _dd_chains, "ss": _ss_chains}
     if family not in walks:
         raise UsageError(f"unknown relation family {family!r}")
-    return walks[family](max_sum, max_len)
+    return [], walks[family](max_sum, max_len)
 
 
 def _check_bounds(max_sum, max_len):
@@ -247,11 +254,13 @@ def _all_compositions(max_sum, max_len):
     return out
 
 
-def _step(key):
-    """``(generator, domain)`` of a step key: a margin matrix K stands for
-    ``Shuffle(K)`` on kappa(K).row, a merge or split key is the pair."""
-    if isinstance(key, ContingencyMatrix):
-        return Shuffle(key), kappa(key).row
+def _step(key, shuffles):
+    """``(generator, domain)`` of a step key: an int is a shuffle's id,
+    ``Shuffle(K)`` on kappa(K).row for K = ``shuffles[key]``; a merge or
+    split key is the pair."""
+    if type(key) is int:
+        K = shuffles[key]
+        return Shuffle(K), kappa(K).row
     return key
 
 
@@ -348,9 +357,13 @@ def _ss_chains(max_sum, max_len):
 
 
 def _shuffles_by_source(max_sum, max_len):
-    """All shuffles within bounds as ``(K, target, sigma_K(K))``, by source."""
+    """All shuffles within bounds, as ``(shuffles, by_source)``.
+
+    ``shuffles`` lists their margin matrices, and a shuffle's id is its
+    index there; ``by_source`` holds ``(id, target, sigma_K(K))`` by source.
+    """
     comps = _all_compositions(max_sum, max_len)
-    by_source = {}
+    shuffles, by_source = [], {}
     for alpha in comps:
         if alpha.length == 0:
             continue
@@ -359,56 +372,60 @@ def _shuffles_by_source(max_sum, max_len):
                 continue
             for K in enumerate_matrices(alpha, beta):
                 kap = kappa(K)
-                by_source.setdefault(kap.row, []).append((K, kap.col, sigma_K(K)))
-    return by_source
+                by_source.setdefault(kap.row, []).append(
+                    (len(shuffles), kap.col, sigma_K(K))
+                )
+                shuffles.append(K)
+    return shuffles, by_source
 
 
-def _tautau_chains(max_sum, max_len):
-    """The tautau walk: shuffle chains as plain matrix tuples, in instance order.
+def _tautau_chains(shuffles, by_source):
+    """The tautau walk: chains of shuffle ids, in instance order.
 
-    A chain is a tuple of margin matrices whose shuffles are applied left
-    to right from ``source``.  Two-shuffle chains from ``source`` to
-    ``target`` are grouped by their composite position images.  In each
-    instance ``left`` is the first chain of its group (the same tuple
-    for every instance of the group), and ``right`` is either a later
-    chain of the group or, once, when the group opens, ``(K3,)`` for the
-    single shuffle with the same images.  Only one chain per group is
+    A chain's shuffles are applied left to right from ``source``.
+    Two-shuffle chains from ``source`` to ``target`` are grouped by their
+    composite position images.  In each instance ``left`` is the first
+    chain of its group (the same tuple for every instance of the group),
+    and ``right`` is either a later chain of the group or, once, when the
+    group opens, ``(k3,)`` for the single shuffle with the same images,
+    whose matrix K3 the description names.  Only one chain per group is
     held.
     """
-    by_source = _shuffles_by_source(max_sum, max_len)
     for source in sorted(by_source):
         singles = {}
-        for K3, target, images in by_source[source]:
-            singles.setdefault((target.parts, images), (K3,))
+        for k3, target, images in by_source[source]:
+            singles.setdefault((target.parts, images), k3)
         groups = {}  # (target parts, composite images) -> (first chain, info)
-        for K1, mid, images1 in by_source[source]:
-            positions = [v - 1 for v in images1]
-            for K2, target, images2 in by_source.get(mid, ()):
-                key = (target.parts, tuple([images2[p] for p in positions]))
+        for k1, mid, images1 in by_source[source]:
+            # the second shuffle's images read at the first's, a tuple:
+            # on one slot (images (1,)) itemgetter would give a bare int
+            pick = itemgetter(*[v - 1 for v in images1])
+            composite = pick if len(images1) > 1 else tuple
+            for k2, target, images2 in by_source.get(mid, ()):
+                key = (target.parts, composite(images2))
                 group = groups.get(key)
                 if group is not None:
                     first, info = group
-                    yield source, first, (K1, K2), info
+                    yield source, first, (k1, k2), info
                     continue
-                first = (K1, K2)
+                first = (k1, k2)
                 groups[key] = first, ("tautau:equal-chains {}->{}", target)
-                step = singles.get(key)
-                if step is not None:
+                k3 = singles.get(key)
+                if k3 is not None:
                     # the chain collapses to a single shuffle
-                    info = ("tautau:chain-vs-step {}->{} K3={}", target, step[0])
-                    yield source, first, step, info
+                    info = ("tautau:chain-vs-step {}->{} K3={}", target, shuffles[k3])
+                    yield source, first, (k3,), info
 
 
-def _relation_instance(source, left, right, info) -> RelationInstance:
-    """One tuple of a family's walk as two words and a description."""
+def _relation_instance(source, left, right, info, shuffles) -> RelationInstance:
+    """One tuple of a family's walk, whose shuffle ids index ``shuffles``,
+    as two words and a description."""
     template, *fields = info
-    return RelationInstance(
-        _word(source, left), _word(source, right), template.format(source, *fields)
+    left, right = (
+        MorphismWord(source, [_step(key, shuffles)[0] for key in chain])
+        for chain in (left, right)
     )
-
-
-def _word(source, chain) -> MorphismWord:
-    return MorphismWord(source, [_step(key)[0] for key in chain])
+    return RelationInstance(left, right, template.format(source, *fields))
 
 
 def semantic_equal(left: MorphismWord, right: MorphismWord, realization=None):

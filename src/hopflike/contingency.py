@@ -24,11 +24,11 @@ from .errors import HopflikeError, SumMismatchError
 class ContingencyMatrix:
     """Immutable grid of non-negative integers.
 
-    ``_kappa`` memoizes :func:`kappa` for this instance, and ``_hash``
-    its hash; equality and hashing ignore them.
+    ``_kappa`` memoizes :func:`kappa` for this instance; equality and
+    hashing ignore it.
     """
 
-    __slots__ = ("entries", "nrows", "ncols", "_kappa", "_hash")
+    __slots__ = ("entries", "nrows", "ncols", "_kappa")
 
     def __init__(self, entries, ncols=None):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
@@ -46,7 +46,6 @@ class ContingencyMatrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_kappa", None)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyMatrix is immutable")
@@ -63,7 +62,6 @@ class ContingencyMatrix:
         object.__setattr__(K, "nrows", len(rows))
         object.__setattr__(K, "ncols", ncols)
         object.__setattr__(K, "_kappa", None)
-        object.__setattr__(K, "_hash", None)
         return K
 
     def __eq__(self, other):
@@ -74,9 +72,7 @@ class ContingencyMatrix:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.entries, self.ncols)))
-        return self._hash
+        return hash((self.entries, self.ncols))
 
     def __repr__(self):
         return f"ContingencyMatrix({self.entries!r})"

@@ -230,21 +230,22 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
     (it has a step that is not a function on basis positions, as every
     dd chain has), and looked up only beside a linear left value: the
     dd walk repeats right chains, while tautau's never repeat, and a
-    function chain composes by indexing for less than a lookup that
-    hashes its shuffles.  Values compare raw first, and again with each
-    position p written as ``{p: 1}`` only on a mismatch.  Only when they
-    still differ are the instance's words built and compared by
-    :func:`semantic_equal` on the tables' own realization, which gives
-    the failure's witness; if it finds them equal, tables and words
-    disagree and the sweep raises.
+    function chain composes by indexing for less than a lookup costs.
+    A shuffle's step key is its int id in the walk's list of shuffles,
+    which the tables and a failure's words read its matrix from.  Values
+    compare raw first, and again with each position p written as
+    ``{p: 1}`` only on a mismatch.  Only when they still differ are the
+    instance's words built and compared by :func:`semantic_equal` on the
+    tables' own realization, which gives the failure's witness; if it
+    finds them equal, tables and words disagree and the sweep raises.
     """
     if family == "mixed":
         return check_mixed_relations(max_sum, max_len)
-    chains = _relation_chains(family, max_sum, max_len)  # checks args
+    shuffles, chains = _relation_chains(family, max_sum, max_len)  # checks args
     report = VerificationReport(
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
-    tables = _CodedTables(default_realization(), max_sum).steps
+    tables = _CodedTables(default_realization(), max_sum, shuffles).steps
     memo, current = {}, None
     for source, left, right, info in chains:
         report.checked += 1
@@ -260,7 +261,7 @@ def check_relation_family(family: str, max_sum: int, max_len: int) -> Verificati
                 memo[right] = rv
         if lv == rv or _expanded(lv) == _expanded(rv):
             continue
-        instance = _relation_instance(source, left, right, info)
+        instance = _relation_instance(source, left, right, info, shuffles)
         equal, witness = semantic_equal(
             instance.left, instance.right, tables.realization
         )

@@ -682,14 +682,15 @@ class _CodedTables(dict):
     ``row_expansions(row, columns)`` reads the same hook.  It, ``code(lam)``
     and ``whole(lam)`` are memos too.  ``summed_towers`` values towers on
     them, a tower route keeps its coproducts in ``coproducts``, and
-    ``steps`` holds the realization's step tables (:class:`_StepTables`).
+    ``steps`` holds the realization's step tables (:class:`_StepTables`),
+    whose shuffle ids index ``shuffles``, a relation walk's list.
     All live as long as this dict: one sweep.
     """
 
-    def __init__(self, realization, degree: int):
+    def __init__(self, realization, degree: int, shuffles=()):
         super().__init__()
         self.realization = realization
-        self.steps = _StepTables(realization)
+        self.steps = _StepTables(realization, shuffles)
         self.width = degree.bit_length()
         self.shift = self.width * degree
         self.mask = (1 << self.shift) - 1
@@ -850,14 +851,16 @@ class _StepTables(dict):
     domain's basis.  A row is that position, an int, when every image
     is one label with coefficient 1 (every split and shuffle), and else a
     ``{position: coeff}`` without zeros.  Keys are ``category._step``
-    keys: ``(generator, domain)``, or K for ``Shuffle(K)``, whose hash is
-    cached.  Labels and positions are built once per composition, from
-    ``_basis_labels``, and everything lives as long as this dict: one sweep.
+    keys: ``(generator, domain)``, or a shuffle's int id, whose matrix is
+    read from ``shuffles`` only when its table is built.  Labels and
+    positions are built once per composition, from ``_basis_labels``,
+    and everything lives as long as this dict: one sweep.
     """
 
-    def __init__(self, realization):
+    def __init__(self, realization, shuffles):
         super().__init__()
         self.realization = realization
+        self.shuffles = shuffles
         self.bases = {}  # parts -> (labels, {label: position})
 
     def _basis(self, parts):
@@ -868,7 +871,7 @@ class _StepTables(dict):
         return basis
 
     def __missing__(self, key):
-        g, domain = _step(key)
+        g, domain = _step(key, self.shuffles)
         act = self.realization._action(g, domain)
         labels = self._basis(apply_generator(g, domain).parts)[0]
         index = self._basis(domain.parts)[1]

@@ -349,17 +349,29 @@ def degeneracy_fault(n, i):
 
 
 SWAP = ContingencyMatrix([[0, 2], [2, 0]])
+ROW = ContingencyMatrix([[2, 2]])
 
 
-def swap_fault(monkeypatch):
-    """Exchange the two degree-2 slots of the one shuffle along SWAP."""
+def exchanged_slots(monkeypatch, matrix):
+    """Exchange the first two slot sources of the one shuffle along ``matrix``."""
     real = symfunc.slot_sources
 
     def faulty(K):
         sources = real(K)
-        return (sources[1], sources[0]) + sources[2:] if K == SWAP else sources
+        return (sources[1], sources[0]) + sources[2:] if K == matrix else sources
 
     monkeypatch.setattr(symfunc, "slot_sources", faulty)
+
+
+def swap_fault(monkeypatch):
+    """Exchange the two degree-2 slots of the one shuffle along SWAP."""
+    exchanged_slots(monkeypatch, SWAP)
+
+
+def row_fault(monkeypatch):
+    """Exchange the two slots of the shuffle along ROW, whose sigma is the
+    identity, so that its table and its description's K3 disagree."""
+    exchanged_slots(monkeypatch, ROW)
 
 
 def bumped_splittings(lam, u, mu, nu):

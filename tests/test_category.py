@@ -1,6 +1,5 @@
 import tracemalloc
 from collections import Counter
-from itertools import starmap
 
 import pytest
 
@@ -226,16 +225,18 @@ def test_tautau_chains_realize_as_permutations():
 
 def collected_tautau_instances(max_sum, max_len):
     """Reference: collect every chain pair per group, sort the groups, replay."""
-    by_source = _shuffles_by_source(max_sum, max_len)
+    shuffles, by_source = _shuffles_by_source(max_sum, max_len)
     for source in sorted(by_source):
         singles = {}
-        for K3, target, images in by_source[source]:
-            singles.setdefault((target, images), K3)
+        for k3, target, images in by_source[source]:
+            singles.setdefault((target, images), shuffles[k3])
         chains = {}
-        for K1, mid, images1 in by_source[source]:
-            for K2, target, images2 in by_source.get(mid, ()):
+        for k1, mid, images1 in by_source[source]:
+            for k2, target, images2 in by_source.get(mid, ()):
                 composite = tuple(images2[v - 1] for v in images1)
-                chains.setdefault((target, composite), []).append((K1, K2))
+                chains.setdefault((target, composite), []).append(
+                    (shuffles[k1], shuffles[k2])
+                )
         for (target, composite), pairs in sorted(chains.items()):
             first = MorphismWord(
                 source, [Shuffle(pairs[0][0]), Shuffle(pairs[0][1])]
@@ -253,11 +254,15 @@ def collected_tautau_instances(max_sum, max_len):
                 )
 
 
+def streamed_instances(family, max_sum, max_len):
+    """The family's walk turned into instances one at a time."""
+    shuffles, chains = _relation_chains(family, max_sum, max_len)
+    return (_relation_instance(*chain, shuffles) for chain in chains)
+
+
 @pytest.mark.parametrize("max_sum, max_len", [(4, 3), (4, 4)])
 def test_streamed_tautau_yields_the_collected_instances(max_sum, max_len):
-    streamed = Counter(
-        starmap(_relation_instance, _relation_chains("tautau", max_sum, max_len))
-    )
+    streamed = Counter(streamed_instances("tautau", max_sum, max_len))
     assert streamed == Counter(collected_tautau_instances(max_sum, max_len))
     assert sum(streamed.values()) > 100
 
@@ -266,7 +271,7 @@ def test_streamed_tautau_holds_one_word_per_group():
     # 2.9 MB when every chain pair of a source is held at once
     tracemalloc.start()
     try:
-        for _ in starmap(_relation_instance, _relation_chains("tautau", 4, 4)):
+        for _ in streamed_instances("tautau", 4, 4):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

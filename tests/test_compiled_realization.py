@@ -66,6 +66,7 @@ from reference import (
     reference_hopf_report,
     reference_relation_report,
     route_word,
+    row_fault,
     shuffled_product,
     sigma_fault,
     six_term_fault,
@@ -139,7 +140,10 @@ SWEEPS = {
 # test below, test_shuffle_tables_are_anchored_to_sigma, checks each
 # shuffle against sigma_K instead and catches it.  Wrong position images
 # group chains that realize differently, so the sigma fault shows in the
-# tautau sweep.  A tridegree with a zero slot keeps every degree triple
+# tautau sweep.  The row fault changes the table of the shuffle along
+# [[2,2]], whose images are the identity's, so it first shows where that
+# shuffle is K3: a chain-vs-step instance, whose description names the
+# matrix, not its id.  A tridegree with a zero slot keeps every degree triple
 # under any degree rule that spares zero slots, so the survival fault
 # first shows at (1,1,1).  Six-cases reads the defect's survivors, so
 # both survival faults show there too, at the first input of the
@@ -152,6 +156,7 @@ FAULT_CASES = [
     ("dd-6-4", comult_fault, "dd:adjacent-left (1,1,2) i=2"),
     ("ss-6-4", label_fault, "ss:same-part (5) i=1 a=2 b=1"),
     ("tautau-4-2", sigma_fault, "tautau:equal-chains (2,2)->(2,2)"),
+    ("tautau-4-2", row_fault, "tautau:chain-vs-step (2,2)->(2,2) K3=[[2,2]]"),
     ("worked-4", swap_fault, "2x2 alpha=(2,2) beta=(2,2) gamma=(4)"),
     ("worked-4", comult_fault, "2x2 alpha=(1,2) beta=(1,2) gamma=(3)"),
     ("worked-4", label_fault, "2x2 alpha=(1,3) beta=(1,3) gamma=(4)"),
@@ -444,11 +449,8 @@ def test_relation_witness_reads_the_tables_realization(monkeypatch):
 
 
 def shuffles_within(max_sum, max_len):
-    return [
-        K
-        for shuffles in category._shuffles_by_source(max_sum, max_len).values()
-        for K, _, _ in shuffles
-    ]
+    """The tautau walk's shuffles, a shuffle's id being its index."""
+    return category._shuffles_by_source(max_sum, max_len)[0]
 
 
 def decoded_table(tables, key):
@@ -457,7 +459,7 @@ def decoded_table(tables, key):
     Rows and positions are read in ``tensor_basis`` order; a position p
     stands for the image {p: 1}.
     """
-    g, domain = category._step(key)
+    g, domain = category._step(key, tables.shuffles)
     labels = tables.realization._basis_labels
     rows, images = labels(apply_generator(g, domain).parts), labels(domain.parts)
     return {
@@ -468,17 +470,19 @@ def decoded_table(tables, key):
 
 
 def test_shuffle_tables_match_one_step_words():
-    # every step key: the shuffles within 4/4 and each key of the dd and
-    # ss walks at 6/4, merges and splits keyed by (generator, domain)
+    # every step key: the shuffles within 4/4, keyed by id, and each key
+    # of the dd and ss walks at 6/4, merges and splits keyed by
+    # (generator, domain)
     real = default_realization()
-    tables = symfunc._CodedTables(real, 6).steps
-    keys = set(shuffles_within(4, 4))
+    shuffles = shuffles_within(4, 4)
+    tables = symfunc._CodedTables(real, 6, shuffles).steps
+    keys = set(range(len(shuffles)))
     for family in ("dd", "ss"):
-        for _, left, right, _ in category._relation_chains(family, 6, 4):
+        for _, left, right, _ in category._relation_chains(family, 6, 4)[1]:
             keys.update(left + right)
     kinds = set()
     for key in keys:
-        g, domain = category._step(key)
+        g, domain = category._step(key, shuffles)
         kinds.add(type(g))
         realized = real.realize_word(MorphismWord(domain, [g]))
         basis = real.tensor_basis(apply_generator(g, domain))
@@ -497,7 +501,7 @@ def test_position_and_linear_values_compare_equal():
     # turned linear: the values differ raw and agree once expanded
     tables = symfunc._CodedTables(default_realization(), 6).steps
     chains = 0
-    for _, left, right, _ in category._relation_chains("ss", 6, 4):
+    for _, left, right, _ in category._relation_chains("ss", 6, 4)[1]:
         for chain in (left, right):
             positions = hopfverify._chain_value(tables, chain)
             assert type(positions) is tuple
@@ -551,11 +555,12 @@ def shuffles_off_sigma(max_sum, max_len):
     shows which slot it came from.  Slots of degree 1 all carry h[1]: a
     swap between them cannot show, and they are not compared.
     """
-    tables = symfunc._CodedTables(default_realization(), max_sum).steps
+    shuffles = shuffles_within(max_sum, max_len)
+    tables = symfunc._CodedTables(default_realization(), max_sum, shuffles).steps
     flagged = []
-    for K in shuffles_within(max_sum, max_len):
+    for k, K in enumerate(shuffles):
         expected = slots_from_sigma(K)
-        for label, value in decoded_table(tables, K).items():
+        for label, value in decoded_table(tables, k).items():
             wide = [lam for lam in label if sum(lam) > 1]
             if len(set(wide)) < len(wide):
                 continue

@@ -159,7 +159,7 @@ def test_memos_leave_matrix_immutable():
     assert slot_sources(K) == slot_sources(twin)
     assert hash(K) == before == hash(twin)
     assert K == twin and kappa(twin) == kappa(K)
-    for name in ("entries", "_kappa", "_hash"):
+    for name in ("entries", "_kappa"):
         with pytest.raises(AttributeError):
             setattr(K, name, None)
 

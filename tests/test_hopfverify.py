@@ -12,7 +12,7 @@ from hopflike.compositions import (
     common_coarsenings,
     enumerate_compositions,
 )
-from hopflike.contingency import enumerate_matrices
+from hopflike.contingency import ContingencyMatrix, enumerate_matrices
 from hopflike.errors import SumMismatchError, UsageError
 from hopflike.hopfverify import (
     _factoring_matrices,
@@ -269,12 +269,32 @@ def test_relation_sweeps_value_each_kept_chain_once_per_source(
 
     monkeypatch.setattr(hopfverify, "_chain_value", counted)
     report = check_relation_family(family, max_sum, max_len)
-    walk = list(category._relation_chains(family, max_sum, max_len))
+    walk = list(category._relation_chains(family, max_sum, max_len)[1])
     lefts = {(source, left) for source, left, _, _ in walk}
     both = {(source, chain) for source, *sides, _ in walk for chain in sides}
     assert report.passed and report.checked == len(walk) == checked
     assert calls == values
     assert calls == (len(both) if family == "dd" else len(lefts) + checked)
+
+
+def test_tautau_sweep_hashes_no_matrix(monkeypatch):
+    # tables and chain values are keyed by shuffle ids, so a passing sweep
+    # never hashes a margin matrix (keyed by the matrix, it hashed one
+    # 163,792 times at 4/4, four times per instance)
+    calls = 0
+    matrix_hash = ContingencyMatrix.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return matrix_hash(self)
+
+    monkeypatch.setattr(ContingencyMatrix, "__hash__", counted)
+    hash(ContingencyMatrix([[1]]))
+    assert calls == 1  # the patch counts
+    report = check_relation_family("tautau", 4, 4)
+    assert report.passed and report.checked == 40_820
+    assert calls == 1
 
 
 def test_mixed_relations_summed():
