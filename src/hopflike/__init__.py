@@ -4,7 +4,6 @@ from .simplicial import verify_simplicial_identities
 from .contingency import count_matrices
 from .symfunc import (
     SymElement,
-    TensorElement,
     h_mult,
     h_to_m,
     hall_inner,
@@ -14,7 +13,6 @@ from .symfunc import (
 from .hopfverify import (
     check_bidegree12,
     check_hopf_compat,
-    check_mixed_relations,
     check_relation_family,
     check_square_condition,
     check_worked_examples,
@@ -22,13 +20,11 @@ from .hopfverify import (
 )
 
 # What callers read from the package root; everything else is imported
-# from its module.  Internal constructors that skip validation, such as
-# ``TensorElement._trusted``, stay out of it.
+# from its module.
 __all__ = [
-    "SymElement", "TensorElement", "check_bidegree12", "check_hopf_compat",
-    "check_mixed_relations", "check_relation_family", "check_square_condition",
-    "check_worked_examples", "count_matrices", "explore_mixed_bidegree",
-    "h_mult", "h_to_m", "hall_inner", "m_to_h", "schur",
+    "SymElement", "check_bidegree12", "check_hopf_compat", "check_relation_family",
+    "check_square_condition", "check_worked_examples", "count_matrices",
+    "explore_mixed_bidegree", "h_mult", "h_to_m", "hall_inner", "m_to_h", "schur",
     "verify_simplicial_identities",
 ]
 

@@ -125,6 +125,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(stated: str, verb: str):
+    """Refuse a command whose ``stated`` size passes MAX_OUTPUT."""
+    raise UsageError(f"{stated}, more than the {MAX_OUTPUT} this command {verb}")
+
+
+def _p_counts(top: int) -> list:
+    """p(0), ..., p(min(top, 200)): p(200) alone is far above MAX_OUTPUT."""
+    return _partition_counts(min(max(top, 0), 200))
+
+
+def _matrix_count(alpha, beta, mode: str, limit: int) -> int:
+    """How many ``mode`` matrices have margins ``alpha`` and ``beta``, walked
+    lazily and no further than ``limit``: a full count can take minutes."""
+    return sum(1 for _ in islice(_matrices(alpha, beta, mode), limit))
+
+
+def _basis_size(comp) -> tuple:
+    """``(size, exact)`` for A(comp): the product of p(part) over its parts.
+
+    A part above 200 counts as p(200), and the product stops once it is
+    above MAX_OUTPUT; either makes ``size`` a lower bound, and ``exact``
+    False.
+    """
+    counts = _p_counts(max(comp.parts, default=0))
+    size, exact = 1, True
+    for part in comp.parts:
+        if size > MAX_OUTPUT:
+            return size, False
+        exact = exact and part < len(counts)
+        size *= counts[min(part, len(counts) - 1)]
+    return size, exact
+
+
 def _sweep_bound(bound: int, slots: int, option: str) -> int:
     """``bound``, once the sweep it bounds is known to be small enough.
 
@@ -133,9 +166,8 @@ def _sweep_bound(bound: int, slots: int, option: str) -> int:
     from ``slots`` convolutions of the partition counts.  Above
     MAX_OUTPUT it raises ``UsageError`` with that count.
     """
-    # p(200) alone is far above MAX_OUTPUT: larger bounds need no exact count
-    top = min(bound, 200)
-    counts = _partition_counts(max(top, 0))
+    counts = _p_counts(bound)
+    top = len(counts) - 1
     series = [1] + [0] * top
     for _ in range(slots):
         series = [
@@ -145,10 +177,7 @@ def _sweep_bound(bound: int, slots: int, option: str) -> int:
     size = sum(series)
     if size > MAX_OUTPUT:
         least = "at least " if bound > top else ""
-        raise UsageError(
-            f"{option} {bound} gives {least}{size} h-basis inputs, more "
-            f"than the {MAX_OUTPUT} this command checks"
-        )
+        _refuse(f"{option} {bound} gives {least}{size} h-basis inputs", "checks")
     return bound
 
 
@@ -160,9 +189,9 @@ def _relation_bounds(max_sum: int, max_len: int) -> tuple:
     for n in range(max_sum + 1 if max_len >= 1 else 0):
         total += _count_compositions(n, max_len, stop=MAX_OUTPUT)
         if total > MAX_OUTPUT:
-            raise UsageError(
-                f"--max-sum {max_sum} --max-len {max_len} give at least {total} "
-                f"compositions, more than the {MAX_OUTPUT} this command lists"
+            _refuse(
+                f"--max-sum {max_sum} --max-len {max_len} give at least "
+                f"{total} compositions", "lists",
             )
     return max_sum, max_len
 
@@ -172,23 +201,21 @@ def _square_margins(alpha, beta) -> tuple:
 
     The sweep evaluates the towers of every margin matrix on every
     h-basis element of A(alpha).  The matrices have no closed form, so
-    they are walked, keeping nothing, until the product passes MAX_OUTPUT;
-    then it raises ``UsageError`` with that count.  Margins with
-    different sums are left for the sweep to refuse.
+    they are walked until the product passes MAX_OUTPUT; then it raises
+    ``UsageError`` with that count.  Margins with different sums are
+    left for the sweep to refuse.
     """
     if alpha.sum != beta.sum:
         return alpha, beta
-    counts = _partition_counts(min(max(alpha.parts, default=0), 200))
-    basis, exact = _basis_size(alpha, counts)
-    walk = _matrices(alpha, beta, "nonnegative")
-    matrices = sum(1 for _ in islice(walk, MAX_OUTPUT // basis + 1))
+    basis, exact = _basis_size(alpha)
+    matrices = _matrix_count(alpha, beta, "nonnegative", MAX_OUTPUT // basis + 1)
     if matrices * basis > MAX_OUTPUT:
         # the walk stopped early, so the matrix count is a lower bound
         least = "" if exact else "at least "
-        raise UsageError(
+        _refuse(
             f"margins {alpha} and {beta} give at least {matrices * basis} "
             f"tower inputs (at least {matrices} matrices times {least}{basis} "
-            f"basis elements), more than the {MAX_OUTPUT} this command checks"
+            "basis elements)", "checks",
         )
     return alpha, beta
 
@@ -202,14 +229,11 @@ def _simplicial_bound(max_n: int) -> int:
     """
     size = simplicial.identity_check_count(max_n) if max_n >= 1 else 0
     if size > MAX_OUTPUT:
-        raise UsageError(
-            f"--max-n {max_n} gives {size} checks, more than the "
-            f"{MAX_OUTPUT} this command checks"
-        )
+        _refuse(f"--max-n {max_n} gives {size} checks", "checks")
     return max_n
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple:
     """Run the suite's sweeps; under ``--timing`` each report carries the
     time of its own sweep."""
     reports = []
@@ -218,70 +242,45 @@ def _run_verify(args) -> int:
         reports.append(sweep(args))
         if args.timing:
             reports[-1].millis = int((time.monotonic() - start) * 1000)
-    if args.format == "json":
-        payload = [r.to_json_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
-    else:
-        for r in reports:
-            print(r.to_text())
-    return 0 if all(r.passed for r in reports) else 1
+    payload = [r.to_json_dict() for r in reports]
+    return (
+        0 if all(r.passed for r in reports) else 1,
+        payload[0] if len(payload) == 1 else payload,
+        (r.to_text() for r in reports),
+    )
 
 
-def _run_explore(args) -> int:
+def _run_explore(args) -> tuple:
     beta = parse_composition(args.beta)
     # tables, work and output grow as (a+1)(b1+1)(b2+1); bad a or beta is the sweep's
     size = (args.a + 1) * prod(b + 1 for b in beta.parts)
     if args.a >= 0 and beta.length == 2 and size > MAX_OUTPUT:
-        raise UsageError(
-            f"--a {args.a} --beta {beta} give a size (a+1)(b1+1)(b2+1) of "
-            f"{size}, more than the {MAX_OUTPUT} this command computes"
+        _refuse(
+            f"--a {args.a} --beta {beta} give a size (a+1)(b1+1)(b2+1) of {size}",
+            "computes",
         )
     report = hopfverify.explore_mixed_bidegree(args.a, beta)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"suite: {report['suite']}")
-        print(f"element: {report['element']}")
-        for section in ("upper", "lower", "difference"):
-            print(f"{section}:")
-            block = report[section]
-            if not block:
-                print("  (empty)")
-            for key in block:
-                print(f"  {key}: {block[key]}")
-    return 0
+    lines = [f"suite: {report['suite']}", f"element: {report['element']}"]
+    for section in ("upper", "lower", "difference"):
+        entries = [f"  {key}: {value}" for key, value in report[section].items()]
+        lines += [f"{section}:", *(entries or ["  (empty)"])]
+    return 0, report, lines
 
 
-def _run_matrices(args) -> int:
+def _run_matrices(args) -> tuple:
     alpha = parse_composition(args.alpha)
     beta = parse_composition(args.beta)
-    # no closed form, and counting can take minutes: walk, keeping nothing
-    walk = _matrices(alpha, beta, args.mode)
-    if sum(1 for _ in islice(walk, MAX_OUTPUT + 1)) > MAX_OUTPUT:
-        raise UsageError(
+    if _matrix_count(alpha, beta, args.mode, MAX_OUTPUT + 1) > MAX_OUTPUT:
+        _refuse(
             f"margins {alpha} and {beta} have at least {MAX_OUTPUT + 1} "
-            f"{args.mode} matrices, more than the {MAX_OUTPUT} this "
-            "command lists"
+            f"{args.mode} matrices", "lists",
         )
-    matrices = enumerate_matrices(alpha, beta, args.mode)
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "alpha": str(alpha),
-                "beta": str(beta),
-                "mode": args.mode,
-                "matrices": [str(K) for K in matrices],
-            },
-            indent=2,
-        ))
-    else:
-        for K in matrices:
-            print(K)
-        print(f"total: {len(matrices)}")
-    return 0
+    matrices = [str(K) for K in enumerate_matrices(alpha, beta, args.mode)]
+    payload = dict(alpha=str(alpha), beta=str(beta), mode=args.mode, matrices=matrices)
+    return 0, payload, [*matrices, f"total: {len(matrices)}"]
 
 
-def _run_compositions(args) -> int:
+def _run_compositions(args) -> tuple:
     n, cap = args.n, args.max_length
     count = _count_compositions(n, cap, stop=MAX_OUTPUT)
     if count > MAX_OUTPUT:
@@ -289,98 +288,66 @@ def _run_compositions(args) -> int:
             size = f"2^{n - 1}" + (f" = {1 << n - 1}" if n <= 64 else "")
         else:
             size = f"at least {count}"
-        raise UsageError(
+        _refuse(
             f"{n} has {size} compositions"
-            + ("" if cap is None else f" of at most {cap} parts")
-            + f", more than the {MAX_OUTPUT} this command lists"
+            + ("" if cap is None else f" of at most {cap} parts"), "lists",
         )
-    comps = enumerate_compositions(n, cap)
-    if args.format == "json":
-        print(json.dumps(
-            {"n": args.n, "compositions": [str(c) for c in comps]}, indent=2
-        ))
-    else:
-        for c in comps:
-            print(c)
-        print(f"total: {len(comps)}")
-    return 0
+    comps = [str(c) for c in enumerate_compositions(n, cap)]
+    return 0, {"n": n, "compositions": comps}, [*comps, f"total: {len(comps)}"]
 
 
-def _basis_size(comp, counts) -> tuple:
-    """``(size, exact)`` for A(comp): the product of p(part) over its parts.
-
-    A part past ``counts`` counts as its last entry, and the product
-    stops once it is above MAX_OUTPUT; either makes ``size`` a lower
-    bound, and ``exact`` False.
-    """
-    size, exact = 1, True
-    for part in comp.parts:
-        if size > MAX_OUTPUT:
-            return size, False
-        exact = exact and part < len(counts)
-        size *= counts[min(part, len(counts) - 1)]
-    return size, exact
-
-
-def _run_normalize(args) -> int:
+def _run_normalize(args) -> tuple:
     word = parse_word(args.word)
-    # p(200) alone is far above MAX_OUTPUT: larger parts need no exact p
-    top = max(word.source.parts + word.target.parts, default=0)
-    counts = _partition_counts(min(top, 200))
-    rows, rows_exact = _basis_size(word.source, counts)
-    cols, cols_exact = _basis_size(word.target, counts)
+    rows, rows_exact = _basis_size(word.source)
+    cols, cols_exact = _basis_size(word.target)
     if rows * cols > MAX_OUTPUT:
         bound = "" if rows_exact and cols_exact else "at least "
-        raise UsageError(
+        _refuse(
             f"the matrix of A{word.target} -> A{word.source} has {bound}{rows} "
-            f"rows and {bound}{cols} columns, {bound}{rows * cols} entries, "
-            f"more than the {MAX_OUTPUT} this command lists"
+            f"rows and {bound}{cols} columns, {bound}{rows * cols} entries",
+            "lists",
         )
     real = default_realization()
     realized = real.realize_word(word)
     domain_basis = real.tensor_basis(word.target)
     codomain_basis = real.tensor_basis(word.source)
     images = [realized(col).coeffs for col in domain_basis]
-    rows = [
-        [image.get(next(iter(row.coeffs)), 0) for image in images]
-        for row in codomain_basis
+    payload = {
+        "word": str(word),
+        "source": str(word.source),
+        "target": str(word.target),
+        "map": f"A{word.target} -> A{word.source}",
+        "domain_basis": [format_tensor(b) for b in domain_basis],
+        "codomain_basis": [format_tensor(b) for b in codomain_basis],
+        "matrix": [
+            [image.get(next(iter(row.coeffs)), 0) for image in images]
+            for row in codomain_basis
+        ],
+    }
+    lines = [f"{key}: {payload[key]}" for key in ("word", "source", "target", "map")]
+    lines += [
+        "columns (domain basis): " + ", ".join(payload["domain_basis"]),
+        "rows (codomain basis): " + ", ".join(payload["codomain_basis"]),
+        *("  [" + " ".join(f"{v:3d}" for v in row) + "]" for row in payload["matrix"]),
     ]
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "word": str(word),
-                "source": str(word.source),
-                "target": str(word.target),
-                "map": f"A{word.target} -> A{word.source}",
-                "domain_basis": [format_tensor(b) for b in domain_basis],
-                "codomain_basis": [format_tensor(b) for b in codomain_basis],
-                "matrix": rows,
-            },
-            indent=2,
-        ))
-    else:
-        print(f"word: {word}")
-        print(f"source: {word.source}")
-        print(f"target: {word.target}")
-        print(f"map: A{word.target} -> A{word.source}")
-        print("columns (domain basis): " + ", ".join(
-            format_tensor(b) for b in domain_basis
-        ))
-        print("rows (codomain basis): " + ", ".join(
-            format_tensor(b) for b in codomain_basis
-        ))
-        for row in rows:
-            print("  [" + " ".join(f"{v:3d}" for v in row) + "]")
-    return 0
+    return 0, payload, lines
 
 
 def main(argv=None) -> int:
+    """Run one command; its handler returns (exit status, payload, text
+    lines), and it prints the payload as JSON or the lines as text."""
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        status, payload, lines = args.run(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
     except HopflikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -33,11 +33,11 @@ from .compositions import (
     Composition,
     _exact_length,
     common_coarsenings,
-    enumerate_compositions,
     refines,
 )
 from .contingency import ContingencyMatrix, enumerate_matrices
 from .category import (
+    _all_compositions,
     _check_bounds,
     _relation_chains,
     _relation_instance,
@@ -333,11 +333,7 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
         "mixed-relations",
         {"max_sum": max_sum, "max_len": max_len, "reading": "summed"},
     )
-    comps = [
-        c
-        for n in range(1, max_sum + 1)
-        for c in enumerate_compositions(n, max_len)
-    ]
+    comps = _all_compositions(max_sum, max_len)[1:]  # all but the empty one
     tables = _CodedTables(default_realization(), max_sum)
     for alpha in comps:
         for beta in comps:

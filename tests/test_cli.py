@@ -125,21 +125,48 @@ def test_compositions_negative_max_length_exit_two(capsys):
     (["compositions", "--n", "40"], "40 has 2^39 = 549755813888 compositions"),
     (["compositions", "--n", "40", "--max-length", "6"],
      "40 has at least 667928 compositions of at most 6 parts"),
-    (["compositions", "--n", "1000000000000"], "has 2^999999999999 compositions"),
-    (["normalize", "(60)"],
-     "A(60) -> A(60) has 966467 rows and 966467 columns, 934058462089 entries"),
-    (["normalize", "(1000000000)"], "has at least 3972999029388 rows"),
-    (["normalize", "(30,30) ; d[2,1]"],
-     "A(60) -> A(30,30) has 31404816 rows and 966467 columns"),
-    (["normalize", "(300,30) ; d[2,1]"], "A(330) -> A(300,30) has at least"),
+    # these ids keep the names the cases had when they matched part of the line
+    pytest.param(
+        ["compositions", "--n", "1000000000000"],
+        "1000000000000 has 2^999999999999 compositions",
+        id="argv2-has 2^999999999999 compositions",
+    ),
+    pytest.param(
+        ["normalize", "(60)"],
+        "the matrix of A(60) -> A(60) has 966467 rows and 966467 columns, "
+        "934058462089 entries",
+        id="argv3-A(60) -> A(60) has 966467 rows and 966467 columns, "
+        "934058462089 entries",
+    ),
+    pytest.param(
+        ["normalize", "(1000000000)"],
+        "the matrix of A(1000000000) -> A(1000000000) has at least 3972999029388 "
+        "rows and at least 3972999029388 columns, at least "
+        "15784721287517990087654544 entries",
+        id="argv4-has at least 3972999029388 rows",
+    ),
+    pytest.param(
+        ["normalize", "(30,30) ; d[2,1]"],
+        "the matrix of A(60) -> A(30,30) has 31404816 rows and 966467 columns, "
+        "30351718305072 entries",
+        id="argv5-A(60) -> A(30,30) has 31404816 rows and 966467 columns",
+    ),
+    pytest.param(
+        ["normalize", "(300,30) ; d[2,1]"],
+        "the matrix of A(330) -> A(300,30) has at least 3972999029388 rows and "
+        "at least 3972999029388 columns, at least 15784721287517990087654544 "
+        "entries",
+        id="argv6-A(330) -> A(300,30) has at least",
+    ),
 ])
 def test_oversized_output_exits_two_at_once(capsys, argv, estimate):
     start = time.monotonic()
     code, out, err = run_cli(capsys, *argv)
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and estimate in err, err
-    assert f"more than the {cli.MAX_OUTPUT} this command lists" in err
+    assert err == (
+        f"error: {estimate}, more than the {cli.MAX_OUTPUT} this command lists\n"
+    )
 
 
 def test_output_limit_is_exact(capsys, monkeypatch):
@@ -153,7 +180,10 @@ def test_output_limit_is_exact(capsys, monkeypatch):
     assert run_cli(capsys, "normalize", "(4)")[0] == 0
     assert run_cli(capsys, "normalize", "(4) ; s[1,1,1]")[0] == 0
     code, _, err = run_cli(capsys, "normalize", "(5)")
-    assert code == 2 and "7 rows and 7 columns, 49 entries" in err
+    assert code == 2 and err == (
+        "error: the matrix of A(5) -> A(5) has 7 rows and 7 columns, 49 entries, "
+        "more than the 25 this command lists\n"
+    )
 
 
 @pytest.mark.parametrize("margins, mode", [
@@ -193,22 +223,30 @@ def test_matrices_refusal_stops_at_the_limit(capsys, monkeypatch, alpha, beta, m
     )
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
-    assert "have at least 101" in err
+    assert err == (
+        f"error: margins {alpha} and {beta} have at least 101 {mode} matrices, "
+        "more than the 100 this command lists\n"
+    )
 
 
 @pytest.mark.parametrize("argv, size", [
-    (["verify", "hopf", "--max-degree", "40"], 38361236),
-    (["verify", "bidegree12", "--max-total", "30"], 53828275),
-    (["verify", "bidegree12", "--max-total", "1000000000"], "at least "),
+    (["verify", "hopf", "--max-degree", "40"], "38361236"),
+    (["verify", "bidegree12", "--max-total", "30"], "53828275"),
+    # the id keeps the name the case had when it matched part of the line
+    pytest.param(
+        ["verify", "bidegree12", "--max-total", "1000000000"],
+        "at least 401459229083595557518174", id="argv2-at least ",
+    ),
 ])
 def test_oversized_sweep_exits_two_at_once(capsys, argv, size):
     start = time.monotonic()
     code, out, err = run_cli(capsys, *argv)
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {argv[2]} {argv[3]} gives {size}"), err
-    assert err.endswith(f" h-basis inputs, more than the {cli.MAX_OUTPUT} this "
-                        "command checks\n")
+    assert err == (
+        f"error: {argv[2]} {argv[3]} gives {size} h-basis inputs, more than the "
+        f"{cli.MAX_OUTPUT} this command checks\n"
+    )
 
 
 @pytest.mark.parametrize("suite, option, bound, size", [
@@ -226,7 +264,10 @@ def test_sweep_limit_is_exact(capsys, monkeypatch, suite, option, bound, size):
     monkeypatch.setattr(cli, "MAX_OUTPUT", size - 1)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"{option} {bound} gives {size} h-basis inputs" in err
+    assert err == (
+        f"error: {option} {bound} gives {size} h-basis inputs, more than the "
+        f"{size - 1} this command checks\n"
+    )
 
 
 def test_oversized_simplicial_sweep_exits_two_at_once(capsys):
@@ -248,7 +289,9 @@ def test_simplicial_limit_is_exact(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_OUTPUT", 306)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "--max-n 6 gives 307 checks" in err
+    assert err == (
+        "error: --max-n 6 gives 307 checks, more than the 306 this command checks\n"
+    )
 
 
 def test_oversized_square_exits_two_at_once(capsys):
@@ -275,7 +318,10 @@ def test_square_limit_is_exact(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_OUTPUT", 11)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "give at least 12 tower inputs (at least 3 matrices times 4 " in err
+    assert err == (
+        "error: margins (2,2) and (2,2) give at least 12 tower inputs (at least 3 "
+        "matrices times 4 basis elements), more than the 11 this command checks\n"
+    )
 
 
 def test_square_sum_mismatch_is_left_to_the_sweep(capsys):
@@ -322,6 +368,42 @@ def test_small_outputs_are_unchanged(capsys):
     assert code == 0 and json.loads(out) == {
         "n": 4, "compositions": ["(4)", "(1,3)", "(2,2)", "(3,1)"],
     }
+
+
+def rendered(command, payload) -> list:
+    """The text lines that show the JSON ``payload`` of ``command``."""
+    if command in ("matrices", "compositions"):
+        items = payload[command]
+        return [*items, f"total: {len(items)}"]
+    if command == "normalize":
+        return [
+            *(f"{key}: {payload[key]}" for key in ("word", "source", "target", "map")),
+            "columns (domain basis): " + ", ".join(payload["domain_basis"]),
+            "rows (codomain basis): " + ", ".join(payload["codomain_basis"]),
+            *("  [" + " ".join(f"{v:3d}" for v in row) + "]"
+              for row in payload["matrix"]),
+        ]
+    lines = [f"suite: {payload['suite']}", f"element: {payload['element']}"]
+    for section in ("upper", "lower", "difference"):
+        block = payload[section]
+        lines.append(f"{section}:")
+        lines += [f"  {key}: {block[key]}" for key in block] or ["  (empty)"]
+    return lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrices", "--alpha", "(2,1)", "--beta", "(1,1,1)"],
+    ["compositions", "--n", "4", "--max-length", "3"],
+    ["normalize", "(3) ; s[1,1,1]"],
+    ["explore", "mixed", "--a", "1", "--beta", "(1,1)"],
+    # an empty section: the difference at a = 0
+    ["explore", "mixed", "--a", "0", "--beta", "(1,1)"],
+], ids=" ".join)
+def test_text_renders_the_json_payload(capsys, argv):
+    code, text, _ = run_cli(capsys, *argv)
+    json_code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == json_code == 0
+    assert text.splitlines() == rendered(argv[0], json.loads(out))
 
 
 def test_normalize(capsys):
@@ -378,7 +460,10 @@ def test_relations_limit_counts_every_listed_composition(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_OUTPUT", 10)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "give at least 11 compositions" in err
+    assert err == (
+        "error: --max-sum 4 --max-len 2 give at least 11 compositions, more than "
+        "the 10 this command lists\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -443,7 +528,10 @@ def test_explore_limit_is_exact(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_OUTPUT", 26)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "(a+1)(b1+1)(b2+1) of 27," in err
+    assert err == (
+        "error: --a 2 --beta (2,2) give a size (a+1)(b1+1)(b2+1) of 27, more than "
+        "the 26 this command computes\n"
+    )
 
 
 def test_repeated_calls_leave_no_cyclic_garbage(capsys):

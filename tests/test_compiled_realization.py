@@ -771,4 +771,6 @@ def test_trusted_constructor_is_not_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(hopflike.__all__) == sorted(public)
-    assert "TensorElement" in public and "_trusted" not in hopflike.__all__
+    # the element class, with its trusted constructor, lives in its module
+    assert "TensorElement" not in public and "_trusted" not in hopflike.__all__
+    assert callable(symfunc.TensorElement._trusted)

@@ -30,11 +30,11 @@ def test_every_traced_name_resolves():
 
 def test_public_names_are_pinned():
     assert sorted(hopflike.__all__) == [
-        "SymElement", "TensorElement", "check_bidegree12", "check_hopf_compat",
-        "check_mixed_relations", "check_relation_family",
-        "check_square_condition", "check_worked_examples", "count_matrices",
-        "explore_mixed_bidegree", "h_mult", "h_to_m", "hall_inner", "m_to_h",
-        "schur", "verify_simplicial_identities",
+        "SymElement", "check_bidegree12", "check_hopf_compat",
+        "check_relation_family", "check_square_condition",
+        "check_worked_examples", "count_matrices", "explore_mixed_bidegree",
+        "h_mult", "h_to_m", "hall_inner", "m_to_h", "schur",
+        "verify_simplicial_identities",
     ]
     for name in hopflike.__all__:
         assert hasattr(hopflike, name), name
@@ -96,6 +96,7 @@ def test_sweeps_read_the_coproduct_through_the_realization():
 def test_root_exports_what_callers_read():
     # The scripts and the benchmark read the package root, and tier-1 runs
     # neither, so a name missing from it would show only as their failure.
+    # Conversely, a root name that none of them reads belongs in its module.
     submodules = {m.name for m in pkgutil.iter_modules(hopflike.__path__)}
     callers = [
         *sorted((ROOT / "scripts").glob("*.py")),
@@ -122,6 +123,7 @@ def test_root_exports_what_callers_read():
         and name not in hopflike.__all__
     )
     assert missing == []
+    assert set(hopflike.__all__) - {name for _, name in read} == set()
 
 
 @pytest.mark.parametrize("name", [*workloads.CLI_SWEEPS, "worked-8"])
