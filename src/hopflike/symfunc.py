@@ -204,6 +204,19 @@ class SymElement(_Combination):
     def one(cls, basis: str = "h") -> "SymElement":
         return cls(0, basis, {(): 1})
 
+    @classmethod
+    def _trusted(cls, degree: int, basis: str, coeffs: dict) -> "SymElement":
+        """Build without validation, dropping zero coefficients.
+
+        For results of operations on valid elements only: ``basis`` is
+        h, m or s and every label is a partition of ``degree``.
+        """
+        el = object.__new__(cls)
+        object.__setattr__(el, "degree", degree)
+        object.__setattr__(el, "basis", basis)
+        object.__setattr__(el, "coeffs", {k: v for k, v in coeffs.items() if v})
+        return el
+
     def _like(self, coeffs):
         return SymElement(self.degree, self.basis, coeffs)
 
@@ -299,26 +312,32 @@ def _kostka(degree: int) -> tuple:
 
     K(lam, mu) counts semistandard tableaux of shape lam and content mu,
     grown by one horizontal strip per part of mu in order.  mu minus its
-    last part r is a partition, so column mu is that column of
-    ``_kostka(degree - r)`` plus one strip of r.  Rows and columns follow
-    ``partitions_of`` order, which refines dominance, so K is upper
-    unitriangular; anything else raises ``UsageError``.
+    last part r is a partition ``head``, so column mu sums, over the
+    shapes nu of degree - r, K(nu, head) times the strips of r boxes on
+    nu, with K(nu, head) read from ``_kostka(degree - r)``.  Each strip
+    list is enumerated once per (nu, r) and added into every column it
+    feeds.  Rows and columns follow ``partitions_of`` order, which
+    refines dominance, so K is upper unitriangular; anything else raises
+    ``UsageError``.
     """
     parts = partitions_of(degree)
     index = {lam: i for i, lam in enumerate(parts)}
-    columns = {} if degree else {(): [1]}  # degree 0: the empty shape
+    columns = [None] * len(parts) if degree else [[1]]  # degree 0: the empty shape
     for last in range(1, degree + 1):
         below = partitions_of(degree - last)
-        for head, column in zip(below, zip(*_kostka(degree - last))):
-            if head and head[-1] < last:
-                continue
-            grown = [0] * len(parts)
-            for shape, c in zip(below, column):
-                if c:
-                    for nu in _horizontal_strips(shape, last):
-                        grown[index[nu]] += c
-            columns[head + (last,)] = grown
-    table = tuple(zip(*(columns[mu] for mu in parts)))
+        # column heads: the partitions with no part below ``last``
+        heads = [j for j, head in enumerate(below) if not head or head[-1] >= last]
+        grown = {j: [0] * len(parts) for j in heads}
+        for shape, row in zip(below, _kostka(degree - last)):
+            feeds = [(grown[j], row[j]) for j in heads if row[j]]
+            if feeds:
+                strips = [index[nu] for nu in _horizontal_strips(shape, last)]
+                for column, c in feeds:
+                    for i in strips:
+                        column[i] += c
+        for j in heads:
+            columns[index[below[j] + (last,)]] = grown[j]
+    table = tuple(zip(*columns))
     for i, row in enumerate(table):
         if row[i] != 1 or any(row[:i]):
             raise UsageError(
@@ -365,26 +384,41 @@ class TransitionCache:
 
     Entry mu of row lam is the number of non-negative integer
     matrices with row margins lam and column margins mu, computed as
-    (K^T K)(lam, mu) from the Kostka table (RSK).
+    (K^T K)(lam, mu) from the Kostka table (RSK).  Each degree holds one
+    Gram product, as row tuples in ``partitions_of`` order beside a
+    label -> position index; ``degree_matrix`` keys a copy by label.
     """
 
     def __init__(self):
-        self._degrees = {}
+        self._index = {}
+        self._pairings = {}
+
+    def _positions(self, degree: int) -> dict:
+        """Mapping lam -> position of lam in ``partitions_of(degree)``."""
+        index = self._index.get(degree)
+        if index is None:
+            parts = partitions_of(degree)
+            index = self._index.setdefault(degree, dict(zip(parts, range(len(parts)))))
+        return index
+
+    def _pairing(self, degree: int) -> tuple:
+        """K^T K as row tuples, one product per pair, and ``_positions``."""
+        pairing = self._pairings.get(degree)
+        if pairing is None:
+            # column i of K is zero below row i
+            vectors = [c[: i + 1] for i, c in enumerate(zip(*_kostka(degree)))]
+            rows = tuple(map(tuple, _gram(vectors)))
+            pairing = self._pairings.setdefault(degree, (rows, self._positions(degree)))
+        return pairing
 
     def degree_matrix(self, degree: int) -> dict:
-        """Mapping lam -> (mu -> margin count): K^T K, one product per pair."""
-        matrix = self._degrees.get(degree)
-        if matrix is None:
-            parts = partitions_of(degree)
-            # column i of K is zero below row i
-            rows = _gram([c[: i + 1] for i, c in enumerate(zip(*_kostka(degree)))])
-            matrix = self._degrees.setdefault(degree, {
-                lam: dict(zip(parts, row)) for lam, row in zip(parts, rows)
-            })
-        return matrix
+        """Mapping lam -> (mu -> margin count), a keyed copy of ``_pairing``."""
+        parts = partitions_of(degree)
+        rows = self._pairing(degree)[0]
+        return {lam: dict(zip(parts, row)) for lam, row in zip(parts, rows)}
 
     def stats(self) -> dict:
-        return {"entries": sum(len(m) ** 2 for m in self._degrees.values())}
+        return {"entries": sum(len(rows) ** 2 for rows, _ in self._pairings.values())}
 
 
 _default_cache = TransitionCache()
@@ -398,13 +432,14 @@ def h_to_m(x: SymElement) -> SymElement:
     """Expand an h element in the monomial basis."""
     if x.basis != "h":
         raise BasisMismatchError("h_to_m needs the h basis")
-    matrix = transition_cache().degree_matrix(x.degree)
-    coeffs = {}
+    rows, index = transition_cache()._pairing(x.degree)
+    totals = [0] * len(rows)
     for lam, c in x.coeffs.items():
-        for mu, n in matrix[lam].items():
-            if n:
-                coeffs[mu] = coeffs.get(mu, 0) + c * n
-    return SymElement(x.degree, "m", coeffs)
+        for j, n in enumerate(rows[index[lam]]):
+            totals[j] += c * n
+    # _trusted drops the zeros, sums that cancel among them
+    parts = partitions_of(x.degree)
+    return SymElement._trusted(x.degree, "m", dict(zip(parts, totals)))
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +460,7 @@ def m_to_h(x: SymElement) -> SymElement:
     parts = partitions_of(x.degree)
     vec = [x.coeffs.get(mu, 0) for mu in parts]
     totals = [sum(map(operator.mul, row, vec)) for row in _inverse_transition(x.degree)]
-    return SymElement(x.degree, "h", {lam: t for lam, t in zip(parts, totals) if t})
+    return SymElement._trusted(x.degree, "h", dict(zip(parts, totals)))
 
 
 def schur(lam) -> SymElement:
@@ -448,41 +483,39 @@ def schur(lam) -> SymElement:
                 sign = -sign
     straight = tuple(shifted[s] + i for i, s in enumerate(order))
     if len(set(shifted)) < len(shifted) or (straight and straight[-1] < 0):
-        return SymElement(degree, "h", {})
-    straight = tuple(p for p in straight if p)
-    parts = partitions_of(degree)
-    col = parts.index(straight)
-    inverse = _kostka_inverse(degree)
-    return SymElement(degree, "h", {
-        mu: sign * row[col] for mu, row in zip(parts, inverse) if row[col]
+        return SymElement._trusted(degree, "h", {})
+    col = transition_cache()._positions(degree)[tuple(p for p in straight if p)]
+    return SymElement._trusted(degree, "h", {
+        mu: sign * row[col]
+        for mu, row in zip(partitions_of(degree), _kostka_inverse(degree))
     })
 
 
-def to_h(x: SymElement) -> SymElement:
-    if x.basis == "h":
-        return x
-    if x.basis == "m":
-        return m_to_h(x)
-    total = SymElement(x.degree, "h", {})
-    for lam, c in x.coeffs.items():
-        total = total + c * schur(lam)
-    return total
-
-
 def hall_inner(x: SymElement, y: SymElement) -> int:
-    """Pairing with <h_lam, m_mu> = delta; Schur basis orthonormal."""
+    """Pairing with <h_lam, m_mu> = delta; Schur basis orthonormal.
+
+    Both sides are read in the h basis, where the pairing is K^T K: y's
+    labels become positions once, and each term of x reads its row at
+    them.
+    """
     if x.degree != y.degree:
         raise DegreeMismatchError(
             f"pairing needs equal degrees, got {x.degree} and {y.degree}"
         )
-    xh = to_h(x)
-    yh = to_h(y)
-    matrix = transition_cache().degree_matrix(x.degree)
+    if x.basis == "m":
+        x = m_to_h(x)
+    elif x.basis == "s":
+        zero = SymElement._trusted(x.degree, "h", {})
+        x = sum((c * schur(lam) for lam, c in x.coeffs.items()), zero)
+    if y.basis != "h":
+        return hall_inner(y, x)  # symmetric: y is expanded as x was
+    rows, index = transition_cache()._pairing(x.degree)
+    ys = [(index[mu], d) for mu, d in y.coeffs.items()]
     total = 0
-    for lam, c in xh.coeffs.items():
-        row = matrix[lam]
-        for mu, d in yh.coeffs.items():
-            total += c * d * row[mu]
+    for lam, c in x.coeffs.items():
+        row = rows[index[lam]]
+        for j, d in ys:
+            total += c * d * row[j]
     return total
 
 

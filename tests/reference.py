@@ -3,10 +3,11 @@
 The references recompute what a sweep or table computes by a plainer
 route: words evaluated one generator at a time, reports rebuilt with one
 visit per input, coproduct tables from every cut at once, the Kostka
-table grown strip by strip and Schur functions from the Jacobi–Trudi
-determinant.  A fault is a wrong operator or realization handed to a
-sweep, or a patch of one name (a realization hook, a memo or a module
-function) through ``monkeypatch``, which ends with the test.
+table grown strip by strip, each strip found by the interlacing test,
+and Schur functions from the Jacobi–Trudi determinant.  A fault is a
+wrong operator or realization handed to a sweep, or a patch of one name
+(a realization hook, a memo or a module function) through
+``monkeypatch``, which ends with the test.
 """
 
 from bisect import bisect_right
@@ -279,9 +280,26 @@ def reference_relation_report(family, max_sum, max_len, realization=None):
 # --- the Kostka table and Schur functions ------------------------------------
 
 
+def interlaces(nu, lam):
+    """nu / lam is a horizontal strip: nu_1 >= lam_1 >= nu_2 >= lam_2 >= ..."""
+    width = max(len(nu), len(lam))
+    nu = nu + (0,) * (width - len(nu))
+    lam = lam + (0,) * (width - len(lam))
+    return all(a >= b for a, b in zip(nu, lam)) and all(
+        b >= a for b, a in zip(lam, nu[1:])
+    )
+
+
+@lru_cache(maxsize=None)
+def reference_strips(shape, size):
+    """The partitions of |shape| + size that interlace with ``shape``."""
+    return [nu for nu in partitions_of(sum(shape) + size) if interlaces(nu, shape)]
+
+
 def reference_kostka(n):
     """Kostka table with every column grown from the empty shape, one
-    horizontal strip per part of the content."""
+    horizontal strip per part of the content, each strip found by the
+    interlacing test rather than by the table's own enumeration."""
     parts = partitions_of(n)
     index = {lam: i for i, lam in enumerate(parts)}
     columns = []
@@ -290,7 +308,7 @@ def reference_kostka(n):
         for part in mu:
             grown = {}
             for shape, c in shapes.items():
-                for nu in symfunc._horizontal_strips(shape, part):
+                for nu in reference_strips(shape, part):
                     grown[nu] = grown.get(nu, 0) + c
             shapes = grown
         column = [0] * len(parts)

@@ -45,6 +45,7 @@ from reference import (
     jacobi_trudi,
     reference_comult_table,
     reference_kostka,
+    reference_strips,
 )
 
 
@@ -303,6 +304,22 @@ def test_m_to_h_round_trips():
             assert m_to_h(h_to_m(x)) == x
 
 
+def test_basis_changes_give_canonical_elements():
+    # h_to_m, m_to_h and schur build their results unvalidated: each must
+    # equal its validated rebuild and hold no zero coefficient
+    for degree in range(11):
+        for lam in partitions_of(degree):
+            for r in (
+                h_to_m(SymElement.basis_element("h", lam)),
+                m_to_h(SymElement.basis_element("m", lam)),
+                schur(lam),
+            ):
+                assert r == SymElement(r.degree, r.basis, r.coeffs), (lam, r)
+                assert all(r.coeffs.values()), (lam, r)
+    # h[2] - h[1,1] = -m[1,1]: the m[2] sum cancels to 0 and is dropped
+    assert h_to_m(H(2) - H(1, 1)).coeffs == {(1, 1): -1}
+
+
 def test_hall_inner_examples():
     assert hall_inner(H(1, 1), H(1, 1)) == 2
     assert hall_inner(H(2), H(1, 1)) == 1
@@ -318,6 +335,26 @@ def test_hall_inner_h_m_duality():
                 x = SymElement.basis_element("h", lam)
                 y = SymElement.basis_element("m", mu)
                 assert hall_inner(x, y) == (1 if lam == mu else 0)
+
+
+def test_hall_inner_expands_m_and_s_combinations():
+    # <m-combination, h_mu> reads the m coefficient of mu; the Schur basis
+    # is orthonormal; and h_mu = sum_lam K(lam, mu) s_lam.
+    for degree in range(1, 7):
+        parts = partitions_of(degree)
+        kostka = reference_kostka(degree)
+        x = {lam: (-1) ** i * (i + 2) for i, lam in enumerate(parts)}
+        y = {lam: i - 3 for i, lam in enumerate(parts)}
+        xm, xs = SymElement(degree, "m", x), SymElement(degree, "s", x)
+        ys = SymElement(degree, "s", y)
+        assert hall_inner(xs, ys) == sum(c * y[lam] for lam, c in x.items())
+        for j, mu in enumerate(parts):
+            h_mu = SymElement.basis_element("h", mu)
+            assert hall_inner(xm, h_mu) == x[mu]
+            assert hall_inner(h_mu, xm) == x[mu]
+            assert hall_inner(xs, h_mu) == sum(
+                x[lam] * kostka[i][j] for i, lam in enumerate(parts)
+            )
 
 
 def test_schur_examples():
@@ -604,8 +641,9 @@ def test_transition_matrix_is_rsk_count():
 
 def test_tables_match_dense_references(fresh_tables):
     # built from the degrees below and from upper triangles, the tables
-    # must equal the strip-per-part build and the full dense products
-    for n in range(11):
+    # must equal the strip-per-part build and the full dense products,
+    # up to degree 12, the top degree of the benchmark's round trip
+    for n in range(13):
         table = _kostka(n)
         assert table == reference_kostka(n), n
         inverse = symfunc._kostka_inverse(n)
@@ -619,6 +657,16 @@ def test_tables_match_dense_references(fresh_tables):
             lam: {mu: counts[i][j] for j, mu in enumerate(parts)}
             for i, lam in enumerate(parts)
         }, n
+
+
+def test_strips_match_the_interlacing_test():
+    # the reference finds each strip by nu_1 >= lam_1 >= nu_2 >= ... over
+    # every partition of the grown degree, not by growing rows
+    for degree in range(9):
+        for shape in partitions_of(degree):
+            for size in range(5):
+                strips = symfunc._horizontal_strips(shape, size)
+                assert sorted(strips) == sorted(reference_strips(shape, size))
 
 
 def test_kostka_standard_column_is_hook_length():
@@ -639,7 +687,8 @@ def test_schur_matches_jacobi_trudi():
     assert schur((1, 2)).is_zero
 
 
-def test_dropped_strip_is_caught(fresh_tables, monkeypatch):
+def drop_one_strip(monkeypatch):
+    """Lose the strip (1) -> (2), so that K((2), (1,1)) reads 0."""
     real = symfunc._horizontal_strips
 
     def drop_one(shape, size):
@@ -647,11 +696,27 @@ def test_dropped_strip_is_caught(fresh_tables, monkeypatch):
         return [nu for nu in strips if (shape, size, nu) != ((1,), 1, (2,))]
 
     monkeypatch.setattr(symfunc, "_horizontal_strips", drop_one)
+
+
+def test_dropped_strip_is_caught(fresh_tables, monkeypatch):
+    drop_one_strip(monkeypatch)
     # the table stays unitriangular, so it builds; only K((2), (1,1)) and
     # its relatives are wrong.  h->m->h cannot see this, because both
     # directions come from the same table: the independent oracles must.
+    assert _kostka(2) != reference_kostka(2)
     assert ((2,), (1, 1)) in rsk_mismatches(4)
     assert schur((1, 1)) != jacobi_trudi((1, 1))
+
+
+def test_fault_after_warm_tables_reaches_the_pairing(request, monkeypatch):
+    # rows built before the fault must not outlive fresh_tables
+    assert hall_inner(H(1, 1), H(1, 1)) == 2
+    request.getfixturevalue("fresh_tables")
+    drop_one_strip(monkeypatch)
+    # with K = identity in degree 2, <h11, h11> reads 1, not the 2
+    # matrices of margins (1,1), (1,1).  Schur pairs would stay at delta.
+    assert hall_inner(H(1, 1), H(1, 1)) == 1
+    assert count_matrices((1, 1), (1, 1)) == 2
 
 
 def test_wrong_inverse_breaks_round_trip(fresh_tables, monkeypatch):
@@ -684,11 +749,12 @@ def test_cold_tables_leave_no_cyclic_garbage(fresh_tables):
     # the count recursion and the matrix fill left one per call for the
     # cyclic collector.
     contingency._count.cache_clear()
-    partitions_of(8)  # its builder is not on the hot path
+    for n in range(13):
+        partitions_of(n)  # its builder is not on the hot path
     gc.collect()
     gc.disable()
     try:
-        for n in range(9):
+        for n in range(13):
             for lam in partitions_of(n):
                 assert hall_inner(schur(lam), H(*lam)) == 1
                 assert m_to_h(h_to_m(H(*lam))) == H(*lam)
