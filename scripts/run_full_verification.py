@@ -7,8 +7,9 @@ the command does.  The worked diagrams have no command and are called
 directly.  Prints one text report per sweep and exits nonzero if any
 sweep fails.  The last line gives the size of the package (its source
 line count and the number of public names), the line count of the
-tests and the peak RSS of the process.  Pass --json PATH to also write
-the combined reports as a JSON array.
+tests, the peak RSS of the process and the SHA-256 of the combined
+reports as a JSON array.  Pass --json PATH to also write that array;
+the printed digest is that of the file.
 """
 
 import argparse
@@ -80,16 +81,21 @@ def main() -> int:
         print(report.to_text())
         print(f"elapsed: {elapsed:.2f}s")
         print()
+    combined = json.dumps([r.to_json_dict() for r in reports], indent=2)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
+            fh.write(combined)
         print(f"wrote {args.json}")
     failed = [r.suite for r in reports if not r.passed]
     if failed:
         print("FAILED:", ", ".join(failed))
     else:
         print(f"all {len(reports)} suites passed")
-    print(size_line())
+    size = size_line()
+    # hashlib loads OpenSSL, about 3.6 MB of RSS: import it after the reading
+    import hashlib
+
+    print(f"{size}, json sha256 {hashlib.sha256(combined.encode()).hexdigest()}")
     return 1 if failed else 0
 
 

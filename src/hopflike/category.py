@@ -61,20 +61,14 @@ class Shuffle:
 def apply_generator(g, domain: Composition) -> Composition:
     """Codomain of ``g`` on ``domain``; raises if ``g`` is inadmissible."""
     parts = domain.parts
+    if isinstance(g, (Merge, Split)) and g.t != len(parts):
+        raise GeneratorDomainError(f"{g} needs a length-{g.t} domain, got {domain}")
     if isinstance(g, Merge):
-        if g.t != len(parts):
-            raise GeneratorDomainError(
-                f"{g} needs a length-{g.t} domain, got {domain}"
-            )
         if not 1 <= g.i <= g.t - 1:
             raise GeneratorDomainError(f"{g} index out of range")
         i = g.i - 1
         return Composition(parts[:i] + (parts[i] + parts[i + 1],) + parts[i + 2:])
     if isinstance(g, Split):
-        if g.t != len(parts):
-            raise GeneratorDomainError(
-                f"{g} needs a length-{g.t} domain, got {domain}"
-            )
         if not 1 <= g.i <= g.t:
             raise GeneratorDomainError(f"{g} index out of range")
         i = g.i - 1

@@ -266,9 +266,3 @@ def slot_sources(K: ContingencyMatrix) -> tuple:
                 idx += 1
     return tuple(cm_index[cell] for cell in rm)
 
-
-def transpose(K: ContingencyMatrix) -> ContingencyMatrix:
-    # zip(*rows) cannot see the columns of a matrix without rows
-    return ContingencyMatrix._trusted(
-        tuple(zip(*K.entries)) if K.nrows else ((),) * K.ncols, K.nrows
-    )

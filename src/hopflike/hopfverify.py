@@ -183,15 +183,14 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
     """
     if reading not in ("summed", "per-k"):
         raise UsageError(f"unknown reading {reading!r}")
-    alpha = alpha if isinstance(alpha, Composition) else Composition(alpha)
-    beta = beta if isinstance(beta, Composition) else Composition(beta)
+    alpha, beta = Composition(alpha), Composition(beta)
     if alpha.sum != beta.sum:
         raise SumMismatchError(f"margins {alpha} and {beta} have different sums")
     report = VerificationReport(
         "square-condition",
         {"alpha": str(alpha), "beta": str(beta), "reading": reading},
     )
-    gamma = Composition([alpha.sum]) if alpha.sum else Composition()
+    gamma = Composition([alpha.sum])
     matrices = enumerate_matrices(alpha, beta)
     tables = _CodedTables(default_realization(), alpha.sum)
     mismatches = _route_comparison(alpha, beta, gamma, tables)
@@ -311,7 +310,7 @@ def _applied(step, coeffs) -> dict:
         for p, c in coeffs.items():
             for q, d in step[p].items():
                 out[q] = get(q, 0) + c * d
-    return {k: v for k, v in out.items() if v}
+    return _nonzero(out)
 
 
 def _expanded(value) -> tuple:
@@ -746,7 +745,7 @@ def explore_mixed_bidegree(a: int, beta) -> dict:
     """
     if a < 0:
         raise UsageError("a must be >= 0")
-    beta = beta if isinstance(beta, Composition) else Composition(beta)
+    beta = Composition(beta)
     if beta.length != 2:
         raise UsageError("beta must have exactly two parts")
     # A(0) is one empty slot: its halves keep it, its products drop it
@@ -781,7 +780,7 @@ def explore_mixed_bidegree(a: int, beta) -> dict:
     def render(pairs):
         out = {}
         for key, coeffs in sorted(pairs.items()):
-            el = TensorElement(tuple(map(sum, next(iter(coeffs)))), coeffs)
+            el = TensorElement._trusted(tuple(map(sum, next(iter(coeffs)))), coeffs)
             if not el.is_zero:
                 out[key] = format_tensor(el)
         return out

@@ -21,7 +21,7 @@ import operator
 from functools import lru_cache
 
 from .compositions import Composition
-from .contingency import slot_sources, transpose
+from .contingency import slot_sources
 from .category import Merge, Shuffle, Split, _step, apply_generator
 from .errors import (
     BasisMismatchError,
@@ -39,21 +39,26 @@ def partitions_of(n: int) -> tuple:
     """Partitions of n as weakly decreasing tuples, (n) first, (1,..,1) last."""
     if n < 0:
         raise UsageError("partitions_of needs n >= 0")
-    if n == 0:
-        return ((),)
     out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(remaining, cap), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    _descend(n, n, [], out)
     return tuple(out)
+
+
+def _descend(left, cap, prefix, out):
+    # Module-level rather than a closure, for the reason _grow_rows gives.
+    if left == 0:
+        out.append(tuple(prefix))
+        return
+    for p in range(min(left, cap), 0, -1):
+        prefix.append(p)
+        _descend(left - p, p, prefix, out)
+        prefix.pop()
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> dict:
+    """Mapping lam -> position of lam in ``partitions_of(n)``."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 def _partition_counts(top: int) -> list:
@@ -218,7 +223,7 @@ class SymElement(_Combination):
         return el
 
     def _like(self, coeffs):
-        return SymElement(self.degree, self.basis, coeffs)
+        return SymElement._trusted(self.degree, self.basis, coeffs)
 
     def __add__(self, other):
         if not isinstance(other, SymElement):
@@ -262,7 +267,7 @@ def h_mult(x: SymElement, y: SymElement) -> SymElement:
         for mu, d in y.coeffs.items():
             key = _merge_labels(lam, mu)
             coeffs[key] = coeffs.get(key, 0) + c * d
-    return SymElement(x.degree + y.degree, "h", coeffs)
+    return SymElement._trusted(x.degree + y.degree, "h", coeffs)
 
 
 def comult_component(x: SymElement, d1: int, d2: int) -> "TensorElement":
@@ -272,7 +277,7 @@ def comult_component(x: SymElement, d1: int, d2: int) -> "TensorElement":
     if min(d1, d2) < 0 or x.degree != d1 + d2:
         raise DegreeMismatchError(f"({d1},{d2}) does not split degree {x.degree}")
     coeffs = _comult_action(0, d1)({(lam,): c for lam, c in x.coeffs.items()})
-    return TensorElement((d1, d2), coeffs)
+    return TensorElement._trusted((d1, d2), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +325,7 @@ def _kostka(degree: int) -> tuple:
     refines dominance, so K is upper unitriangular; anything else raises
     ``UsageError``.
     """
-    parts = partitions_of(degree)
-    index = {lam: i for i, lam in enumerate(parts)}
+    parts, index = partitions_of(degree), _positions(degree)
     columns = [None] * len(parts) if degree else [[1]]  # degree 0: the empty shape
     for last in range(1, degree + 1):
         below = partitions_of(degree - last)
@@ -385,21 +389,12 @@ class TransitionCache:
     Entry mu of row lam is the number of non-negative integer
     matrices with row margins lam and column margins mu, computed as
     (K^T K)(lam, mu) from the Kostka table (RSK).  Each degree holds one
-    Gram product, as row tuples in ``partitions_of`` order beside a
-    label -> position index; ``degree_matrix`` keys a copy by label.
+    Gram product, as row tuples in ``partitions_of`` order;
+    ``degree_matrix`` keys a copy by label.
     """
 
     def __init__(self):
-        self._index = {}
         self._pairings = {}
-
-    def _positions(self, degree: int) -> dict:
-        """Mapping lam -> position of lam in ``partitions_of(degree)``."""
-        index = self._index.get(degree)
-        if index is None:
-            parts = partitions_of(degree)
-            index = self._index.setdefault(degree, dict(zip(parts, range(len(parts)))))
-        return index
 
     def _pairing(self, degree: int) -> tuple:
         """K^T K as row tuples, one product per pair, and ``_positions``."""
@@ -408,7 +403,7 @@ class TransitionCache:
             # column i of K is zero below row i
             vectors = [c[: i + 1] for i, c in enumerate(zip(*_kostka(degree)))]
             rows = tuple(map(tuple, _gram(vectors)))
-            pairing = self._pairings.setdefault(degree, (rows, self._positions(degree)))
+            pairing = self._pairings.setdefault(degree, (rows, _positions(degree)))
         return pairing
 
     def degree_matrix(self, degree: int) -> dict:
@@ -484,7 +479,7 @@ def schur(lam) -> SymElement:
     straight = tuple(shifted[s] + i for i, s in enumerate(order))
     if len(set(shifted)) < len(shifted) or (straight and straight[-1] < 0):
         return SymElement._trusted(degree, "h", {})
-    col = transition_cache()._positions(degree)[tuple(p for p in straight if p)]
+    col = _positions(degree)[tuple(p for p in straight if p)]
     return SymElement._trusted(degree, "h", {
         mu: sign * row[col]
         for mu, row in zip(partitions_of(degree), _kostka_inverse(degree))
@@ -805,7 +800,7 @@ class _CodedTables(dict):
         ``domain_shape``, and these tables must be wide enough for its
         column sums.  Its tower comultiplies every slot into the nonzero
         entries of its row, as ``row_expansions`` codes them; sends each
-        piece to its column, read from ``slot_sources(transpose(K))``; and
+        piece to its column, read through ``slot_sources(K)``; and
         multiplies each column's pieces, which on codes is adding them.  No
         word is built.  The basis is walked matrix by matrix, slot by slot
         (:func:`_add_towers`), so labels that share a prefix share its
@@ -813,11 +808,9 @@ class _CodedTables(dict):
         """
         totals = [{} for _ in itertools.product(*map(partitions_of, domain_shape))]
         for K in matrices:
-            KT = transpose(K)
-            in_column_order = [j for j, col in enumerate(KT.entries) for v in col if v]
-            columns = [0] * len(in_column_order)
-            for j, piece in zip(in_column_order, slot_sources(KT)):
-                columns[piece] = j
+            # the column of each nonzero cell, in column-major order
+            cell_column = [j for j in range(K.ncols) for row in K.entries if row[j]]
+            columns = [cell_column[s] for s in slot_sources(K)]
             factors, start = [], 0
             for row in K.entries:
                 row = tuple(v for v in row if v)

@@ -32,7 +32,6 @@ from hopflike.contingency import (
     kappa,
     sigma_K,
     slot_sources,
-    transpose,
 )
 from hopflike.hopfverify import _modified_product_label
 from hopflike.reports import VerificationReport
@@ -114,6 +113,14 @@ def slots_from_sigma(K):
     starts = [0, *accumulate(kap.row.parts)][:-1]
     target_starts = [0, *accumulate(kap.col.parts)][:-1]
     return tuple(bisect_right(target_starts, images[p] - 1) - 1 for p in starts)
+
+
+def transpose(K):
+    """``K`` with rows and columns exchanged."""
+    # zip(*rows) cannot see the columns of a matrix without rows
+    return ContingencyMatrix(
+        tuple(zip(*K.entries)) if K.nrows else ((),) * K.ncols, K.nrows
+    )
 
 
 def margins(K):

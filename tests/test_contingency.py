@@ -11,12 +11,11 @@ from hopflike.contingency import (
     kappa,
     sigma_K,
     slot_sources,
-    transpose,
 )
 from hopflike.errors import HopflikeError, SumMismatchError
 from hopflike.hopfverify import _factoring_matrices
 from hopflike.symfunc import partitions_of
-from reference import margins
+from reference import margins, transpose
 
 
 def brute_force_matrices(alpha, beta, positive=False):

@@ -320,6 +320,30 @@ def test_basis_changes_give_canonical_elements():
     assert h_to_m(H(2) - H(1, 1)).coeffs == {(1, 1): -1}
 
 
+def test_arithmetic_gives_canonical_elements():
+    # +, -, scalar multiples, h_mult and comult_component build their
+    # results unvalidated: each must equal its validated rebuild and hold
+    # no zero coefficient
+    def rebuilt(r):
+        if isinstance(r, TensorElement):
+            return TensorElement(r.shape, r.coeffs)
+        return SymElement(r.degree, r.basis, r.coeffs)
+
+    bases = [[H(*lam) for lam in partitions_of(d)] for d in range(7)]
+    results = [(H(2) + H(1, 1)) - H(2)]
+    for d, xs in enumerate(bases):
+        for x in xs + [xs[0] - 2 * xs[-1]]:
+            results += [-x, 3 * x, x - x]
+            results += [x + y for y in xs] + [x - y for y in xs]
+            results += [h_mult(x, y) for ys in bases[: 7 - d] for y in ys]
+            results += [comult_component(x, i, d - i) for i in range(d + 1)]
+    for r in results:
+        assert r == rebuilt(r), r
+        assert all(r.coeffs.values()), r
+    assert results[0].coeffs == {(1, 1): 1}
+    assert (H(2) - H(2)).coeffs == {}
+
+
 def test_hall_inner_examples():
     assert hall_inner(H(1, 1), H(1, 1)) == 2
     assert hall_inner(H(2), H(1, 1)) == 1
@@ -745,12 +769,11 @@ def test_non_unit_diagonal_raises(fresh_tables, monkeypatch):
 
 
 def test_cold_tables_leave_no_cyclic_garbage(fresh_tables):
-    # A recursive closure is a reference cycle, so the strip enumeration,
-    # the count recursion and the matrix fill left one per call for the
-    # cyclic collector.
+    # A recursive closure is a reference cycle, so the partition list,
+    # the strip enumeration, the count recursion and the matrix fill left
+    # one per call for the cyclic collector.
     contingency._count.cache_clear()
-    for n in range(13):
-        partitions_of(n)  # its builder is not on the hot path
+    partitions_of.cache_clear()
     gc.collect()
     gc.disable()
     try:
