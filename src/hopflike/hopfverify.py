@@ -35,7 +35,7 @@ from .compositions import (
     common_coarsenings,
     refines,
 )
-from .contingency import ContingencyMatrix, enumerate_matrices
+from .contingency import enumerate_matrices
 from .category import (
     _all_compositions,
     _check_bounds,
@@ -124,17 +124,18 @@ def _nonzero(coeffs: dict) -> dict:
 
 
 def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
-    """Compare groups of towers of (alpha, beta) with the route via gamma.
+    """Compare summed towers of (alpha, beta) with the route via gamma.
 
     The route multiplies alpha down to gamma, then comultiplies out to
     beta.  The coproduct is the tower of gamma's diagonal, the one matrix
-    of (gamma, beta) factoring through gamma, kept in ``tables.coproducts``;
-    the product is read off positions, A(alpha) -> A(gamma), from
-    ``tables.steps`` by :func:`_chain_value`.  The returned function yields
-    ``(element, towers_sum, route)``, both decoded, for each basis element
-    where a group of matrices' towers differ from the route.  Only there
-    is the split word realized, once, and its value must be the tables',
-    or the sweep raises.
+    of (gamma, beta) factoring through gamma, from :func:`_factored_towers`
+    and kept in ``tables.coproducts``; the product is read off positions,
+    A(alpha) -> A(gamma), from ``tables.steps`` by :func:`_chain_value`.
+    The returned function takes a group's towers, summed in the layout of
+    ``summed_towers``, and yields ``(element, towers_sum, route)``, both
+    decoded, for each basis element where they differ from the route.
+    Only there is the split word realized, once, and its value must be
+    the tables', or the sweep raises.
     """
     steps, word = tables.steps, split_chain(gamma, alpha)
     labels = steps._basis(gamma.parts)[0]
@@ -142,16 +143,14 @@ def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
     split = _chain_value(steps, chain) if chain else range(len(labels))
     coded = tables.coproducts.get((gamma.parts, beta.parts))
     if coded is None:  # once per (gamma, beta) in a sweep
-        diagonal = _factoring_matrices(gamma, beta, gamma)
-        towers = tables.summed_towers(gamma.parts, diagonal)
+        towers = _factored_towers(gamma, beta, gamma, tables)[1]
         coded = tables.coproducts[gamma.parts, beta.parts] = list(map(_nonzero, towers))
     # a faulty product can make a split value linear: it sums labels' routes
     routes = [coded[p] if type(p) is int else _applied(coded, p) for p in split]
     real, decode, witnesses = steps.realization, tables.decode, {}
     realized = cache(lambda: real.realize_word(word))  # on the first failure
 
-    def mismatches(matrices):
-        totals = tables.summed_towers(alpha.parts, matrices)
+    def mismatches(totals):
         for i, (total, route) in enumerate(zip(totals, routes)):
             # the towers keep zeros and the route has none: compare raw first
             if total == route or _nonzero(total) == route:
@@ -200,7 +199,7 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
             f"alpha={alpha} beta={beta} gamma={gamma} "
             f"#K={len(matrices)} reading=summed"
         )
-        for mismatch in mismatches(matrices):
+        for mismatch in mismatches(tables.summed_towers(alpha.parts, matrices)):
             report.record(instance, *map(format_tensor, mismatch))
     else:
         for K in matrices:
@@ -208,7 +207,7 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
             _record_first(
                 report,
                 f"alpha={alpha} beta={beta} gamma={gamma} K={K} reading=per-k",
-                mismatches([K]),
+                mismatches(tables.summed_towers(alpha.parts, [K])),
             )
     return report
 
@@ -323,8 +322,8 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
 
     For margins (alpha, beta) and a common coarsening gamma, the towers
     of all matrices supported inside gamma's diagonal blocks add up to
-    the gamma route; :func:`_factoring_matrices` builds that group.  The
-    per-matrix reading is handled (and refuted) by
+    the gamma route; :func:`_factored_towers` sums that group block by
+    block.  The per-matrix reading is handled (and refuted) by
     :func:`check_square_condition`.
     """
     _check_bounds(max_sum, max_len)
@@ -339,13 +338,12 @@ def check_mixed_relations(max_sum: int, max_len: int) -> VerificationReport:
             if beta.sum != alpha.sum:
                 continue
             for gamma in common_coarsenings(alpha, beta):
-                group = _factoring_matrices(alpha, beta, gamma)
+                count, totals = _factored_towers(alpha, beta, gamma, tables)
                 report.checked += 1
                 _record_first(
                     report,
-                    f"mixed alpha={alpha} beta={beta} gamma={gamma} "
-                    f"#K={len(group)}",
-                    _route_comparison(alpha, beta, gamma, tables)(group),
+                    f"mixed alpha={alpha} beta={beta} gamma={gamma} #K={count}",
+                    _route_comparison(alpha, beta, gamma, tables)(totals),
                 )
     return report
 
@@ -356,7 +354,7 @@ def check_worked_examples(max_n: int) -> VerificationReport:
     Shapes: 2x2 and 2x3 margin matrices against the route through (n),
     and block-diagonal 4x5 matrices, a 2x3 block over a 2x2 block,
     against the route through the two-part coarsening of the block
-    totals.  Every group comes from :func:`_factoring_matrices`.
+    totals.  Every group is summed block by block by :func:`_factored_towers`.
     """
     report = VerificationReport("worked-examples", {"max_n": max_n})
     tables = _CodedTables(default_realization(), max(max_n, 0))  # no case below n = 2
@@ -367,7 +365,7 @@ def check_worked_examples(max_n: int) -> VerificationReport:
             report,
             f"{tag} alpha={alpha} beta={beta} gamma={gamma}",
             _route_comparison(alpha, beta, gamma, tables)(
-                _factoring_matrices(alpha, beta, gamma)
+                _factored_towers(alpha, beta, gamma, tables)[1]
             ),
         )
 
@@ -396,37 +394,38 @@ def _of_length(n: int, length: int) -> list:
     return [Composition(c) for c in _exact_length(n, length)]
 
 
-def _factoring_matrices(alpha, beta, gamma) -> list:
-    """The matrices of (alpha, beta) that factor through ``gamma``.
+def _factored_towers(alpha, beta, gamma, tables: _CodedTables) -> tuple:
+    """How many matrices of (alpha, beta) factor through ``gamma``, and
+    their towers summed, in the layout of ``tables.summed_towers``.
 
-    ``gamma`` must coarsen both margins.  A matrix factors through it
-    when its support lies in gamma's diagonal blocks, so it is a direct
-    sum of one matrix per block, whose margins are the runs of alpha and
-    beta that the block covers.  The group is therefore the product of
-    the blocks' enumerations, each combination placed block-diagonally;
-    it comes out in the order of :func:`enumerate_matrices`.
+    Such a matrix is a direct sum of one matrix per diagonal block of
+    gamma, over the runs of alpha and beta the block covers, so the
+    group's sum is the product of its blocks' sums: codes add,
+    coefficients multiply, and the first block's labels run slowest, as
+    in ``tensor_basis``.  A block is summed once per sweep, kept in
+    ``tables.blocks``; a group of one block is summed directly.
     """
-    row_runs = refines(gamma, alpha)
-    col_runs = refines(gamma, beta)
-    if len(row_runs) <= 1:
-        return enumerate_matrices(alpha, beta)
-    ncols = len(beta.parts)
-    choices = []
-    r0 = c0 = 0
-    for nr, nc in zip(row_runs, col_runs):
-        left, right = (0,) * c0, (0,) * (ncols - c0 - nc)
-        choices.append([
-            tuple(left + row + right for row in K.entries)
-            for K in enumerate_matrices(
-                alpha.parts[r0:r0 + nr], beta.parts[c0:c0 + nc]
-            )
-        ])
-        r0 += nr
-        c0 += nc
-    return [
-        ContingencyMatrix._trusted(sum(rows, ()), ncols)
-        for rows in product(*choices)
-    ]
+    rows, cols = refines(gamma, alpha), refines(gamma, beta)
+    if rows is None or cols is None:
+        raise UsageError(f"{gamma} does not coarsen both {alpha} and {beta}")
+    if len(rows) <= 1:
+        group = enumerate_matrices(alpha, beta)
+        return len(group), tables.summed_towers(alpha.parts, group)
+    count, totals, r0, c0 = 1, [{0: 1}], 0, 0
+    for nr, nc in zip(rows, cols):
+        run = alpha.parts[r0:r0 + nr], beta.parts[c0:c0 + nc]
+        if run not in tables.blocks:  # once per block in a sweep
+            group = enumerate_matrices(*run)
+            tables.blocks[run] = len(group), tables.summed_towers(run[0], group)
+        n, sums = tables.blocks[run]
+        shift = tables.shift * c0  # the block's first column
+        # blocks code disjoint slots, so no two terms of a product meet
+        totals = [
+            {k1 + (k2 << shift): c1 * c2 for k1, c1 in t.items() for k2, c2 in s.items()}
+            for t in totals for s in sums
+        ]
+        count, r0, c0 = count * n, r0 + nr, c0 + nc
+    return count, totals
 
 
 # ---------------------------------------------------------------------------

@@ -709,10 +709,10 @@ class _CodedTables(dict):
     group, each group a dict {pair code: coeff} without zero coefficients;
     ``row_expansions(row, columns)`` reads the same hook.  It, ``code(lam)``
     and ``whole(lam)`` are memos too.  ``summed_towers`` values towers on
-    them, a tower route keeps its coproducts in ``coproducts``, and
-    ``steps`` holds the realization's step tables (:class:`_StepTables`),
-    whose shuffle ids index ``shuffles``, a relation walk's list.
-    All live as long as this dict: one sweep.
+    them, a tower group keeps its blocks' sums in ``blocks`` and a route its
+    coproducts in ``coproducts``, and ``steps`` holds the realization's step
+    tables (:class:`_StepTables`), whose shuffle ids index ``shuffles``, a
+    relation walk's list.  All live as long as this dict: one sweep.
     """
 
     def __init__(self, realization, degree: int, shuffles=()):
@@ -725,6 +725,7 @@ class _CodedTables(dict):
         self._codes = {}
         self._wholes = {}
         self._rows = {}
+        self.blocks = {}  # (alpha run, beta run) -> (#matrices, summed towers)
         self.coproducts = {}  # (gamma parts, beta parts) -> a route's coproducts
 
     def __missing__(self, lam):

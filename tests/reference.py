@@ -26,9 +26,10 @@ from hopflike.category import (
     semantic_equal,
     split_chain,
 )
-from hopflike.compositions import Composition
+from hopflike.compositions import Composition, refines
 from hopflike.contingency import (
     ContingencyMatrix,
+    enumerate_matrices,
     kappa,
     sigma_K,
     slot_sources,
@@ -127,6 +128,41 @@ def margins(K):
     """``(row sums, column sums)`` of ``K``'s entries."""
     rows = tuple(sum(row) for row in K.entries)
     return rows, tuple(sum(row[j] for row in K.entries) for j in range(K.ncols))
+
+
+def _factoring_matrices(alpha, beta, gamma) -> list:
+    """The matrices of (alpha, beta) that factor through ``gamma``.
+
+    ``gamma`` must coarsen both margins.  A matrix factors through it
+    when its support lies in gamma's diagonal blocks, so it is a direct
+    sum of one matrix per block, whose margins are the runs of alpha and
+    beta that the block covers.  The group is therefore the product of
+    the blocks' enumerations, each combination placed block-diagonally;
+    it comes out in the order of ``enumerate_matrices``.  The sweeps sum
+    such a group block by block (``hopfverify._factored_towers``); this
+    is the group matrix by matrix, to sum against.
+    """
+    row_runs = refines(gamma, alpha)
+    col_runs = refines(gamma, beta)
+    if len(row_runs) <= 1:
+        return enumerate_matrices(alpha, beta)
+    ncols = len(beta.parts)
+    choices = []
+    r0 = c0 = 0
+    for nr, nc in zip(row_runs, col_runs):
+        left, right = (0,) * c0, (0,) * (ncols - c0 - nc)
+        choices.append([
+            tuple(left + row + right for row in K.entries)
+            for K in enumerate_matrices(
+                alpha.parts[r0:r0 + nr], beta.parts[c0:c0 + nc]
+            )
+        ])
+        r0 += nr
+        c0 += nc
+    return [
+        ContingencyMatrix._trusted(sum(rows, ()), ncols)
+        for rows in product(*choices)
+    ]
 
 
 # --- the coproduct and the coalgebra sweeps ----------------------------------

@@ -24,14 +24,13 @@ from hopflike.category import (
 )
 from hopflike.errors import ChainError, GeneratorDomainError, UsageError, WordSyntaxError
 from hopflike.hopfverify import (
-    _factoring_matrices,
     _route_comparison,
     check_relation_family,
     check_square_condition,
 )
 from hopflike.parsing import parse_word
 from hopflike.symfunc import _CodedTables, default_realization
-from reference import slots_from_sigma
+from reference import _factoring_matrices, slots_from_sigma
 
 
 C = Composition
@@ -194,7 +193,8 @@ def test_mixed_instance_with_split_support_passes():
     group = _factoring_matrices(fine, fine, fine)
     assert group == [ContingencyMatrix([[1, 0], [0, 1]])]
     tables = _CodedTables(default_realization(), 2)
-    assert list(_route_comparison(fine, fine, fine, tables)(group)) == []
+    totals = tables.summed_towers(fine.parts, group)
+    assert list(_route_comparison(fine, fine, fine, tables)(totals)) == []
 
 
 def test_tautau_chains_realize_as_permutations():

@@ -293,6 +293,38 @@ def test_bidegree_fault_reports_are_pinned(monkeypatch, inject, failures, digest
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
+# check_worked_examples(6) and check_mixed_relations(5, 3) under the tower
+# faults, whole.  Summing a group block by block gives the comult and label
+# faults' reports byte for byte as summing it matrix by matrix did.  The swap
+# fault keys on the one matrix SWAP, which is also the (2,2)/(2,2) block of
+# the mixed groups through (1,4) and (4,1): they fail beside (2,2) through
+# (4), where matrix by matrix only (2,2) did.
+@pytest.mark.parametrize(
+    "inject, worked, mixed, digests",
+    [
+        pytest.param(swap_fault, 1, 3, (
+            "31220aa4a9e02e604fdd6d407478fe83de4ebabb033e820f86e119ac986c228f",
+            "325412fbc0f5dfc32c930488932f5fd756793f1ddf58cad68cee2c6926bca001",
+        ), id="swap"),
+        pytest.param(comult_fault, 100, 125, (
+            "c556ef1935dced111ddf11e0cf272cbf141421b7b392898820978bafb9b028d3",
+            "06f3f7e46851af2eecfb3de248e8587c605e6ddab30c6774739e0ecd95243bc9",
+        ), id="comult"),
+        pytest.param(label_fault, 18, 52, (
+            "5ee711299dc2208a1d3dcdb63bb4342c278fc06cb1e0492c64b82bd7ad6cf603",
+            "57a5482683dcbe15ad09b75ab10a7ba5d55dd86cd700372ab9aa4d6448deb1dd",
+        ), id="label"),
+    ],
+)
+def test_tower_fault_reports_are_pinned(monkeypatch, inject, worked, mixed, digests):
+    inject(monkeypatch)
+    reports = check_worked_examples(6), check_mixed_relations(5, 3)
+    assert [len(r.failures) for r in reports] == [worked, mixed]
+    assert tuple(
+        hashlib.sha256(r.to_json().encode()).hexdigest() for r in reports
+    ) == digests
+
+
 def test_coalgebra_sweeps_pass_after_a_comult_fault(monkeypatch):
     # tables are built from their prefixes' memoized tables, which the
     # realization's hook does not reach: a fault on h[2]'s table must not
@@ -662,7 +694,7 @@ def test_coded_route_matches_route_word():
                 for gamma in common_coarsenings(alpha, beta):
                     word = real.realize_word(route_word(alpha, beta, gamma))
                     comparison = _route_comparison(alpha, beta, gamma, tables)
-                    yielded = list(comparison([]))
+                    yielded = list(comparison(tables.summed_towers(alpha.parts, [])))
                     assert [el for el, _, _ in yielded] == real.tensor_basis(alpha)
                     for el, towers, route in yielded:
                         assert towers == TensorElement.zero(beta.parts)
@@ -717,7 +749,8 @@ def test_linear_split_value_routes_as_the_word(monkeypatch):
     for alpha, beta in product(comps, repeat=2):
         for gamma in common_coarsenings(alpha, beta):
             word = real.realize_word(route_word(alpha, beta, gamma))
-            for el, _, route in _route_comparison(alpha, beta, gamma, tables)([]):
+            comparison = _route_comparison(alpha, beta, gamma, tables)
+            for el, _, route in comparison(tables.summed_towers(alpha.parts, [])):
                 assert route == word(el), (alpha, beta, gamma, el)
     assert [type(rows[0]) for rows in tables.steps.values()].count(dict) == 1
     assert not check_mixed_relations(4, 3).passed

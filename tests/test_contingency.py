@@ -13,9 +13,8 @@ from hopflike.contingency import (
     slot_sources,
 )
 from hopflike.errors import HopflikeError, SumMismatchError
-from hopflike.hopfverify import _factoring_matrices
 from hopflike.symfunc import partitions_of
-from reference import margins, transpose
+from reference import _factoring_matrices, margins, transpose
 
 
 def brute_force_matrices(alpha, beta, positive=False):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import sys
+from collections import Counter
 from bisect import bisect_left
 from itertools import accumulate, combinations, product
 from pathlib import Path
@@ -11,11 +13,12 @@ from hopflike.compositions import (
     Composition,
     common_coarsenings,
     enumerate_compositions,
+    refines,
 )
 from hopflike.contingency import ContingencyMatrix, enumerate_matrices
 from hopflike.errors import SumMismatchError, UsageError
 from hopflike.hopfverify import (
-    _factoring_matrices,
+    _factored_towers,
     _modified_product_label,
     check_bidegree12,
     check_bidegree12_cases,
@@ -33,7 +36,12 @@ from hopflike.symfunc import (
     TensorElement,
     default_realization,
 )
-from reference import margins, reference_hopf_defect_12
+from reference import (
+    _factoring_matrices,
+    comult_fault,
+    margins,
+    reference_hopf_defect_12,
+)
 
 C = Composition
 DATA = Path(__file__).parent / "data"
@@ -187,25 +195,42 @@ def test_route_coproducts_are_valued_once_per_gamma_beta(
 ):
     # the route's comultiplied half is the tower of gamma's diagonal,
     # valued once per (gamma, beta) of the sweep, however many alphas
-    # share it; the towers are valued once per comparison
-    calls = {"_route_comparison": [], "mismatches": []}
-    summed = symfunc._CodedTables.summed_towers
+    # share it; the towers are valued once per comparison; and a group of
+    # several blocks is summed block by block, each block once per sweep
+    groups, sums = {"_route_comparison": [], "sweep": []}, Counter()
+    factored, summed = hopfverify._factored_towers, symfunc._CodedTables.summed_towers
 
-    def counted(self, domain_shape, matrices):
-        calls[sys._getframe(1).f_code.co_name].append((domain_shape, matrices))
+    def counted_group(alpha, beta, gamma, tables):
+        caller = sys._getframe(1).f_code.co_name
+        count, totals = factored(alpha, beta, gamma, tables)
+        groups[caller if caller in groups else "sweep"].append((alpha, beta, gamma, count))
+        return count, totals
+
+    def counted_sum(self, domain_shape, matrices):
+        sums[domain_shape, margins(matrices[0])[1]] += 1
         return summed(self, domain_shape, matrices)
 
-    monkeypatch.setattr(symfunc._CodedTables, "summed_towers", counted)
+    monkeypatch.setattr(hopfverify, "_factored_towers", counted_group)
+    monkeypatch.setattr(symfunc._CodedTables, "summed_towers", counted_sum)
     report = sweep()
-    diagonals = calls["_route_comparison"]
+    diagonals = groups["_route_comparison"]
     assert report.passed and report.checked == checked
-    assert len(calls["mismatches"]) == checked
+    assert len(groups["sweep"]) == checked
     assert len(diagonals) == routes
-    assert len({(shape, margins(K)[1]) for shape, (K,) in diagonals}) == routes
-    for shape, (K,) in diagonals:  # one entry per column, rows in order
-        owners = [[i for i, v in enumerate(col) if v] for col in zip(*K.entries)]
-        assert margins(K)[0] == shape and owners == sorted(owners)
-        assert all(len(rows) == 1 for rows in owners)
+    assert len({(gamma, beta) for gamma, beta, _, _ in diagonals}) == routes
+    assert all(count == 1 for *_, count in diagonals)
+    # one sum per group of one block, and one per distinct block
+    want, blocks = Counter(), set()
+    for alpha, beta, gamma, _ in groups["sweep"] + diagonals:
+        rows, cols = refines(gamma, alpha), refines(gamma, beta)
+        if len(rows) == 1:
+            want[alpha.parts, beta.parts] += 1
+            continue
+        r0 = c0 = 0
+        for nr, nc in zip(rows, cols):
+            blocks.add((alpha.parts[r0:r0 + nr], beta.parts[c0:c0 + nc]))
+            r0, c0 = r0 + nr, c0 + nc
+    assert blocks and sums == want + Counter(blocks)
 
 
 def _block_index(parts, gamma):
@@ -240,6 +265,58 @@ def test_factoring_matrices_match_support_oracle():
                 assert got == want, (alpha, beta, gamma)
                 instances += 1
     assert instances == 2086
+
+
+@pytest.mark.parametrize("inject", [None, comult_fault], ids=["true", "comult"])
+def test_factored_towers_match_the_group_summed_matrix_by_matrix(monkeypatch, inject):
+    # oracle: the block product equals summed_towers over the group's
+    # explicit matrices, zeros and all, under a true and a faulty coproduct
+    if inject:
+        inject(monkeypatch)
+    comps = [c for n in range(1, 7) for c in enumerate_compositions(n, 4)]
+    tables = symfunc._CodedTables(default_realization(), 6)
+    instances = 0
+    for alpha in comps:
+        for beta in comps:
+            if alpha.sum != beta.sum:
+                continue
+            for gamma in common_coarsenings(alpha, beta):
+                group = _factoring_matrices(alpha, beta, gamma)
+                count, totals = _factored_towers(alpha, beta, gamma, tables)
+                assert count == len(group), (alpha, beta, gamma)
+                want = tables.summed_towers(alpha.parts, group)
+                assert totals == want, (alpha, beta, gamma)
+                instances += 1
+    assert instances == 2086 and tables.blocks
+
+
+def test_factored_towers_refuse_a_gamma_that_does_not_coarsen():
+    # (3,1) coarsens (2,1,1) but not (2,2), on either side
+    tables = symfunc._CodedTables(default_realization(), 4)
+    for alpha, beta, names in [
+        ((2, 1, 1), (2, 2), r"\(2,1,1\) and \(2,2\)"),
+        ((2, 2), (2, 1, 1), r"\(2,2\) and \(2,1,1\)"),
+    ]:
+        with pytest.raises(UsageError, match=r"\(3,1\) does not coarsen both " + names):
+            _factored_towers(C(alpha), C(beta), C([3, 1]), tables)
+
+
+# Reports past the benchmark's bounds, recorded when every group was still
+# summed matrix by matrix: summing block by block must not change a byte.
+@pytest.mark.parametrize("sweep, digest", [
+    (
+        lambda: check_worked_examples(9),
+        "2c4037359ed9b0d95ff24d559ed5b5ec23cf67754d0ce93c0bb624786db8f324",
+    ),
+    (
+        lambda: check_mixed_relations(7, 3),
+        "30251f8576037436c466ff4eb25c5de6947c9638fca6dfdba61822b2d5243715",
+    ),
+], ids=["worked-9", "mixed-7-3"])
+def test_stretch_reports_are_pinned(sweep, digest):
+    report = sweep()
+    assert report.passed
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 def test_relation_families_pass():
