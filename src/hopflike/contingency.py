@@ -111,19 +111,27 @@ def _nonnegative_margins(alpha, beta, mode: str):
     return a, b, lift
 
 
-def _rows(total, caps):
+def _rows(total, caps, memo) -> list:
     """Rows summing to ``total``, entry j at most ``caps[j]``, largest first.
 
     Needs caps and 0 <= total <= sum(caps).  Each entry is kept within
-    what the later columns can take, so the last one is forced.
+    what the later columns can take, so the last one is forced.  Every
+    list, tails included, is kept in ``memo`` under (total, caps): one
+    enumeration's dict, which reaches each of them from many prefixes.
     """
-    if len(caps) == 1:
-        yield (total,)
-        return
-    first, rest = caps[0], caps[1:]
-    for v in range(min(total, first), max(0, total - sum(rest)) - 1, -1):
-        for tail in _rows(total - v, rest):
-            yield (v, *tail)
+    rows = memo.get((total, caps))
+    if rows is None:
+        if len(caps) == 1:
+            rows = [(total,)]
+        else:
+            first, rest = caps[0], caps[1:]
+            rows = [
+                (v, *tail)
+                for v in range(min(total, first), max(0, total - sum(rest)) - 1, -1)
+                for tail in _rows(total - v, rest, memo)
+            ]
+        memo[total, caps] = rows
+    return rows
 
 
 def _matrices(alpha, beta, mode: str):
@@ -141,23 +149,27 @@ def _matrices(alpha, beta, mode: str):
         # no cells; equal sums force n = 0
         yield ContingencyMatrix._trusted(((),) * len(a), len(b))
         return
-    for rows in _fill(a, 0, b):
+    for rows in _fill(a, 0, b, {}):
         if lift:
             rows = tuple(tuple(v + lift for v in row) for row in rows)
         yield ContingencyMatrix._trusted(rows, len(b))
 
 
-def _fill(a, i, colrem):
+def _fill(a, i, colrem, memo):
     # Rows i.. of a matrix with row margins a[i:] and what each column has
-    # left.  Not a closure: a recursive closure is a reference cycle,
-    # garbage on every call.
+    # left; the last row is what the columns have left, so it comes with
+    # the one before.  Not a closure: a recursive closure is a reference
+    # cycle, garbage on every call.
     if i == len(a) - 1:
         yield (colrem,)
         return
-    for row in _rows(a[i], colrem):
-        left = tuple(c - v for c, v in zip(colrem, row))
-        for rest in _fill(a, i + 1, left):
-            yield (row, *rest)
+    for row in _rows(a[i], colrem, memo):
+        left = tuple([c - v for c, v in zip(colrem, row)])
+        if i == len(a) - 2:
+            yield row, left
+        else:
+            for rest in _fill(a, i + 1, left, memo):
+                yield (row, *rest)
 
 
 def enumerate_matrices(alpha, beta, mode: str = "nonnegative") -> list:
@@ -248,21 +260,15 @@ def slot_sources(K: ContingencyMatrix) -> tuple:
     """For each nonzero cell in row-major order, its column-major index.
 
     This is the slot-level shadow of :func:`sigma_K` on the canonical
-    refinements: slot p of kappa-row is cell ``rm[p]``, which sits at
-    position ``slot_sources(K)[p]`` in kappa-col.
+    refinements: slot p of kappa-row is the p-th nonzero cell in
+    row-major order, which sits at position ``slot_sources(K)[p]`` in
+    kappa-col.
     """
-    rm = [
-        (i, j)
-        for i in range(K.nrows)
-        for j in range(K.ncols)
-        if K.entries[i][j] > 0
-    ]
-    cm_index = {}
-    idx = 0
+    cm_index, entries = {}, K.entries
     for j in range(K.ncols):
-        for i in range(K.nrows):
-            if K.entries[i][j] > 0:
-                cm_index[i, j] = idx
-                idx += 1
-    return tuple(cm_index[cell] for cell in rm)
-
+        for i, row in enumerate(entries):
+            if row[j]:
+                cm_index[i, j] = len(cm_index)
+    return tuple([
+        cm_index[i, j] for i, row in enumerate(entries) for j, v in enumerate(row) if v
+    ])

@@ -25,7 +25,7 @@ sweeps and basis-position step tables (``steps``) for the relation sweeps.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import prod
 
@@ -130,27 +130,34 @@ def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
     beta.  The coproduct is the tower of gamma's diagonal, the one matrix
     of (gamma, beta) factoring through gamma, from :func:`_factored_towers`
     and kept in ``tables.coproducts``; the product is read off positions,
-    A(alpha) -> A(gamma), from ``tables.steps`` by :func:`_chain_value`.
-    The returned function takes a group's towers, summed in the layout of
+    A(alpha) -> A(gamma), from ``tables.steps`` by :func:`_chain_value`,
+    and kept with its split word in ``tables.splits``.  The returned
+    function takes a group's towers, summed in the layout of
     ``summed_towers``, and yields ``(element, towers_sum, route)``, both
     decoded, for each basis element where they differ from the route.
     Only there is the split word realized, once, and its value must be
     the tables', or the sweep raises.
     """
-    steps, word = tables.steps, split_chain(gamma, alpha)
+    steps = tables.steps
     labels = steps._basis(gamma.parts)[0]
-    chain = tuple(zip(word.steps, word.objects))
-    split = _chain_value(steps, chain) if chain else range(len(labels))
+    found = tables.splits.get((gamma.parts, alpha.parts))
+    if found is None:  # once per (gamma, alpha) in a sweep
+        word = split_chain(gamma, alpha)
+        chain = tuple(zip(word.steps, word.objects))
+        found = tables.splits[gamma.parts, alpha.parts] = word, (
+            _chain_value(steps, chain) if chain else range(len(labels))
+        )
+    word, split = found
     coded = tables.coproducts.get((gamma.parts, beta.parts))
     if coded is None:  # once per (gamma, beta) in a sweep
         towers = _factored_towers(gamma, beta, gamma, tables)[1]
         coded = tables.coproducts[gamma.parts, beta.parts] = list(map(_nonzero, towers))
     # a faulty product can make a split value linear: it sums labels' routes
     routes = [coded[p] if type(p) is int else _applied(coded, p) for p in split]
-    real, decode, witnesses = steps.realization, tables.decode, {}
-    realized = cache(lambda: real.realize_word(word))  # on the first failure
+    decode, witnesses, realized = tables.decode, {}, None
 
     def mismatches(totals):
+        nonlocal realized
         for i, (total, route) in enumerate(zip(totals, routes)):
             # the towers keep zeros and the route has none: compare raw first
             if total == route or _nonzero(total) == route:
@@ -158,7 +165,9 @@ def _route_comparison(alpha, beta, gamma, tables: _CodedTables):
             if i not in witnesses:  # the word's value there must be the tables'
                 el = witnesses[i] = TensorElement.basis(steps._basis(alpha.parts)[0][i])
                 want = _expanded(split[i:i + 1])[0]
-                if realized()(el).coeffs != {labels[q]: c for q, c in want.items()}:
+                if realized is None:  # on the first failure
+                    realized = steps.realization.realize_word(word)
+                if realized(el).coeffs != {labels[q]: c for q, c in want.items()}:
                     raise RuntimeError(f"step tables and the split word disagree on {el}")
             yield witnesses[i], decode(beta.parts, total), decode(beta.parts, route)
 

@@ -709,9 +709,10 @@ class _CodedTables(dict):
     group, each group a dict {pair code: coeff} without zero coefficients;
     ``row_expansions(row, columns)`` reads the same hook.  It, ``code(lam)``
     and ``whole(lam)`` are memos too.  ``summed_towers`` values towers on
-    them, a tower group keeps its blocks' sums in ``blocks`` and a route its
-    coproducts in ``coproducts``, and ``steps`` holds the realization's step
-    tables (:class:`_StepTables`), whose shuffle ids index ``shuffles``, a
+    them, a tower group keeps its blocks' sums in ``blocks``, a route its
+    coproducts in ``coproducts`` and its split word with that word's value
+    in ``splits``, and ``steps`` holds the realization's step tables
+    (:class:`_StepTables`), whose shuffle ids index ``shuffles``, a
     relation walk's list.  All live as long as this dict: one sweep.
     """
 
@@ -727,6 +728,7 @@ class _CodedTables(dict):
         self._rows = {}
         self.blocks = {}  # (alpha run, beta run) -> (#matrices, summed towers)
         self.coproducts = {}  # (gamma parts, beta parts) -> a route's coproducts
+        self.splits = {}  # (gamma parts, alpha parts) -> (split word, its value)
 
     def __missing__(self, lam):
         pair = self.pair_code
@@ -772,25 +774,45 @@ class _CodedTables(dict):
     def row_expansions(self, row, columns) -> tuple:
         """One matrix row's tower pieces, coded, for each label of its degree.
 
-        Entry i belongs to ``partitions_of(sum(row))[i]``: the (code,
+        ``row`` holds a matrix row's nonzero entries.  Entry i of the
+        result belongs to ``partitions_of(sum(row))[i]``: the (code,
         coeff) pairs of comultiplying that label into pieces of degrees
         ``row``, peeling the last piece first as the merge chain does,
-        with piece k coded in slot ``columns[k]``.
+        with piece k coded in slot ``columns[k]``.  So a label's pieces are
+        its splittings (mu, nu) at left degree ``sum(row[:-1])``, each
+        with mu's pieces, read from the memoized expansions of the row's
+        prefix, and nu in the last column.
         """
         key = (row, columns)
         found = self._rows.get(key)
         if found is None:
             code, shift = self.code, self.shift
-            splittings, expansions = self.realization._splittings, []
-            for lam in partitions_of(sum(row)):
-                coeffs = {(lam,): 1}
-                for k in range(len(row) - 1, 0, -1):
-                    coeffs = _comult_action(0, sum(row[:k]), splittings)(coeffs)
-                expansions.append(tuple(
-                    (sum(code(mu) << shift * j for mu, j in zip(pieces, columns)), c)
-                    for pieces, c in coeffs.items()
-                ))
-            found = self._rows[key] = tuple(expansions)
+            if len(row) == 1:
+                slot = shift * columns[0]
+                found = tuple(((code(lam) << slot, 1),) for lam in partitions_of(row[0]))
+            else:
+                d1 = sum(row[:-1])
+                heads = self.row_expansions(row[:-1], columns[:-1])
+                positions, splittings = _positions(d1), self.realization._splittings
+                slot, expansions = shift * columns[-1], []
+                for lam in partitions_of(sum(row)):
+                    out = {}
+                    get = out.get
+                    for mu, nu, c in splittings(lam)[d1]:
+                        try:
+                            head = heads[positions[mu]]
+                        except KeyError:  # a faulty splitting left the degree
+                            raise RealizationError(
+                                f"splitting of h{list(lam)}: {mu} is not a "
+                                f"partition of {d1}"
+                            ) from None
+                        tail = code(nu) << slot
+                        for k, d in head:
+                            k += tail
+                            out[k] = get(k, 0) + c * d
+                    expansions.append(tuple(out.items()))
+                found = tuple(expansions)
+            self._rows[key] = found
         return found
 
     def summed_towers(self, domain_shape, matrices) -> list:
@@ -805,7 +827,8 @@ class _CodedTables(dict):
         multiplies each column's pieces, which on codes is adding them.  No
         word is built.  The basis is walked matrix by matrix, slot by slot
         (:func:`_add_towers`), so labels that share a prefix share its
-        partial sums.
+        partial sums; slot 0's pieces are the first partial sums, and a
+        one-row matrix adds its pieces straight into the totals.
         """
         totals = [{} for _ in itertools.product(*map(partitions_of, domain_shape))]
         for K in matrices:
@@ -814,13 +837,19 @@ class _CodedTables(dict):
             columns = [cell_column[s] for s in slot_sources(K)]
             factors, start = [], 0
             for row in K.entries:
-                row = tuple(v for v in row if v)
-                factors.append(self.row_expansions(
-                    row, tuple(columns[start:start + len(row)])
-                ))
-                start += len(row)
-            # A(()) is spanned by the empty label, whose one piece is code 0
-            _add_towers(factors or [(((0, 1),),)], 0, ((0, 1),), totals, 0)
+                row = tuple(filter(None, row))
+                end = start + len(row)
+                factors.append(self.row_expansions(row, tuple(columns[start:end])))
+                start = end
+            if len(factors) > 1:
+                pos = 0
+                for partial in factors[0]:
+                    pos = _add_towers(factors, 1, partial, totals, pos)
+            else:  # one row, or none: A(()) is spanned by (), coded 0
+                for total, pieces in zip(totals, (factors or [(((0, 1),),)])[0]):
+                    get = total.get
+                    for k, c in pieces:
+                        total[k] = get(k, 0) + c
         return totals
 
     def swap(self, code: int) -> int:
@@ -848,8 +877,9 @@ def _add_towers(factors, slot, partial, totals, pos) -> int:
 
     ``factors[i]`` holds slot i's coded row expansions, one per label in
     ``partitions_of`` order; ``partial`` is the (code, coeff) pairs of
-    the earlier slots' pieces, summed; the first label reached adds into
-    ``totals[pos]``.  Returns the position after the last label reached.
+    the earlier slots' pieces, summed, with no code twice; the first
+    label reached adds into ``totals[pos]``.  Returns the position after
+    the last label reached.
     """
     # Module-level rather than a closure, for the reason _grow_rows gives.
     last = slot == len(factors) - 1

@@ -165,6 +165,27 @@ def _factoring_matrices(alpha, beta, gamma) -> list:
     ]
 
 
+def reference_row_expansions(tables, row, columns) -> tuple:
+    """``tables.row_expansions(row, columns)`` peeled label by label.
+
+    Each label of degree ``sum(row)`` is comultiplied whole, last piece
+    first, by the realization's ``_splittings`` through the word-level
+    ``_comult_action``, one cut per step; then its pieces are coded, piece
+    k in slot ``columns[k]``.  No expansion of a shorter row is read.
+    """
+    code, shift = tables.code, tables.shift
+    splittings, expansions = tables.realization._splittings, []
+    for lam in partitions_of(sum(row)):
+        coeffs = {(lam,): 1}
+        for k in range(len(row) - 1, 0, -1):
+            coeffs = symfunc._comult_action(0, sum(row[:k]), splittings)(coeffs)
+        expansions.append(tuple(
+            (sum(code(mu) << shift * j for mu, j in zip(pieces, columns)), c)
+            for pieces, c in coeffs.items()
+        ))
+    return tuple(expansions)
+
+
 # --- the coproduct and the coalgebra sweeps ----------------------------------
 
 
@@ -458,6 +479,25 @@ def comult_fault(monkeypatch):
     """Add one to the h1 (x) h1 coefficient of the coproduct of h2."""
     monkeypatch.setattr(
         symfunc.PshRealization, "_splittings", staticmethod(h2_corrupted)
+    )
+
+
+def strayed_splittings(key):
+    """The splitting tables, with h[2]'s h[1] (x) h[1] written
+    h[1,1] (x) h[1]: a left label of degree 2 at left degree 1."""
+    table = symfunc._comult_table(key)
+    if key != (2,):
+        return table
+    return tuple(
+        tuple(((1, 1) if (d, m) == (1, (1,)) else m, n, c) for m, n, c in group)
+        for d, group in enumerate(table)
+    )
+
+
+def stray_fault(monkeypatch):
+    """Realize the coproduct by ``strayed_splittings``."""
+    monkeypatch.setattr(
+        symfunc.PshRealization, "_splittings", staticmethod(strayed_splittings)
     )
 
 

@@ -16,6 +16,7 @@ from hopflike.errors import UsageError
 from hopflike.parsing import parse_composition
 
 from hopflike.cli import main
+from reference import stray_fault
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,17 @@ def test_verify_square_per_k_fails_with_exit_one(capsys):
         capsys, "verify", "square", "--alpha", "(1,1)", "--beta", "(1,1)",
     )
     assert code == 0
+
+
+def test_verify_square_stray_splitting_exit_two(capsys, monkeypatch):
+    # the route's coproduct grows h[2]'s row expansion from a left label
+    # outside degree 1: one line and exit 2, not a KeyError traceback
+    stray_fault(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "verify", "square", "--alpha", "(2)", "--beta", "(1,1)",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: splitting of h[2]: (1, 1) is not a partition of 1\n"
 
 
 def test_verify_bidegree12(capsys):

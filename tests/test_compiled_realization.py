@@ -17,7 +17,7 @@ they should.
 
 import hashlib
 import types
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -65,6 +65,7 @@ from reference import (
     reference_bidegree12_report,
     reference_hopf_report,
     reference_relation_report,
+    reference_row_expansions,
     route_word,
     row_fault,
     shuffled_product,
@@ -72,6 +73,7 @@ from reference import (
     six_term_fault,
     slots_from_sigma,
     split_coeff_fault,
+    strayed_splittings,
     survival_fault,
     swap_fault,
     tower_word,
@@ -201,6 +203,29 @@ def test_tower_sweep_memo_ends_with_the_sweep(monkeypatch, sweep):
         comult_fault(m)
         assert not SWEEPS[sweep]().passed
     assert SWEEPS[sweep]().passed
+
+
+def test_mixed_sweep_builds_one_split_route_per_gamma_alpha(monkeypatch):
+    # the split word and its value are kept per (gamma, alpha) for the
+    # sweep, however many beta share them
+    real, calls = hopfverify.split_chain, []
+
+    def counted(gamma, alpha):
+        calls.append((gamma.parts, alpha.parts))
+        return real(gamma, alpha)
+
+    monkeypatch.setattr(hopfverify, "split_chain", counted)
+    report = check_mixed_relations(5, 3)
+    assert report.passed
+    comps = [c for n in range(1, 6) for c in enumerate_compositions(n, 3)]
+    routes = {
+        (gamma.parts, alpha.parts)
+        for alpha in comps
+        for beta in comps
+        if beta.sum == alpha.sum
+        for gamma in common_coarsenings(alpha, beta)
+    }
+    assert sorted(calls) == sorted(routes) and len(calls) < report.checked
 
 
 def test_surviving_triples_share_one_tuple_per_triple():
@@ -663,13 +688,46 @@ def test_summed_towers_match_the_hopf_sweeps_shuffled_product():
     assert checks == 342
 
 
+class H2Corrupted(symfunc.PshRealization):
+    _splittings = staticmethod(h2_corrupted)
+
+
+@pytest.mark.parametrize(
+    "real, c", [(default_realization(), 1), (H2Corrupted(), 2)], ids=["true", "h2"]
+)
+def test_row_expansions_grown_from_prefixes_match_whole_peels(real, c):
+    # every row of at most 3 pieces and sum at most 6, under every column
+    # assignment: the expansions grown from the prefix's memo equal the
+    # whole-label peels, entries and order, on either coproduct table
+    tables = symfunc._CodedTables(real, 6)
+    rows = [comp.parts for n in range(1, 7) for comp in enumerate_compositions(n, 3)]
+    assert len(rows) == 41
+    for row in rows:
+        for columns in permutations(range(3), len(row)):
+            want = reference_row_expansions(tables, row, columns)
+            assert tables.row_expansions(row, columns) == want, (row, columns)
+    # the fault reaches both builds alike: h[2] to h[1] (x) h[1] reads c
+    h1h1 = tables.pair_code((1,), (1,))
+    assert tables.row_expansions((1, 1), (0, 1))[0] == ((h1h1, c),)
+
+
+def test_a_stray_splitting_label_is_a_realization_error():
+    # a left label outside its degree has no prefix expansion to grow
+    class Strayed(symfunc.PshRealization):
+        _splittings = staticmethod(strayed_splittings)
+
+    tables = symfunc._CodedTables(Strayed(), 4)
+    assert tables.row_expansions((2,), (0,))  # one piece: no splitting is read
+    with pytest.raises(
+        RealizationError, match=r"^splitting of h\[2\]: \(1, 1\) is not a partition of 1$"
+    ):
+        tables.row_expansions((1, 1), (0, 1))
+
+
 def test_one_realization_feeds_every_table():
     # a realization with another coproduct table reaches all three of one
     # _CodedTables' memos: the coded tables, the towers' row expansions and
     # the merge steps; the default realization's stay true in this process
-    class H2Corrupted(symfunc.PshRealization):
-        _splittings = staticmethod(h2_corrupted)
-
     merge = (Merge(2, 1), Composition((1, 1)))  # h[2] and h[1,1] to h[1] (x) h[1]
     faulty = symfunc._CodedTables(H2Corrupted(), 4)
     true = symfunc._CodedTables(default_realization(), 4)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hopflike import contingency
 from hopflike.compositions import Composition, enumerate_compositions
 from hopflike.contingency import (
     ContingencyMatrix,
@@ -52,6 +53,26 @@ def test_enumerate_order_is_descending_row_major():
         got = enumerate_matrices(Composition(alpha), Composition(beta))
         flats = [tuple(v for row in m.entries for v in row) for m in got]
         assert flats == sorted(flats, reverse=True)
+
+
+def test_row_memo_lives_for_one_enumeration():
+    # two enumerations in flight at once, over margins whose rows meet the
+    # same (total, caps) keys, each yield their own matrices in order
+    pairs = [((2, 2, 1), (1, 2, 2), "nonnegative"), ((5, 4, 4), (4, 5, 4), "strictly-positive")]
+    want = [enumerate_matrices(*pair) for pair in pairs]
+    running = [contingency._matrices(*pair) for pair in pairs]
+    got = [[], []]
+    for step in itertools.zip_longest(*running):
+        for out, K in zip(got, step):
+            if K is not None:
+                out.append(K)
+    assert got == want and all(len(w) > 1 for w in want)
+    # the memo is each enumeration's own: no module-level dict or cache
+    assert not [
+        name for name, value in vars(contingency).items()
+        if not name.startswith("__") and isinstance(value, dict)
+    ]
+    assert not hasattr(contingency._rows, "cache_info")
 
 
 def test_enumerate_against_brute_force():
