@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import prod
+from operator import itemgetter
 
 from .compositions import (
     Composition,
@@ -64,12 +65,17 @@ from .symfunc import (
 def check_hopf_compat(max_degree: int) -> VerificationReport:
     """Compare comult(x*y) with the shuffled product of comults.
 
-    Componentwise over the (u, v) rectangle: the (j, a+b-j) piece of
-    comult(x*y) must equal the sum over u+v = j of
-    (x_u * y_v) (x) (x_rest * y_rest).  Labels are pair codes of
-    ``_CodedTables``, so the product of two splittings is one add.
+    Labels are pair codes of ``_CodedTables``, so the product of two
+    splittings is one add, and a splitting's left degree is read off its
+    code.  Group u of a coded table holds exactly the splittings of left
+    degree u, so comult(x*y) is the union of its (j, a+b-j) pieces and the
+    product of the whole tables of x and y is the union of the sums over
+    u+v = j of (x_u * y_v) (x) (x_rest * y_rest).  One comparison of whole
+    tables thus gives the verdict of all the per-j comparisons.  Only an
+    input that fails is split by j (:func:`_shuffled_components`), so that
+    each failing component is recorded on its own.
 
-    Codes add and coefficients multiply commutatively, so the sum is
+    Codes add and coefficients multiply commutatively, so the product is
     built once for (x, y) and (y, x) and compared with each order's own
     comult(x*y).
     """
@@ -77,6 +83,7 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
         raise UsageError("max_degree must be >= 1")
     report = VerificationReport("hopf-compat", {"max_degree": max_degree})
     tables = _CodedTables(default_realization(), max_degree)
+    whole = tables.whole
     failures = []  # (input-order key, failure fields)
     for a in range(max_degree + 1):
         for b in range(a, max_degree - a + 1):
@@ -88,31 +95,53 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
                     if a != b or i != k:
                         inputs.append(((b, a), (k, i), mu, lam))
                     report.checked += len(inputs)
-                    wholes = [tables[_merge_labels(x, y)] for _, _, x, y in inputs]
-                    xs, ys = tables[lam], tables[mu]
-                    for j in range(a + b + 1):
-                        right = {}
-                        get = right.get
-                        for u in range(max(0, j - b), min(a, j) + 1):
-                            group = ys[j - u].items()
-                            for k1, c1 in xs[u].items():
-                                for k2, c2 in group:
-                                    k12 = k1 + k2
-                                    right[k12] = get(k12, 0) + c1 * c2
-                        for (degrees, index, x, y), whole in zip(inputs, wholes):
-                            # whole[j] has no zero coefficient: compare raw first
-                            if whole[j] == right or whole[j] == _nonzero(right):
+                    right = _times(whole(lam), whole(mu), {})
+                    components = None
+                    for degrees, index, x, y in inputs:
+                        merged = _merge_labels(x, y)
+                        left = whole(merged)
+                        # whole() has no zero coefficient: compare raw first
+                        if left == right or left == _nonzero(right):
+                            continue
+                        if components is None:
+                            components = _shuffled_components(tables, lam, mu)
+                        for j in range(a + b + 1):
+                            left, right_j = tables[merged][j], components[j]
+                            if left == right_j or left == _nonzero(right_j):
                                 continue
                             shape = (j, a + b - j)
                             failures.append(((degrees, index, j), (
                                 "degrees a={} b={} component j={}".format(*degrees, j),
                                 f"h{list(x)} (x) h{list(y)}",
-                                format_tensor(tables.decode(shape, whole[j])),
-                                format_tensor(tables.decode(shape, right)),
+                                format_tensor(tables.decode(shape, left)),
+                                format_tensor(tables.decode(shape, right_j)),
                             )))
     for _, fields in sorted(failures):
         report.record(*fields)
     return report
+
+
+def _times(xs: dict, ys: dict, out: dict) -> dict:
+    """Add the product of two coded combinations into ``out``, and return
+    it: codes add and coefficients multiply.  Zero coefficients are kept."""
+    get = out.get
+    ys = ys.items()
+    for k1, c1 in xs.items():
+        for k2, c2 in ys:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _shuffled_components(tables, lam, mu) -> list:
+    """comult(h_lam) * comult(h_mu) by left degree: entry j sums
+    ``tables[lam][u] * tables[mu][v]`` over u + v = j, zeros kept."""
+    xs, ys = tables[lam], tables[mu]
+    out = [{} for _ in range(len(xs) + len(ys) - 1)]
+    for u, xu in enumerate(xs):
+        for v, yv in enumerate(ys):
+            _times(xu, yv, out[u + v])
+    return out
 
 
 def _nonzero(coeffs: dict) -> dict:
@@ -483,14 +512,22 @@ def _coded_product(tables, shape, label) -> dict:
     Sums t1[u1] * t2[u2] * t3[u3] over ``_surviving_triples(shape)``,
     t_i being slot i's coded table: a surviving product merges all three
     labels, as in ``_modified_product_label``, and merging adds codes.
-    Zero coefficients are kept.
+    When the survivors fill the whole box, as on every zero tridegree,
+    that sum is the product of the three whole tables, whose groups are
+    disjoint.  Zero coefficients are kept.
     """
     out = {}
     get = out.get
-    t1, t2, t3 = (tables[lam] for lam in label)
-    for u1, u2, u3 in _surviving_triples(shape):
-        g2, g3 = t2[u2].items(), t3[u3].items()
-        for k1, c1 in t1[u1].items():
+    triples = _surviving_triples(shape)
+    a, b, c = shape
+    if len(triples) == (a + 1) * (b + 1) * (c + 1):
+        factors = (tuple(map(tables.whole, label)),)
+    else:
+        t1, t2, t3 = (tables[lam] for lam in label)
+        factors = ((t1[u1], t2[u2], t3[u3]) for u1, u2, u3 in triples)
+    for g1, g2, g3 in factors:
+        g2, g3 = g2.items(), g3.items()
+        for k1, c1 in g1.items():
             for k2, c2 in g2:
                 k12, c12 = k1 + k2, c1 * c2
                 for k3, c3 in g3:
@@ -523,18 +560,17 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
     plus the pair code of the other two labels.  Zero coefficients are kept.
     """
     a = shape[0]
-    code, shift, swap = tables.code, tables.shift, tables.swap
+    code, shift, mask = tables.code, tables.shift, tables.mask
     out = {}
     get = out.get
     for (lx, ly, lz), co in coeffs.items():
         cx, cy, cz = code(lx), code(ly), code(lz)
         # (1): x z1 (x) y z2 and (2): y z1 (x) x z2, full range
         o1, o2 = cx + (cy << shift), cy + (cx << shift)
-        for group in tables[lz]:
-            for k, c in group.items():
-                c *= co
-                out[k + o1] = get(k + o1, 0) + c
-                out[k + o2] = get(k + o2, 0) + c
+        for k, c in tables.whole(lz).items():
+            c *= co
+            out[k + o1] = get(k + o1, 0) + c
+            out[k + o2] = get(k + o2, 0) + c
         # (3): x y1 (x) z y2; v=0 corner already in (1)
         # (4): z y2 (x) y1 x, (3) swapped; the |y1|=0 corner already in (2)
         o3 = cx + (cz << shift)
@@ -543,7 +579,7 @@ def _coded_six_term_12(tables, shape, coeffs) -> dict:
                 c *= co
                 k += o3
                 out[k] = get(k, 0) + c
-                k = swap(k)
+                k = (k >> shift) + ((k & mask) << shift)
                 out[k] = get(k, 0) + c
         # (5): x1 y (x) x2 z; u=0 corner in (2), u=a corner in (3)
         # (6): x1 z (x) x2 y; u=0 corner in (4), u=a corner in (1)
@@ -565,6 +601,10 @@ def check_bidegree12(max_total: int) -> list:
     return [check_bidegree12_defect(max_total), check_bidegree12_cases(max_total)]
 
 
+# each order of a label triple's three slots, with its getter
+_ARRANGEMENTS = tuple((order, itemgetter(*order)) for order in permutations(range(3)))
+
+
 def check_bidegree12_defect(max_total: int) -> VerificationReport:
     """Hopf defect against the six-term expansion, all tridegrees.
 
@@ -578,7 +618,11 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
     arrangement's (2,1) bracket is its reverse's (1,2) expansion, swapped:
     the defect is swapped instead and compared with that expansion, and
     arrangements sharing the product share its swapped defect, built once
-    per multiset.  A failure shows the defect and the swapped expansion.
+    per multiset.  On a zero tridegree the product survives, and
+    arrangements sharing the product share its defect too when their
+    modified products merge to the same label: comult of that label is
+    subtracted once per (multiset, merged label).  A failure shows the
+    defect and the swapped expansion.
     """
     if max_total < 1:
         raise UsageError("max_total must be >= 1")
@@ -600,8 +644,8 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
                     break
                 rep = (x, y, z)
                 inputs = {}  # each arrangement: its order of rep's slots, unzipped
-                for order in permutations(range(3)):
-                    arranged = tuple(rep[p] for p in order)
+                for order, arrange in _ARRANGEMENTS:
+                    arranged = arrange(rep)
                     inputs.setdefault(arranged, (order, *zip(*arranged)))
                 report.checked += len(inputs)
                 rep_shape, _, rep_label = zip(*rep)
@@ -615,6 +659,7 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
                     for arranged, (_, degrees, _, label) in inputs.items()
                     if positive
                 }
+                zero_defects = {}  # merged label -> defect of the shared product
                 for arranged, (order, degrees, index, label) in inputs.items():
                     key = (rep_shape, order)
                     if key not in shares:
@@ -625,10 +670,19 @@ def check_bidegree12_defect(max_total: int) -> VerificationReport:
                     composite = shared if shares[key] else _coded_product(
                         tables, degrees, label
                     )
-                    defect = _label_defect(tables, degrees, label, composite)
                     if not positive:
+                        # arrangements sharing the product and the merged
+                        # label share the defect
+                        memo = zero_defects if composite is shared else {}
+                        merged = _modified_product_label(label, degrees)
+                        defect = memo.get(merged)
+                        if defect is None:
+                            defect = memo[merged] = _label_defect(
+                                tables, degrees, label, composite
+                            )
                         checks = (("zero branch", defect, {}),)
                     else:
+                        defect = _label_defect(tables, degrees, label, composite)
                         swapped = (
                             shared_swapped if defect is shared
                             else tables.swapped(defect)

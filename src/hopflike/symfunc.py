@@ -353,20 +353,24 @@ def _kostka(degree: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _kostka_inverse(degree: int) -> tuple:
-    """Inverse of ``_kostka(degree)`` by integer back-substitution."""
+    """Inverse of ``_kostka(degree)`` by integer back-substitution.
+
+    Each solved row is also kept as its nonzero (column, value) pairs,
+    which the rows above it subtract.
+    """
     table = _kostka(degree)
     k = len(table)
-    rows = [None] * k
+    rows, nonzero = [None] * k, [None] * k
     for i in range(k - 1, -1, -1):
         row = [0] * k
         row[i] = 1
         for j in range(i + 1, k):
             c = table[i][j]
             if c:
-                for col, v in enumerate(rows[j]):
-                    if v:
-                        row[col] -= c * v
+                for col, v in nonzero[j]:
+                    row[col] -= c * v
         rows[i] = tuple(row)
+        nonzero[i] = [(col, v) for col, v in enumerate(row) if v]
     return tuple(rows)
 
 
@@ -696,6 +700,14 @@ def _decode_label(code: int, width: int) -> tuple:
     return tuple(reversed(parts))
 
 
+def _stray_splitting(lam, part, degree) -> RealizationError:
+    """The error for a splitting of h_lam whose ``part`` should be a
+    partition of ``degree`` and is not."""
+    return RealizationError(
+        f"splitting of h{list(lam)}: {part} is not a partition of {degree}"
+    )
+
+
 class _CodedTables(dict):
     """One sweep's tables, all read from one ``realization``.
 
@@ -706,12 +718,17 @@ class _CodedTables(dict):
     and a product of tensors slot by slot is a sum of codes.
 
     ``tables[lam]`` is the realization's ``_splittings(lam)`` group by
-    group, each group a dict {pair code: coeff} without zero coefficients;
-    ``row_expansions(row, columns)`` reads the same hook.  It, ``code(lam)``
-    and ``whole(lam)`` are memos too.  ``summed_towers`` values towers on
-    them, a tower group keeps its blocks' sums in ``blocks``, a route its
-    coproducts in ``coproducts`` and its split word with that word's value
-    in ``splits``, and ``steps`` holds the realization's step tables
+    group, each group a dict {pair code: coeff} without zero coefficients.
+    Group u must hold left labels of degree u and right labels of degree
+    |lam| - u, or building it raises ``RealizationError``: so no code lies
+    in two groups, and ``whole(lam)``, the union of the groups, is a
+    disjoint union whose left degrees split it back into them.
+    ``row_expansions(row, columns)`` reads the same hook under the same
+    rule.  It, ``code(lam)`` and ``whole(lam)`` are memos too.
+    ``summed_towers`` values towers on them, a tower group keeps its
+    blocks' sums in ``blocks``, a route its coproducts in ``coproducts``
+    and its split word with that word's value in ``splits``, and
+    ``steps`` holds the realization's step tables
     (:class:`_StepTables`), whose shuffle ids index ``shuffles``, a
     relation walk's list.  All live as long as this dict: one sweep.
     """
@@ -731,11 +748,19 @@ class _CodedTables(dict):
         self.splits = {}  # (gamma parts, alpha parts) -> (split word, its value)
 
     def __missing__(self, lam):
-        pair = self.pair_code
-        table = self[lam] = tuple(
-            {pair(mu, nu): c for mu, nu, c in group if c}
-            for group in self.realization._splittings(lam)
-        )
+        pair, n, table = self.pair_code, sum(lam), []
+        for u, group in enumerate(self.realization._splittings(lam)):
+            left, right = _positions(u), _positions(n - u) if u <= n else {}
+            coded = {}
+            for mu, nu, c in group:
+                if mu not in left:
+                    raise _stray_splitting(lam, mu, u)
+                if nu not in right:
+                    raise _stray_splitting(lam, nu, n - u)
+                if c:
+                    coded[pair(mu, nu)] = c
+            table.append(coded)
+        table = self[lam] = tuple(table)
         return table
 
     def code(self, lam) -> int:
@@ -762,7 +787,7 @@ class _CodedTables(dict):
         })
 
     def whole(self, lam) -> dict:
-        """The union of ``self[lam]``'s groups, which are disjoint."""
+        """The union of ``self[lam]``'s groups, disjoint by construction."""
         try:
             return self._wholes[lam]
         except KeyError:
@@ -802,10 +827,7 @@ class _CodedTables(dict):
                         try:
                             head = heads[positions[mu]]
                         except KeyError:  # a faulty splitting left the degree
-                            raise RealizationError(
-                                f"splitting of h{list(lam)}: {mu} is not a "
-                                f"partition of {d1}"
-                            ) from None
+                            raise _stray_splitting(lam, mu, d1) from None
                         tail = code(nu) << slot
                         for k, d in head:
                             k += tail

@@ -501,6 +501,23 @@ def stray_fault(monkeypatch):
     )
 
 
+def misgrouped_splittings(key):
+    """The splitting tables, with the first entry of h[2,1]'s left-degree-1
+    group, h[1] (x) h[1,1], moved into group 2, its coefficient unchanged."""
+    table = symfunc._comult_table(key)
+    if key != (2, 1):
+        return table
+    moved, *kept = table[1]
+    return (table[0], tuple(kept), table[2] + (moved,), *table[3:])
+
+
+def misgroup_fault(monkeypatch):
+    """Realize the coproduct by ``misgrouped_splittings``."""
+    monkeypatch.setattr(
+        symfunc.PshRealization, "_splittings", staticmethod(misgrouped_splittings)
+    )
+
+
 def h21_fault(monkeypatch):
     """Add one to the h[1] (x) h[1,1] coefficient of the coproduct of h[2,1]."""
     corrupted = bumped_splittings((2, 1), 1, (1,), (1, 1))

@@ -16,7 +16,7 @@ from hopflike.errors import UsageError
 from hopflike.parsing import parse_composition
 
 from hopflike.cli import main
-from reference import stray_fault
+from reference import misgroup_fault, stray_fault
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,18 @@ def test_verify_square_stray_splitting_exit_two(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err == "error: splitting of h[2]: (1, 1) is not a partition of 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("hopf", "--max-degree", "4"), ("bidegree12", "--max-total", "4"),
+], ids=["hopf", "bidegree12"])
+def test_verify_coalgebra_misgrouped_splitting_exit_two(capsys, monkeypatch, argv):
+    # a splitting of h[2,1] filed under the wrong left degree: one line
+    # and exit 2, where the whole-table compare could otherwise pass it
+    misgroup_fault(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: splitting of h[2, 1]: (1,) is not a partition of 2\n"
 
 
 def test_verify_bidegree12(capsys):

@@ -61,6 +61,7 @@ from reference import (
     h2_corrupted,
     label_fault,
     merge_order_fault,
+    misgroup_fault,
     reference_apply,
     reference_bidegree12_report,
     reference_hopf_report,
@@ -369,6 +370,90 @@ def test_coalgebra_sweeps_pass_after_a_comult_fault(monkeypatch):
         assert default_realization()._splittings((2, 1)) == h21
     assert symfunc._comult_table((2, 1)) == h21
     assert check_hopf_compat(4).passed and check_bidegree12_defect(4).passed
+
+
+MISGROUPED = r"^splitting of h\[2, 1\]: \(1,\) is not a partition of 2$"
+
+
+def test_a_misgrouped_splitting_is_a_realization_error(monkeypatch):
+    # the coalgebra sweeps compare whole tables, which is exact only while
+    # every group holds its own left degree: a correct splitting of h[2,1]
+    # filed under the wrong degree is refused, not passed
+    misgroup_fault(monkeypatch)
+    for sweep in (check_hopf_compat, check_bidegree12_defect):
+        with pytest.raises(RealizationError, match=MISGROUPED):
+            sweep(4)
+
+
+@pytest.mark.parametrize("group, message", [
+    (((1, 1), (1,), 1), r"\(1, 1\) is not a partition of 1"),
+    (((1,), (2,), 1), r"\(2,\) is not a partition of 1"),
+    # both labels are off: the left one is named
+    (((1, 1), (2,), 1), r"\(1, 1\) is not a partition of 1"),
+], ids=["left", "right", "both"])
+def test_coded_tables_check_both_degrees_of_a_splitting(group, message):
+    class Misgrouped(symfunc.PshRealization):
+        @staticmethod
+        def _splittings(lam):
+            table = symfunc._comult_table(lam)
+            return table[:1] + ((group,),) + table[2:] if lam == (2,) else table
+
+    tables = symfunc._CodedTables(Misgrouped(), 4)
+    assert tables[(1,)]
+    with pytest.raises(RealizationError, match=r"^splitting of h\[2\]: " + message):
+        tables[(2,)]
+
+
+def test_passing_hopf_sweep_compares_whole_tables_only(monkeypatch):
+    # the per-degree components are built only for a pair that fails, once
+    # for both of its orders
+    real, calls = hopfverify._shuffled_components, []
+
+    def counted(tables, lam, mu):
+        calls.append((lam, mu))
+        return real(tables, lam, mu)
+
+    monkeypatch.setattr(hopfverify, "_shuffled_components", counted)
+    assert check_hopf_compat(6).passed and calls == []
+    comult_fault(monkeypatch)
+    report = check_hopf_compat(3)
+    witnesses = {f.witness for f in report.failures}
+
+    def orders(lam, mu):
+        return {f"h{list(lam)} (x) h{list(mu)}", f"h{list(mu)} (x) h{list(lam)}"}
+
+    assert witnesses and len(set(calls)) == len(calls) < report.checked
+    assert all(orders(*pair) & witnesses for pair in calls)
+    assert witnesses <= set().union(*(orders(*pair) for pair in calls))
+
+
+def test_zero_branch_subtracts_comult_once_per_merged_label(monkeypatch):
+    # a positive input's defect is its product; on a zero tridegree the
+    # arrangements of one multiset share one subtraction per merged label
+    real, calls = hopfverify._label_defect, []
+
+    def counted(tables, shape, label, composite):
+        calls.append((shape, label))
+        return real(tables, shape, label, composite)
+
+    monkeypatch.setattr(hopfverify, "_label_defect", counted)
+    report = check_bidegree12_defect(6)
+    labels = [lam for d in range(7) for lam in partitions_of(d)]
+    inputs = [x for x in product(labels, repeat=3) if sum(map(sum, x)) <= 6]
+    positive = [x for x in inputs if all(x)]
+    zero = {tuple(sorted(x)) for x in inputs if not all(x)}
+    assert report.passed and report.checked == len(inputs) == 415
+    assert len(positive) == 87 and len(zero) == 73
+    assert sorted(label for shape, label in calls if min(shape) > 0) == sorted(positive)
+    assert sorted(
+        tuple(sorted(label)) for shape, label in calls if min(shape) == 0
+    ) == sorted(zero)
+    # h[2] (x) h[1] (x) h[] merges to two labels when one order of h[2], h[1]
+    # merges wrongly: its arrangements split into two subtractions
+    calls.clear()
+    merge_order_fault(monkeypatch)
+    check_bidegree12_defect(3)
+    assert sum(sorted(label) == [(), (1,), (2,)] for _, label in calls) == 2
 
 
 def test_six_term_fault_shows_in_the_mirrored_bracket_alone(monkeypatch):

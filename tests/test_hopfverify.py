@@ -22,6 +22,7 @@ from hopflike.hopfverify import (
     _modified_product_label,
     check_bidegree12,
     check_bidegree12_cases,
+    check_bidegree12_defect,
     check_hopf_compat,
     check_mixed_relations,
     check_relation_family,
@@ -302,7 +303,9 @@ def test_factored_towers_refuse_a_gamma_that_does_not_coarsen():
 
 
 # Reports past the benchmark's bounds, recorded when every group was still
-# summed matrix by matrix: summing block by block must not change a byte.
+# summed matrix by matrix (the tower sweeps) and when every Hopf comparison
+# and every zero-branch subtraction ran degree by degree and input by input
+# (the coalgebra sweeps): neither change may move a byte.
 @pytest.mark.parametrize("sweep, digest", [
     (
         lambda: check_worked_examples(9),
@@ -312,7 +315,22 @@ def test_factored_towers_refuse_a_gamma_that_does_not_coarsen():
         lambda: check_mixed_relations(7, 3),
         "30251f8576037436c466ff4eb25c5de6947c9638fca6dfdba61822b2d5243715",
     ),
-], ids=["worked-9", "mixed-7-3"])
+    (
+        lambda: check_hopf_compat(13),
+        "616176ede47141ceaa1552fc3b285d9b6170efe8445493b669637ffd7a42e897",
+    ),
+    (
+        lambda: check_bidegree12_defect(12),
+        "07e6498b8f1c344aed727b54a7cbb6db95dff3d775069cafb5be0b4fe6d9db6d",
+    ),
+    (
+        lambda: check_bidegree12_cases(12),
+        "8012264b5f17361dedc79f16110035646496bbb3ccf3c39d34f8c9f087efa8d2",
+    ),
+], ids=[
+    "worked-9", "mixed-7-3", "hopf-13", "bidegree12-defect-12",
+    "bidegree12-six-cases-12",
+])
 def test_stretch_reports_are_pinned(sweep, digest):
     report = sweep()
     assert report.passed
