@@ -223,13 +223,17 @@ def _relation_chains(family, max_sum, max_len):
     and ``right`` are chains of step keys (:func:`_step`) from ``source``
     to one target, and ``info`` is the description's template and its
     fields after the source.  A shuffle's key is its id, its index in
-    the list ``shuffles`` (empty but for tautau).  Bad bounds or family
-    raise at the call.
+    the list ``shuffles`` (empty but for tautau).  tautau's tuples are
+    its batches flattened.  Bad bounds or family raise at the call.
     """
-    _check_bounds(max_sum, max_len)
     if family == "tautau":
-        shuffles, by_source = _shuffles_by_source(max_sum, max_len)
-        return shuffles, _tautau_chains(shuffles, by_source)
+        shuffles, batches = _tautau_batches(max_sum, max_len)
+        return shuffles, (
+            _tautau_tuple(source, k1, *instance, shuffles)
+            for source, k1, instances in batches
+            for instance in instances
+        )
+    _check_bounds(max_sum, max_len)
     walks = {"dd": _dd_chains, "ss": _ss_chains}
     if family not in walks:
         raise UsageError(f"unknown relation family {family!r}")
@@ -373,16 +377,25 @@ def _shuffles_by_source(max_sum, max_len):
     return shuffles, by_source
 
 
+def _tautau_batches(max_sum, max_len):
+    """``(shuffles, batches of _tautau_chains)``; bad bounds raise here."""
+    _check_bounds(max_sum, max_len)
+    shuffles, by_source = _shuffles_by_source(max_sum, max_len)
+    return shuffles, _tautau_chains(shuffles, by_source)
+
+
 def _tautau_chains(shuffles, by_source):
-    """The tautau walk: chains of shuffle ids, in instance order.
+    """The tautau walk: a batch ``(source, k1, instances)`` per source and
+    first shuffle k1 that has instances, in instance order.
 
     A chain's shuffles are applied left to right from ``source``.
     Two-shuffle chains from ``source`` to ``target`` are grouped by their
-    composite position images.  In each instance ``left`` is the first
-    chain of its group (the same tuple for every instance of the group),
-    and ``right`` is either a later chain of the group or, once, when the
-    group opens, ``(k3,)`` for the single shuffle with the same images,
-    whose matrix K3 the description names.  Only one chain per group is
+    composite position images.  An instance ``(first, k2, info)`` checks
+    the chain ``(k1, k2)`` of a group against ``first``, the group's
+    first chain (one tuple per group), or, once, when the group opens,
+    ``first = (k1, k2)`` against the single shuffle with the same images:
+    then ``info``, the description's template and fields after the
+    source, ends in that shuffle's id k3.  Only one chain per group is
     held.
     """
     for source in sorted(by_source):
@@ -395,20 +408,32 @@ def _tautau_chains(shuffles, by_source):
             # on one slot (images (1,)) itemgetter would give a bare int
             pick = itemgetter(*[v - 1 for v in images1])
             composite = pick if len(images1) > 1 else tuple
+            instances = []
             for k2, target, images2 in by_source.get(mid, ()):
                 key = (target.parts, composite(images2))
                 group = groups.get(key)
                 if group is not None:
                     first, info = group
-                    yield source, first, (k1, k2), info
+                    instances.append((first, k2, info))
                     continue
                 first = (k1, k2)
                 groups[key] = first, ("tautau:equal-chains {}->{}", target)
                 k3 = singles.get(key)
                 if k3 is not None:
                     # the chain collapses to a single shuffle
-                    info = ("tautau:chain-vs-step {}->{} K3={}", target, shuffles[k3])
-                    yield source, first, (k3,), info
+                    instances.append(
+                        (first, k2, ("tautau:chain-vs-step {}->{} K3={}", target, k3))
+                    )
+            if instances:
+                yield source, k1, instances
+
+
+def _tautau_tuple(source, k1, first, k2, info, shuffles) -> tuple:
+    """A tautau batch's instance as a tuple of ``_relation_chains``."""
+    if len(info) == 2:  # equal chains
+        return source, first, (k1, k2), info
+    template, target, k3 = info
+    return source, first, (k3,), (template, target, shuffles[k3])
 
 
 def _relation_instance(source, left, right, info, shuffles) -> RelationInstance:

@@ -42,10 +42,12 @@ from .category import (
     _check_bounds,
     _relation_chains,
     _relation_instance,
+    _tautau_batches,
+    _tautau_tuple,
     semantic_equal,
     split_chain,
 )
-from .errors import SumMismatchError, UsageError
+from .errors import RealizationError, SumMismatchError, UsageError
 from .reports import VerificationReport
 from .symfunc import (
     TensorElement,
@@ -77,7 +79,8 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
 
     Codes add and coefficients multiply commutatively, so the product is
     built once for (x, y) and (y, x) and compared with each order's own
-    comult(x*y).
+    comult(x*y).  A merged label whose degree is not a+b, which only a
+    faulty ``_merge_labels`` gives, raises ``RealizationError``.
     """
     if max_degree < 1:
         raise UsageError("max_degree must be >= 1")
@@ -103,6 +106,11 @@ def check_hopf_compat(max_degree: int) -> VerificationReport:
                         # whole() has no zero coefficient: compare raw first
                         if left == right or left == _nonzero(right):
                             continue
+                        if sum(merged) != a + b:  # its groups are not the components j
+                            raise RealizationError(
+                                f"h{list(x)} * h{list(y)} merges into h{list(merged)},"
+                                f" of degree {sum(merged)}, not {a + b}"
+                            )
                         if components is None:
                             components = _shuffled_components(tables, lam, mu)
                         for j in range(a + b + 1):
@@ -257,61 +265,113 @@ def check_square_condition(alpha, beta, reading: str = "summed") -> Verification
 def check_relation_family(family: str, max_sum: int, max_len: int) -> VerificationReport:
     """Check every instance of a family on per-step basis tables.
 
-    dd, ss and tautau run one loop over the family's walk
-    (``category._relation_chains``).  Both chains of an instance are
-    valued from the step tables by :func:`_chain_value`, and kept
-    per source where walks repeat them.  The left chain's value is kept
-    for every family, since tautau compares every chain of a group with
-    its first.  A right chain's value is kept only when it is linear
-    (it has a step that is not a function on basis positions, as every
-    dd chain has), and looked up only beside a linear left value: the
-    dd walk repeats right chains, while tautau's never repeat, and a
-    function chain composes by indexing for less than a lookup costs.
-    A shuffle's step key is its int id in the walk's list of shuffles,
-    which the tables and a failure's words read its matrix from.  Values
-    compare raw first, and again with each position p written as
-    ``{p: 1}`` only on a mismatch.  Only when they still differ are the
-    instance's words built and compared by :func:`semantic_equal` on the
-    tables' own realization, which gives the failure's witness; if it
-    finds them equal, tables and words disagree and the sweep raises.
+    dd and ss are checked chain by chain (:func:`_check_chains`), tautau
+    batch by batch (:func:`_check_tautau`).  Values compare raw first,
+    and again with each position p written as ``{p: 1}`` only on a
+    mismatch.  Only when they still differ are the instance's words
+    built and compared on the tables' own realization
+    (:func:`_record_failure`).
     """
     if family == "mixed":
         return check_mixed_relations(max_sum, max_len)
-    shuffles, chains = _relation_chains(family, max_sum, max_len)  # checks args
+    if family == "tautau":
+        shuffles, walk = _tautau_batches(max_sum, max_len)  # checks args
+        check = _check_tautau
+    else:
+        shuffles, walk = _relation_chains(family, max_sum, max_len)  # checks args
+        check = _check_chains
     report = VerificationReport(
         f"relations-{family}", {"max_sum": max_sum, "max_len": max_len}
     )
-    tables = _CodedTables(default_realization(), max_sum, shuffles).steps
+    check(report, _CodedTables(default_realization(), max_sum, shuffles).steps, walk)
+    return report
+
+
+def _check_chains(report, tables, chains):
+    """Check the tuples of ``category._relation_chains``.
+
+    Both chains of an instance are valued by :func:`_chain_value`, and a
+    value is kept per source only when it is linear (it has a step that
+    is not a function on basis positions, as every dd chain has): dd's
+    walk repeats chains within a source, ss's never does, and a function
+    chain composes by indexing for less than a lookup costs.
+    """
     memo, current = {}, None
-    for source, left, right, info in chains:
+
+    def valued(chain):
+        value = memo.get(chain)
+        if value is None:
+            value = _chain_value(tables, chain)
+            if type(value[0]) is dict:
+                memo[chain] = value
+        return value
+
+    for chain in chains:
         report.checked += 1
-        if source is not current:  # walks never return to a source
-            memo, current = {}, source
-        lv = memo.get(left)
-        if lv is None:
-            lv = memo[left] = _chain_value(tables, left)
-        rv = memo.get(right) if type(lv[0]) is dict else None
-        if rv is None:
-            rv = _chain_value(tables, right)
-            if type(rv[0]) is dict:
-                memo[right] = rv
+        if chain[0] is not current:  # walks never return to a source
+            memo, current = {}, chain[0]
+        lv, rv = valued(chain[1]), valued(chain[2])
         if lv == rv or _expanded(lv) == _expanded(rv):
             continue
-        instance = _relation_instance(source, left, right, info, shuffles)
-        equal, witness = semantic_equal(
-            instance.left, instance.right, tables.realization
-        )
-        if equal:
-            raise RuntimeError(
-                f"step tables and realized words disagree on "
-                f"{instance.description}"
+        _record_failure(report, tables, chain)
+
+
+def _check_tautau(report, tables, batches):
+    """Check the batches of ``category._tautau_chains``.
+
+    A shuffle's step key is its int id in the walk's list of shuffles.
+    Each instance's chain ``(k1, k2)`` is valued once: by one composition
+    in C when both tables are positions, as every true shuffle's is, else
+    by :func:`_chain_value`.  A group's first chain is valued once per
+    source: by its own composition when it opens against K3, else by
+    :func:`_chain_value` at the group's first later chain.
+    """
+    values, current, checked = {}, None, 0
+    for source, k1, instances in batches:
+        if source is not current:  # the walk never returns to a source
+            values, current = {}, source
+        checked += len(instances)
+        table = tables[k1]
+        get1 = table.__getitem__ if type(table[0]) is int else None
+        for first, k2, info in instances:
+            table = tables[k2]
+            if get1 is not None and type(table[0]) is int:
+                value = tuple(map(get1, table))
+            else:
+                value = _chain_value(tables, (k1, k2))
+            if len(info) == 2:  # equal chains: the group's first against (k1, k2)
+                lv, rv = values.get(first), value
+                if lv is None:
+                    lv = values[first] = _chain_value(tables, first)
+            else:  # chain vs step: the group's first, (k1, k2), against K3
+                lv = values[first] = value
+                rv = tables[info[2]]
+            if lv == rv or _expanded(lv) == _expanded(rv):
+                continue
+            _record_failure(
+                report, tables, _tautau_tuple(source, k1, first, k2, info, tables.shuffles)
             )
-        label, lv, rv = witness
-        report.record(
-            instance.description,
-            *map(format_tensor, (TensorElement.basis(label), lv, rv)),
+    report.checked += checked
+
+
+def _record_failure(report, tables, chain):
+    """Record ``chain``, a walk's tuple whose values differ on the tables.
+
+    Its words are compared by :func:`semantic_equal` on the tables' own
+    realization, which gives the witness; if it finds them equal, tables
+    and words disagree and the sweep raises.
+    """
+    instance = _relation_instance(*chain, tables.shuffles)
+    equal, witness = semantic_equal(instance.left, instance.right, tables.realization)
+    if equal:
+        raise RuntimeError(
+            f"step tables and realized words disagree on {instance.description}"
         )
-    return report
+    label, lv, rv = witness
+    report.record(
+        instance.description,
+        *map(format_tensor, (TensorElement.basis(label), lv, rv)),
+    )
 
 
 def _chain_value(tables, chain) -> tuple:

@@ -659,9 +659,20 @@ def six_term_fault(monkeypatch):
 
 def merge_order_fault(monkeypatch):
     """Multiply h[2] by h[1], in that order only, into h[1,1,1]."""
+    merged_into(monkeypatch, (1, 1, 1))
+
+
+def merge_degree_fault(monkeypatch):
+    """Multiply h[2] by h[1], in that order only, into h[1,1], a label of
+    degree 2."""
+    merged_into(monkeypatch, (1, 1))
+
+
+def merged_into(monkeypatch, wrong):
+    """Multiply h[2] by h[1], in that order only, into ``wrong``."""
     real = hopfverify._merge_labels
 
     def faulty(lam, mu):
-        return (1, 1, 1) if (lam, mu) == ((2,), (1,)) else real(lam, mu)
+        return wrong if (lam, mu) == ((2,), (1,)) else real(lam, mu)
 
     monkeypatch.setattr(hopfverify, "_merge_labels", faulty)

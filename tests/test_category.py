@@ -273,6 +273,7 @@ WALK_DIGESTS = {
     ("dd", 8, 4): "533f4458866ee2f21d37b134c668f8439710db8cc1fd924de3233f89245fae1b",
     ("ss", 8, 4): "75564923e4b083ba57057263d6a1cecde24eac2298178b0389a36b791f017966",
     ("tautau", 4, 3): "02b2cbea99fac204c57618296fc50ee2751da6ba106bcf07301074f483981f41",
+    ("tautau", 4, 4): "eac114c52d87c567c5b4ec352a279dd61859bb995769cdb9f602bd10cec89b75",
 }
 
 

@@ -16,7 +16,7 @@ from hopflike.errors import UsageError
 from hopflike.parsing import parse_composition
 
 from hopflike.cli import main
-from reference import misgroup_fault, stray_fault
+from reference import merge_degree_fault, misgroup_fault, stray_fault
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +87,15 @@ def test_verify_coalgebra_misgrouped_splitting_exit_two(capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err == "error: splitting of h[2, 1]: (1,) is not a partition of 2\n"
+
+
+def test_verify_hopf_merge_degree_fault_exit_two(capsys, monkeypatch):
+    # h[2] * h[1] merged into a label of degree 2: one line and exit 2,
+    # not an IndexError from splitting it into components j = 0..3
+    merge_degree_fault(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "hopf", "--max-degree", "3")
+    assert code == 2 and out == ""
+    assert err == "error: h[2] * h[1] merges into h[1, 1], of degree 2, not 3\n"
 
 
 def test_verify_bidegree12(capsys):

@@ -554,27 +554,54 @@ def test_tautau_builds_words_only_for_failures(
     assert built == [f.instance for f in report.failures] and built
 
 
+def emptied_values(wrong_on):
+    """A fault: ``_chain_value`` gives empty values on the chains where
+    ``wrong_on`` holds, while the words stay true."""
+
+    def inject(monkeypatch):
+        real = hopfverify._chain_value
+
+        def wrong(tables, chain):
+            values = real(tables, chain)
+            return [{}] * len(values) if wrong_on(chain) else values
+
+        monkeypatch.setattr(hopfverify, "_chain_value", wrong)
+
+    return inject
+
+
+def reversed_shuffle_tables(monkeypatch):
+    """A fault: every shuffle's step table lists its rows in reverse, while
+    the words stay true.  On (2), [[2]] is the identity on h[2], h[1,1]:
+    the chain [[2]] ; [[2]] composes two reversals to the identity, while
+    its K3, [[2]] again, reads one."""
+    real = symfunc._StepTables.__missing__
+
+    def reversed_rows(self, key):
+        rows = real(self, key)
+        if type(key) is int:
+            rows = self[key] = rows[::-1]
+        return rows
+
+    monkeypatch.setattr(symfunc._StepTables, "__missing__", reversed_rows)
+
+
 @pytest.mark.parametrize(
-    "family, max_sum, max_len, wrong_on",
+    "family, max_sum, max_len, inject",
     [
-        ("dd", 3, 3, lambda chain: chain[0][0].i == 1),
-        ("ss", 4, 2, lambda chain: chain[0][0].i == 1),
-        ("tautau", 2, 2, lambda chain: len(chain) == 1),
+        ("dd", 3, 3, emptied_values(lambda chain: chain[0][0].i == 1)),
+        ("ss", 4, 2, emptied_values(lambda chain: chain[0][0].i == 1)),
+        ("tautau", 2, 2, reversed_shuffle_tables),
     ],
     ids=["dd", "ss", "tautau"],
 )
 def test_tautau_raises_when_tables_and_words_disagree(
-    monkeypatch, family, max_sum, max_len, wrong_on
+    monkeypatch, family, max_sum, max_len, inject
 ):
-    # empty values on some chains: the first instance with one such side
-    # differs on the tables while its words agree
-    real = hopfverify._chain_value
-
-    def wrong(tables, chain):
-        values = real(tables, chain)
-        return [{}] * len(values) if wrong_on(chain) else values
-
-    monkeypatch.setattr(hopfverify, "_chain_value", wrong)
+    # the first instance whose values differ on the tables while its
+    # words agree: dd and ss value every chain by _chain_value, while
+    # tautau composes most of its chains straight from the step tables
+    inject(monkeypatch)
     with pytest.raises(RuntimeError, match=f"disagree on {family}:"):
         check_relation_family(family, max_sum, max_len)
 

@@ -305,7 +305,8 @@ def test_factored_towers_refuse_a_gamma_that_does_not_coarsen():
 # Reports past the benchmark's bounds, recorded when every group was still
 # summed matrix by matrix (the tower sweeps) and when every Hopf comparison
 # and every zero-branch subtraction ran degree by degree and input by input
-# (the coalgebra sweeps): neither change may move a byte.
+# (the coalgebra sweeps), and when every tautau instance was valued
+# through the generic chain loop: none of these changes may move a byte.
 @pytest.mark.parametrize("sweep, digest", [
     (
         lambda: check_worked_examples(9),
@@ -327,9 +328,13 @@ def test_factored_towers_refuse_a_gamma_that_does_not_coarsen():
         lambda: check_bidegree12_cases(12),
         "8012264b5f17361dedc79f16110035646496bbb3ccf3c39d34f8c9f087efa8d2",
     ),
+    (
+        lambda: check_relation_family("tautau", 5, 3),
+        "19cdbd74c1a70ed785e0b84516776f70175e5493ddd8dc7068c32967932a6333",
+    ),
 ], ids=[
     "worked-9", "mixed-7-3", "hopf-13", "bidegree12-defect-12",
-    "bidegree12-six-cases-12",
+    "bidegree12-six-cases-12", "relations-tautau-5-3",
 ])
 def test_stretch_reports_are_pinned(sweep, digest):
     report = sweep()
@@ -350,26 +355,35 @@ def test_relation_families_pass():
 def test_relation_sweeps_value_each_kept_chain_once_per_source(
     monkeypatch, family, max_sum, max_len, checked, values
 ):
-    # each left chain is valued once per source; a right chain once per
-    # source when it is linear, as every dd chain is (merges realize
-    # through the coproduct), and at every instance when it is a function
-    # on basis positions, as every ss and tautau chain is
-    calls = 0
-    chain_value = hopfverify._chain_value
+    # dd and ss value both chains of an instance by _chain_value, and keep
+    # a value per source only when it is linear, as every dd chain is
+    # (merges realize through the coproduct): dd values each of a source's
+    # chains once, ss (functions on basis positions) both chains of every
+    # instance.  tautau values each instance's chain (k1, k2) by one
+    # composition, a map in C, and keeps one value per group first per
+    # source: the composition of the chain that opens its group against
+    # K3, or else one _chain_value (whose two shuffles compose by one map)
+    calls = Counter()
+    for name, real in [("_chain_value", hopfverify._chain_value), ("map", map)]:
 
-    def counted(tables, chain):
-        nonlocal calls
-        calls += 1
-        return chain_value(tables, chain)
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(hopfverify, "_chain_value", counted)
+        monkeypatch.setattr(hopfverify, name, counted, raising=False)
     report = check_relation_family(family, max_sum, max_len)
     walk = list(category._relation_chains(family, max_sum, max_len)[1])
     lefts = {(source, left) for source, left, _, _ in walk}
     both = {(source, chain) for source, *sides, _ in walk for chain in sides}
     assert report.passed and report.checked == len(walk) == checked
-    assert calls == values
-    assert calls == (len(both) if family == "dd" else len(lefts) + checked)
+    if family != "tautau":
+        assert calls["_chain_value"] == values
+        assert values == (len(both) if family == "dd" else 2 * checked)
+        return
+    steps = sum(len(right) == 1 for _, _, right, _ in walk)
+    assert calls["map"] == checked + calls["_chain_value"]
+    assert calls["_chain_value"] + steps == len(lefts)
+    assert checked + len(lefts) == values
 
 
 def test_tautau_sweep_hashes_no_matrix(monkeypatch):
